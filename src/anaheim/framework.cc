@@ -1,5 +1,6 @@
 #include "framework.h"
 
+#include <algorithm>
 #include <vector>
 
 #include "common/logging.h"
@@ -27,6 +28,15 @@ timelineIsCanonical(const std::vector<GanttEntry> &timeline)
             return false;
     }
     return true;
+}
+
+void
+canonicalizeTimeline(std::vector<GanttEntry> &timeline)
+{
+    if (timelineIsCanonical(timeline))
+        return;
+    std::stable_sort(timeline.begin(), timeline.end(), timelineEntryLess);
+    ANAHEIM_ASSERT(timelineIsCanonical(timeline), "timeline sort failed");
 }
 
 AnaheimConfig
@@ -63,6 +73,21 @@ AnaheimFramework::AnaheimFramework(const AnaheimConfig &config)
     : config_(config), gpu_(config.gpu, config.library),
       pim_(config.dram, config.pim)
 {
+}
+
+const PimKernelModel &
+AnaheimFramework::degradedPimModel(const PimConfig &degraded) const
+{
+    std::lock_guard<std::mutex> lock(degradedMutex_);
+    std::unique_ptr<PimKernelModel> &model =
+        degradedPims_[{degraded.offlineBanks, degraded.quarantinedLanes}];
+    if (!model) {
+        PimConfig pim = config_.pim;
+        pim.offlineBanks = degraded.offlineBanks;
+        pim.quarantinedLanes = degraded.quarantinedLanes;
+        model = std::make_unique<PimKernelModel>(config_.dram, pim);
+    }
+    return *model;
 }
 
 PimOpcode

@@ -11,7 +11,10 @@
 #define ANAHEIM_ANAHEIM_FRAMEWORK_H
 
 #include <map>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dram/scrub.h"
@@ -245,6 +248,11 @@ bool timelineEntryLess(const GanttEntry &a, const GanttEntry &b);
 /** True when `timeline` is in canonical order. */
 bool timelineIsCanonical(const std::vector<GanttEntry> &timeline);
 
+/** Put `timeline` in canonical order: a stable sort by
+ *  timelineEntryLess, skipped when the timeline already is canonical
+ *  (the stable sort of a sorted range is the identity). */
+void canonicalizeTimeline(std::vector<GanttEntry> &timeline);
+
 /** Fault/ECC/recovery counters accumulated over one execution. */
 struct ResilienceStats {
     /** PIM codeword reads with >= 1 flipped bit. */
@@ -347,13 +355,26 @@ class AnaheimFramework
     /** Map an element-wise kernel type onto its PIM opcode. */
     static PimOpcode opcodeFor(KernelType type);
 
+    /** The PIM model of this device degraded to `degraded`, a
+     *  `config().pim.degraded(...)`. One model per quarantine geometry
+     *  (the two fields degraded() sets), built on first use and shared
+     *  by every run on this framework, so its prices stay warm.
+     *  Thread-safe; the reference lives as long as the framework. */
+    const PimKernelModel &degradedPimModel(const PimConfig &degraded) const;
+
     /** Per-run device state lives in RunContext, which replays the
      *  schedule against this framework's models. */
     friend class RunContext;
 
+    /** (offlineBanks, quarantinedLanes) of a degraded geometry. */
+    using DegradedKey = std::pair<std::vector<size_t>, size_t>;
+
     AnaheimConfig config_;
     GpuModel gpu_;
     PimKernelModel pim_;
+    mutable std::mutex degradedMutex_;
+    mutable std::map<DegradedKey, std::unique_ptr<PimKernelModel>>
+        degradedPims_;
 };
 
 } // namespace anaheim

@@ -113,6 +113,9 @@ RunContext::RunContext(const AnaheimFramework &fw, const OpSequence &seq,
     opStreams_ = static_cast<uint64_t>(seq_.ops.size()) + 1;
     streamBase_ = seedSalt * 0x9E3779B97F4A7C15ULL;
 
+    // One timeline entry per op unless recovery adds phases or replays.
+    result_.timeline.reserve(seq_.ops.size());
+
     // Fusion analysis: op i consumes its predecessor's intermediates
     // from cache when both run on the GPU in the same phase.
     onPimFlags_.resize(seq_.ops.size());
@@ -322,9 +325,9 @@ RunContext::quarantineAndMigrate(size_t next, size_t resumeAt)
         PimMemoryPlanner(config_.dram, degraded).plan(seq_);
     if (health_->belowCapacityFloor() || !degradedPlan.fits) {
         pimOffline_ = true;
-        degradedPim_.reset();
+        degradedPim_ = nullptr;
     } else {
-        degradedPim_.emplace(config_.dram, degraded);
+        degradedPim_ = &fw_.degradedPimModel(degraded);
         // One pass over the live footprint into the new layout.
         chargePhase(
             "Migrate", "DRAM",
@@ -729,11 +732,8 @@ RunContext::finish()
     // Canonical timeline order — (startNs, device, phase) — so trace
     // exports and golden comparisons are reproducible regardless of
     // host thread count or future scheduler changes. Execution already
-    // appends in start order; the stable sort only tie-breaks.
-    std::stable_sort(result_.timeline.begin(), result_.timeline.end(),
-                     timelineEntryLess);
-    ANAHEIM_ASSERT(timelineIsCanonical(result_.timeline),
-                   "timeline sort failed");
+    // appends in start order, so the sort usually has nothing to do.
+    canonicalizeTimeline(result_.timeline);
     return std::move(result_);
 }
 

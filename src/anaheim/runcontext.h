@@ -169,7 +169,9 @@ class RunContext
     std::optional<HealthMonitor> health_;
     size_t activeFailedBanks_ = 0;
     size_t activeFailedLanes_ = 0;
-    std::optional<PimKernelModel> degradedPim_;
+    /** The framework's model of the quarantined geometry, or nullptr
+     *  while the device is healthy. */
+    const PimKernelModel *degradedPim_ = nullptr;
     bool pimOffline_ = false;
 
     uint64_t retryStreams_ = 1;

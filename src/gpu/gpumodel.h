@@ -91,7 +91,8 @@ class GpuModel
      * from DRAM (one-time use); Working operands stream when the
      * working set exceeds the cache; Intermediate operands round-trip
      * through DRAM unless the kernel was fused with its producer
-     * (fusionGroup shared), in which case they stay in cache/registers.
+     * (`fusedWithProducer`, decided by RunContext::fusesWithPrev), in
+     * which case they stay in cache/registers.
      *
      * @param extraWriteBackBytes Coherence write-backs Anaheim inserts
      *        before PIM kernels (§V-C).

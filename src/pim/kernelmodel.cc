@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -262,28 +263,73 @@ PimKernelModel::executeCustomHbm(const PimInstrProfile &profile,
     return stats;
 }
 
+size_t
+PimKernelModel::ShapeHash::operator()(const Shape &shape) const
+{
+    uint64_t h = static_cast<uint64_t>(shape.opcode);
+    for (const uint64_t v : {shape.fanIn, shape.limbs, shape.n})
+        h = (h ^ v) * 0x9E3779B97F4A7C15ULL;
+    return static_cast<size_t>(h ^ (h >> 32));
+}
+
 PimExecStats
 PimKernelModel::execute(PimOpcode opcode, size_t fanIn, size_t limbs,
                         size_t n) const
 {
+    static obs::Counter &instructions =
+        obs::MetricsRegistry::global().counter("pim.model.instructions");
+    static obs::Gauge &chunks =
+        obs::MetricsRegistry::global().gauge("pim.model.chunks_moved");
+    static obs::Counter &hits =
+        obs::MetricsRegistry::global().counter("pim.model.price_hits");
+    static obs::Counter &misses =
+        obs::MetricsRegistry::global().counter("pim.model.price_misses");
+
+    const Shape shape{opcode, fanIn, limbs, n};
+    PimExecStats stats;
+    {
+        std::lock_guard<std::mutex> lock(pricesMutex_);
+        const auto it = prices_.find(shape);
+        if (it != prices_.end()) {
+            stats = it->second;
+            hits.add();
+        } else {
+            stats = price(shape);
+            prices_.emplace(shape, stats);
+            misses.add();
+        }
+    }
+    instructions.add();
+    chunks.add(stats.chunksMoved);
+    return stats;
+}
+
+PimExecStats
+PimKernelModel::price(const Shape &shape) const
+{
     // Accumulation instructions whose buffer demand (fanIn + 2 regions)
     // exceeds B are chained: each piece accumulates its share and the
     // running accumulator pair is re-read/re-written between pieces.
-    if ((opcode == PimOpcode::PAccum || opcode == PimOpcode::CAccum) &&
-        fanIn + 2 > pim_.bufferEntries) {
+    if ((shape.opcode == PimOpcode::PAccum ||
+         shape.opcode == PimOpcode::CAccum) &&
+        shape.fanIn + 2 > pim_.bufferEntries) {
         // Chain in canonical PAccum<4> pieces (Alg. 1): larger pieces
         // would shrink G below what amortizes ACT/PRE.
         const size_t maxFanIn =
             std::min<size_t>(4, pim_.bufferEntries - 2);
         ANAHEIM_ASSERT(maxFanIn >= 1, "buffer too small for accumulation");
         PimExecStats total;
-        size_t remaining = fanIn;
+        size_t remaining = shape.fanIn;
         bool first = true;
         while (remaining > 0) {
             const size_t piece = std::min(remaining, maxFanIn);
-            PimExecStats stats =
-                first ? execute(opcode, piece, limbs, n)
-                      : executeChainedPiece(opcode, piece, limbs, n);
+            PimInstrProfile profile = pimInstrProfile(shape.opcode, piece);
+            // A continuation piece additionally re-reads the two
+            // accumulator polynomials it carries forward.
+            if (!first)
+                profile.readsGroup1 += 2;
+            const PimExecStats stats =
+                executeProfile(profile, shape.limbs, shape.n);
             total.timeNs += stats.timeNs;
             total.energyPj += stats.energyPj;
             total.commands.acts += stats.commands.acts;
@@ -297,36 +343,14 @@ PimKernelModel::execute(PimOpcode opcode, size_t fanIn, size_t limbs,
         }
         return total;
     }
-
-    const PimInstrProfile profile = pimInstrProfile(opcode, fanIn);
-    PimExecStats stats;
-    switch (pim_.variant) {
-      case PimVariant::NearBank:
-        stats = executeNearBank(profile, limbs, n);
-        break;
-      case PimVariant::CustomHbm:
-        stats = executeCustomHbm(profile, limbs, n);
-        break;
-      default:
-        ANAHEIM_PANIC("unknown PIM variant");
-    }
-    static obs::Counter &instructions =
-        obs::MetricsRegistry::global().counter("pim.model.instructions");
-    static obs::Gauge &chunks =
-        obs::MetricsRegistry::global().gauge("pim.model.chunks_moved");
-    instructions.add();
-    chunks.add(stats.chunksMoved);
-    return stats;
+    return executeProfile(pimInstrProfile(shape.opcode, shape.fanIn),
+                          shape.limbs, shape.n);
 }
 
 PimExecStats
-PimKernelModel::executeChainedPiece(PimOpcode opcode, size_t fanIn,
-                                    size_t limbs, size_t n) const
+PimKernelModel::executeProfile(const PimInstrProfile &profile,
+                               size_t limbs, size_t n) const
 {
-    // A continuation piece additionally re-reads the two accumulator
-    // polynomials it carries forward.
-    PimInstrProfile profile = pimInstrProfile(opcode, fanIn);
-    profile.readsGroup1 += 2;
     switch (pim_.variant) {
       case PimVariant::NearBank:
         return executeNearBank(profile, limbs, n);

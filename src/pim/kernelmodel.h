@@ -9,10 +9,17 @@
  * several banks on the logic die: ACT/PRE latencies hide behind the
  * other banks' streaming, at a lower aggregate internal bandwidth
  * (Table III: 4x vs 16x the external bandwidth on A100).
+ *
+ * An instruction's price is a pure function of its shape and the
+ * model's configuration, so each model prices a shape once and replays
+ * the stored result (DESIGN.md §18).
  */
 
 #ifndef ANAHEIM_PIM_KERNELMODEL_H
 #define ANAHEIM_PIM_KERNELMODEL_H
+
+#include <mutex>
+#include <unordered_map>
 
 #include "dram/bank.h"
 #include "dram/timing.h"
@@ -109,6 +116,11 @@ class PimKernelModel
     /**
      * Execute one PIM instruction over `limbs` limbs of degree-n
      * polynomials, using all banks. Returns device-level time/energy.
+     *
+     * The first call for a shape (opcode, fanIn, limbs, n) prices it;
+     * later calls return the stored result, bitwise identical. Every call counts in pim.model.instructions
+     * and pim.model.chunks_moved, and in exactly one of
+     * pim.model.price_hits / pim.model.price_misses. Thread-safe.
      */
     PimExecStats execute(PimOpcode opcode, size_t fanIn, size_t limbs,
                          size_t n) const;
@@ -119,15 +131,32 @@ class PimKernelModel
                           size_t n) const;
 
   private:
+    struct Shape {
+        PimOpcode opcode;
+        size_t fanIn;
+        size_t limbs;
+        size_t n;
+        bool operator==(const Shape &) const = default;
+    };
+    struct ShapeHash {
+        size_t operator()(const Shape &shape) const;
+    };
+
+    /** The command-level price of one shape, chained pieces included. */
+    PimExecStats price(const Shape &shape) const;
+    PimExecStats executeProfile(const PimInstrProfile &profile,
+                                size_t limbs, size_t n) const;
     PimExecStats executeNearBank(const PimInstrProfile &profile,
                                  size_t limbs, size_t n) const;
     PimExecStats executeCustomHbm(const PimInstrProfile &profile,
                                   size_t limbs, size_t n) const;
-    PimExecStats executeChainedPiece(PimOpcode opcode, size_t fanIn,
-                                     size_t limbs, size_t n) const;
 
     DramConfig dram_;
     PimConfig pim_;
+    /** Priced shapes; a miss prices under the lock, so each shape is
+     *  priced exactly once per model. */
+    mutable std::mutex pricesMutex_;
+    mutable std::unordered_map<Shape, PimExecStats, ShapeHash> prices_;
 };
 
 } // namespace anaheim

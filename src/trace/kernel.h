@@ -89,8 +89,6 @@ struct KernelOp {
     std::vector<Operand> writes;
     /** Whether Anaheim offloads this kernel to PIM when enabled. */
     bool pimEligible = false;
-    /** Id linking kernels fused into one launch (-1: not fused). */
-    int fusionGroup = -1;
 
     /** 32-bit integer-op count (modular mult ~ 5 int ops). */
     double intOps() const;

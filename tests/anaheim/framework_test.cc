@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+#include <vector>
+
 #include "anaheim/framework.h"
 #include "anaheim/workloads.h"
 #include "gpu/gpumodel.h"
@@ -209,6 +213,46 @@ TEST_F(FrameworkTest, ExtraFuseHelpsGpuOnlyRuns)
     config.fusion.extraFuse = true;
     const auto with = run(unfused, config);
     EXPECT_LT(with.totalNs, without.totalNs);
+}
+
+TEST(CanonicalTimeline, MatchesStableSortOnShuffledTies)
+{
+    // Executed timelines arrive canonical, so canonicalizeTimeline
+    // normally skips its sort; exercise the sort on a shuffled
+    // timeline where most entries tie on startNs across devices and
+    // phases, and equal keys must keep their relative order.
+    const char *devices[] = {"PIM", "GPU", "DRAM"};
+    const char *phases[] = {"HMult", "Boot", "Scrub"};
+    std::mt19937_64 rng(20261017);
+    std::vector<GanttEntry> timeline;
+    for (size_t i = 0; i < 600; ++i) {
+        GanttEntry entry;
+        entry.startNs = static_cast<double>(rng() % 16);
+        entry.endNs = entry.startNs + 1.0;
+        entry.device = devices[rng() % 3];
+        entry.phase = phases[rng() % 3];
+        entry.cls = KernelClass::ElementWise;
+        // Tags the entry, so the order among equal keys is checked.
+        entry.energyPj = static_cast<double>(i);
+        timeline.push_back(entry);
+    }
+    ASSERT_FALSE(timelineIsCanonical(timeline));
+    std::vector<GanttEntry> expected = timeline;
+    std::stable_sort(expected.begin(), expected.end(), timelineEntryLess);
+
+    canonicalizeTimeline(timeline);
+    ASSERT_EQ(timeline.size(), expected.size());
+    for (size_t i = 0; i < timeline.size(); ++i) {
+        EXPECT_EQ(timeline[i].startNs, expected[i].startNs);
+        EXPECT_EQ(timeline[i].device, expected[i].device);
+        EXPECT_EQ(timeline[i].phase, expected[i].phase);
+        EXPECT_EQ(timeline[i].energyPj, expected[i].energyPj) << i;
+    }
+    // Already canonical: left exactly as it is.
+    std::vector<GanttEntry> again = timeline;
+    canonicalizeTimeline(again);
+    for (size_t i = 0; i < timeline.size(); ++i)
+        EXPECT_EQ(again[i].energyPj, timeline[i].energyPj) << i;
 }
 
 } // namespace

@@ -134,8 +134,9 @@ TEST_F(TraceTest, SpawnedThreadsGetDistinctTids)
     EXPECT_EQ(std::unique(tids.begin(), tids.end()), tids.end());
     // Worker spans open at depth 0 of their own thread.
     for (const HostSpan &span : spans) {
-        if (std::string(span.name) == "test/worker")
+        if (std::string(span.name) == "test/worker") {
             EXPECT_EQ(span.depth, 0u);
+        }
     }
 }
 
@@ -154,8 +155,9 @@ TEST_F(TraceTest, DisableMidSpanStillUnwindsDepth)
 
     const auto spans = TraceCollector::global().hostSpans();
     for (const HostSpan &span : spans) {
-        if (std::string(span.name) == "test/after")
+        if (std::string(span.name) == "test/after") {
             EXPECT_EQ(span.depth, 0u);
+        }
     }
 }
 

@@ -1,8 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <numeric>
+#include <random>
+#include <thread>
+#include <vector>
+
 #include "common/rng.h"
 #include "math/modarith.h"
 #include "math/primes.h"
+#include "obs/metrics.h"
 #include "pim/functional.h"
 #include "pim/kernelmodel.h"
 #include "pim/layout.h"
@@ -359,6 +367,201 @@ TEST_F(PimModelTest, CustomHbmHidesActPreButStreamsSlower)
     EXPECT_GT(nearPenalty, customPenalty);
 }
 
+// --- Price table: PimKernelModel prices each shape once ---
+
+struct PriceShape {
+    PimOpcode opcode;
+    size_t fanIn;
+    size_t limbs;
+    size_t n;
+};
+
+/** Every opcode at fan-in 1, plus PAccum/CAccum fan-ins up to 24 (the
+ *  larger ones chain pieces at every B of the grid), over the limb
+ *  counts and ring degrees the workloads use. */
+std::vector<PriceShape>
+priceTableShapes()
+{
+    std::vector<PriceShape> shapes;
+    for (int op = 0; op <= static_cast<int>(PimOpcode::CAccum); ++op) {
+        const auto opcode = static_cast<PimOpcode>(op);
+        const bool accum =
+            opcode == PimOpcode::PAccum || opcode == PimOpcode::CAccum;
+        const std::vector<size_t> fanIns =
+            accum ? std::vector<size_t>{1, 2, 3, 4, 5, 8, 16, 24}
+                  : std::vector<size_t>{1};
+        for (const size_t fanIn : fanIns) {
+            for (const size_t limbs : {1u, 5u, 54u, 68u}) {
+                for (const size_t n : {size_t{1} << 12, size_t{1} << 16})
+                    shapes.push_back({opcode, fanIn, limbs, n});
+            }
+        }
+    }
+    return shapes;
+}
+
+/** Both variants x B in {4..64} x {healthy, 32 offline banks, 4
+ *  quarantined lanes}. */
+std::vector<PimConfig>
+priceTableConfigs()
+{
+    std::vector<PimConfig> configs;
+    for (const PimConfig &variant :
+         {PimConfig::nearBankA100(), PimConfig::customHbmA100()}) {
+        for (const size_t b : {4u, 8u, 16u, 32u, 64u}) {
+            PimConfig healthy = variant;
+            healthy.bufferEntries = b;
+            PimConfig offline = healthy;
+            for (size_t bank = 0; bank < 32; ++bank)
+                offline.offlineBanks.push_back(bank);
+            PimConfig lanes = healthy;
+            lanes.quarantinedLanes = 4;
+            configs.insert(configs.end(), {healthy, offline, lanes});
+        }
+    }
+    return configs;
+}
+
+std::vector<size_t>
+shuffledIndices(size_t count, uint64_t seed)
+{
+    std::vector<size_t> order(count);
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::mt19937_64 rng(seed);
+    std::shuffle(order.begin(), order.end(), rng);
+    return order;
+}
+
+/** Every field equal, doubles compared as bit patterns. */
+bool
+bitwiseEqual(const PimExecStats &a, const PimExecStats &b)
+{
+    const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    return bits(a.timeNs) == bits(b.timeNs) &&
+           bits(a.energyPj) == bits(b.energyPj) &&
+           a.commands.acts == b.commands.acts &&
+           a.commands.reads == b.commands.reads &&
+           a.commands.writes == b.commands.writes &&
+           a.commands.pres == b.commands.pres &&
+           bits(a.chunksMoved) == bits(b.chunksMoved) &&
+           a.chunkGranularity == b.chunkGranularity &&
+           a.supported == b.supported;
+}
+
+PimExecStats
+priceOn(const PimKernelModel &model, const PriceShape &shape)
+{
+    return model.execute(shape.opcode, shape.fanIn, shape.limbs, shape.n);
+}
+
+uint64_t
+counterValue(const char *name)
+{
+    return obs::MetricsRegistry::global().counter(name).value();
+}
+
+TEST(PimPriceTable, WarmModelMatchesFreshModelsBitwise)
+{
+    // Pricing is a pure function of (model config, shape): a shared
+    // model answering from its table must return exactly what a fresh
+    // model computes, on every geometry, including chained pieces.
+    const std::vector<PriceShape> shapes = priceTableShapes();
+    obs::Gauge &chunks =
+        obs::MetricsRegistry::global().gauge("pim.model.chunks_moved");
+    uint64_t calls = 0;
+    const uint64_t hitsBefore = counterValue("pim.model.price_hits");
+    const uint64_t missesBefore = counterValue("pim.model.price_misses");
+    const uint64_t instrBefore = counterValue("pim.model.instructions");
+    for (const PimConfig &config : priceTableConfigs()) {
+        std::vector<PimExecStats> fresh;
+        for (const PriceShape &shape : shapes)
+            fresh.push_back(
+                priceOn(PimKernelModel(DramConfig::hbm2A100(), config),
+                        shape));
+        calls += shapes.size();
+
+        const PimKernelModel shared(DramConfig::hbm2A100(), config);
+        const uint64_t sharedMisses = counterValue("pim.model.price_misses");
+        const uint64_t sharedHits = counterValue("pim.model.price_hits");
+        for (const uint64_t visit : {1u, 2u}) {
+            double chunkSum = 0.0;
+            const double chunksBefore = chunks.value();
+            for (const size_t i : shuffledIndices(shapes.size(), visit)) {
+                const PimExecStats warm = priceOn(shared, shapes[i]);
+                chunkSum += warm.chunksMoved;
+                EXPECT_TRUE(bitwiseEqual(warm, fresh[i]))
+                    << pimOpcodeName(shapes[i].opcode) << "<"
+                    << shapes[i].fanIn << "> limbs=" << shapes[i].limbs
+                    << " n=" << shapes[i].n << " B=" << config.bufferEntries
+                    << " visit " << visit;
+            }
+            calls += shapes.size();
+            // Hits count their chunks like misses do.
+            EXPECT_DOUBLE_EQ(chunks.value() - chunksBefore, chunkSum);
+        }
+        // The first visit priced every shape once; the second only hit.
+        EXPECT_EQ(counterValue("pim.model.price_misses") - sharedMisses,
+                  shapes.size());
+        EXPECT_EQ(counterValue("pim.model.price_hits") - sharedHits,
+                  shapes.size());
+    }
+    const uint64_t hits = counterValue("pim.model.price_hits") - hitsBefore;
+    const uint64_t misses =
+        counterValue("pim.model.price_misses") - missesBefore;
+    EXPECT_EQ(hits + misses, calls);
+    EXPECT_EQ(counterValue("pim.model.instructions") - instrBefore, calls);
+}
+
+TEST(PimPriceTable, ConcurrentPricingOnOneModelAgrees)
+{
+    // Four threads price the same shapes on one model in different
+    // orders; the table is filled exactly once per shape.
+    constexpr size_t kThreads = 4;
+    const std::vector<PriceShape> shapes = priceTableShapes();
+    PimConfig config = PimConfig::nearBankA100();
+    config.bufferEntries = 8;
+    const PimKernelModel shared(DramConfig::hbm2A100(), config);
+    const uint64_t missesBefore = counterValue("pim.model.price_misses");
+    std::vector<std::vector<PimExecStats>> results(
+        kThreads, std::vector<PimExecStats>(shapes.size()));
+    std::vector<std::thread> threads;
+    for (size_t t = 0; t < kThreads; ++t) {
+        threads.emplace_back([&, t] {
+            for (const size_t i : shuffledIndices(shapes.size(), 10 + t))
+                results[t][i] = priceOn(shared, shapes[i]);
+        });
+    }
+    for (std::thread &thread : threads)
+        thread.join();
+    EXPECT_EQ(counterValue("pim.model.price_misses") - missesBefore,
+              shapes.size());
+    for (size_t i = 0; i < shapes.size(); ++i) {
+        const PimExecStats fresh =
+            priceOn(PimKernelModel(DramConfig::hbm2A100(), config),
+                    shapes[i]);
+        for (size_t t = 0; t < kThreads; ++t)
+            EXPECT_TRUE(bitwiseEqual(results[t][i], fresh))
+                << "shape " << i << " thread " << t;
+    }
+}
+
+TEST(PimPriceTable, ChainedAccumulationCountsEveryPiece)
+{
+    // PAccum<16> needs 18 buffer regions, more than B = 16 holds, so it
+    // runs as chained pieces; the chunk gauge must add all of them.
+    PimConfig config = PimConfig::nearBankA100();
+    config.bufferEntries = 16;
+    const PimKernelModel model(DramConfig::hbm2A100(), config);
+    obs::Gauge &chunks =
+        obs::MetricsRegistry::global().gauge("pim.model.chunks_moved");
+    const double before = chunks.value();
+    const PimExecStats stats =
+        model.execute(PimOpcode::PAccum, 16, 54, 1 << 16);
+    EXPECT_DOUBLE_EQ(chunks.value() - before, stats.chunksMoved);
+    // The pieces together move more than the first piece alone.
+    EXPECT_GT(stats.chunksMoved,
+              model.execute(PimOpcode::PAccum, 4, 54, 1 << 16).chunksMoved);
+}
 
 TEST_F(PimFunctionalTest, UnaryOpsRejectEmptyOperands)
 {

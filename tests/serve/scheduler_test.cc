@@ -397,8 +397,9 @@ TEST(Serve, DeadlineSheddingDropsGuaranteedMisses)
     EXPECT_LE(result.stats.deadlineMet, result.stats.completed);
     for (const auto &stream : result.streams) {
         for (const auto &req : stream.requests) {
-            if (req.cause == serve::RejectCause::DeadlineShed)
+            if (req.cause == serve::RejectCause::DeadlineShed) {
                 EXPECT_TRUE(req.result.timeline.empty());
+            }
             if (req.deadlineMet) {
                 EXPECT_FALSE(req.rejected);
                 EXPECT_LE(req.endNs, req.deadlineNs);

@@ -10,8 +10,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstring>
+#include <type_traits>
+
 #include "anaheim/framework.h"
 #include "common/parallel.h"
+#include "obs/metrics.h"
 #include "trace/builders.h"
 
 namespace anaheim {
@@ -248,6 +253,64 @@ TEST(Degradation, CampaignIsBitwiseDeterministicAcrossThreadCounts)
     }
     // The run actually exercised the machinery under test.
     EXPECT_GT(a.migrations + a.rollbacks + a.gpuFallbacks, 0u);
+}
+
+/** Every field of two runs equal, doubles compared as bit patterns. */
+void
+expectBitwiseEqualRuns(const RunResult &a, const RunResult &b)
+{
+    const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    EXPECT_EQ(bits(a.totalNs), bits(b.totalNs));
+    EXPECT_EQ(bits(a.energyPj), bits(b.energyPj));
+    EXPECT_EQ(bits(a.gpuDramBytes), bits(b.gpuDramBytes));
+    EXPECT_EQ(bits(a.pimInternalBytes), bits(b.pimInternalBytes));
+    EXPECT_EQ(bits(a.pimCapacityFraction), bits(b.pimCapacityFraction));
+    EXPECT_EQ(a.pimOffline, b.pimOffline);
+    ASSERT_EQ(a.timeNsByCategory.size(), b.timeNsByCategory.size());
+    for (const auto &[category, ns] : a.timeNsByCategory) {
+        const auto it = b.timeNsByCategory.find(category);
+        ASSERT_NE(it, b.timeNsByCategory.end()) << category;
+        EXPECT_EQ(bits(ns), bits(it->second)) << category;
+    }
+    // All-uint64_t counters: equal bytes mean equal values.
+    static_assert(std::has_unique_object_representations_v<ResilienceStats>);
+    EXPECT_EQ(std::memcmp(&a.resilience, &b.resilience,
+                          sizeof(ResilienceStats)),
+              0);
+    ASSERT_EQ(a.timeline.size(), b.timeline.size());
+    for (size_t i = 0; i < a.timeline.size(); ++i) {
+        const GanttEntry &x = a.timeline[i];
+        const GanttEntry &y = b.timeline[i];
+        EXPECT_EQ(x.phase, y.phase) << i;
+        EXPECT_EQ(x.device, y.device) << i;
+        EXPECT_EQ(x.cls, y.cls) << i;
+        EXPECT_EQ(bits(x.startNs), bits(y.startNs)) << i;
+        EXPECT_EQ(bits(x.endNs), bits(y.endNs)) << i;
+        EXPECT_EQ(bits(x.energyPj), bits(y.energyPj)) << i;
+        EXPECT_EQ(x.bound, y.bound) << i;
+    }
+}
+
+TEST(Degradation, RunsOnOneFrameworkShareTheWarmDegradedModel)
+{
+    // Runs that quarantine the same dead bank borrow one framework-
+    // owned model of the degraded geometry: each reproduces a fresh
+    // framework's run bitwise, and the second run prices nothing new.
+    AnaheimConfig config = degradationConfig();
+    config.resilience.permanentBanks.push_back({2, 17});
+    const OpSequence seq = hmultChain(2);
+    const RunResult fresh = AnaheimFramework(config).execute(seq);
+    ASSERT_EQ(fresh.resilience.migrations, 1u);
+
+    const AnaheimFramework shared(config);
+    const RunResult first = shared.execute(seq);
+    obs::Counter &misses =
+        obs::MetricsRegistry::global().counter("pim.model.price_misses");
+    const uint64_t missesBefore = misses.value();
+    const RunResult second = shared.execute(seq);
+    EXPECT_EQ(misses.value(), missesBefore);
+    expectBitwiseEqualRuns(first, fresh);
+    expectBitwiseEqualRuns(second, fresh);
 }
 
 } // namespace
