@@ -294,11 +294,11 @@ RunContext::recordSuspects(bool banks, bool lanes)
     bool newlyQuarantined = false;
     if (banks) {
         for (const FaultSiteId &site : failedBankSites_)
-            newlyQuarantined |= health_->recordError(site, clock_);
+            newlyQuarantined |= health_->recordError(site);
     }
     if (lanes) {
         for (const FaultSiteId &site : failedLaneSites_)
-            newlyQuarantined |= health_->recordError(site, clock_);
+            newlyQuarantined |= health_->recordError(site);
     }
     return newlyQuarantined;
 }

@@ -3,26 +3,8 @@
 #include <algorithm>
 
 #include "common/logging.h"
-#include "sim/fault.h"
 
 namespace anaheim {
-
-void
-BankEngine::attachFaultModel(const FaultModel *model,
-                             size_t residentWords)
-{
-    faultModel_ = model;
-    residentWords_ = residentWords;
-}
-
-uint64_t
-BankEngine::scrub()
-{
-    retention_.pendingCorrectable = 0;
-    const uint64_t surfaced = retention_.pendingUncorrectable;
-    retention_.pendingUncorrectable = 0;
-    return surfaced;
-}
 
 int64_t
 BankEngine::applyRefresh(int64_t cycle)
@@ -34,19 +16,6 @@ BankEngine::applyRefresh(int64_t cycle)
         cycle = std::max(cycle, nextRefresh_) + timing_.tRFC;
         nextRefresh_ += timing_.tREFI;
         ++refreshes_;
-        if (faultModel_ != nullptr && residentWords_ > 0) {
-            // Cells that decayed during this window are refreshed in
-            // their corrupted state: the damage persists until an ECC
-            // scrub pass visits them (or the data is overwritten).
-            ++retention_.windows;
-            const FaultEventCounts decay = faultModel_->sampleRetention(
-                refreshes_, residentWords_);
-            retention_.faultyWords += decay.faulty;
-            retention_.singleBit += decay.singleBit;
-            retention_.multiBit += decay.multiBit;
-            retention_.pendingCorrectable += decay.singleBit;
-            retention_.pendingUncorrectable += decay.multiBit;
-        }
     }
     return cycle;
 }

@@ -5,26 +5,16 @@
  * enforced as earliest-issue times. During all-bank PIM execution every
  * bank follows the same schedule (§VI), so one BankEngine models the
  * whole device.
- *
- * The engine can additionally model cell *retention* decay: with a
- * FaultModel attached, every elapsed refresh window draws how many of
- * the bank's resident codewords decayed (FaultModel::sampleRetention,
- * deterministic per window index). Single-bit decays are repairable by
- * an ECC scrub pass (scrub()); multi-bit decays are uncorrectable data
- * loss that stays pending until a scrub surfaces it.
  */
 
 #ifndef ANAHEIM_DRAM_BANK_H
 #define ANAHEIM_DRAM_BANK_H
 
-#include <cstddef>
 #include <cstdint>
 
 #include "timing.h"
 
 namespace anaheim {
-
-class FaultModel;
 
 enum class DramCommand { Act, Rd, Wr, Pre };
 
@@ -34,18 +24,6 @@ struct CommandCounts {
     uint64_t reads = 0;
     uint64_t writes = 0;
     uint64_t pres = 0;
-};
-
-/** Retention-decay accounting per BankEngine. */
-struct RetentionCounters {
-    uint64_t windows = 0;     ///< refresh windows sampled
-    uint64_t faultyWords = 0; ///< decayed codewords, all classes
-    uint64_t singleBit = 0;   ///< scrub-correctable decays
-    uint64_t multiBit = 0;    ///< uncorrectable decays (data loss)
-    /** Correctable decays accumulated since the last scrub pass. */
-    uint64_t pendingCorrectable = 0;
-    /** Uncorrectable decays not yet surfaced by a scrub pass. */
-    uint64_t pendingUncorrectable = 0;
 };
 
 class BankEngine
@@ -74,29 +52,10 @@ class BankEngine
     const CommandCounts &counts() const { return counts_; }
     uint64_t refreshes() const { return refreshes_; }
 
-    /**
-     * Track retention decay over `residentWords` stored codewords:
-     * each refresh window crossed from now on draws decay events from
-     * `model` (non-owning; nullptr detaches). Passing the same seeded
-     * model reproduces identical decay histories.
-     */
-    void attachFaultModel(const FaultModel *model, size_t residentWords);
-
-    const RetentionCounters &retention() const { return retention_; }
-
-    /**
-     * ECC scrub visit: repair every pending correctable decay and
-     * surface the pending uncorrectable ones. Returns the number of
-     * uncorrectable decays surfaced (both pending counters reset —
-     * the caller owns the recovery decision).
-     */
-    uint64_t scrub();
-
   private:
     /** Stall for any pending auto-refresh windows before `cycle`. The
      *  model charges tRFC per elapsed tREFI (simplified all-bank
-     *  refresh; rows are restored afterwards). Each crossed window
-     *  also samples retention decay when a fault model is attached. */
+     *  refresh; rows are restored afterwards). */
     int64_t applyRefresh(int64_t cycle);
 
     DramTiming timing_;
@@ -110,9 +69,6 @@ class BankEngine
     int64_t nextRefresh_ = 0;
     uint64_t refreshes_ = 0;
     CommandCounts counts_;
-    const FaultModel *faultModel_ = nullptr;
-    size_t residentWords_ = 0;
-    RetentionCounters retention_;
 };
 
 } // namespace anaheim

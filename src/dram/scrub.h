@@ -1,6 +1,6 @@
 /**
  * @file
- * Periodic ECC scrub modeling for the DRAM controller.
+ * Periodic ECC scrub modeling for the DRAM device.
  *
  * Raw near-bank arrays accumulate retention decay between accesses; a
  * scrub pass walks the resident footprint, runs every codeword through
@@ -12,9 +12,8 @@
  * near-bank energy — the scrub never crosses the global I/O.
  *
  * ScrubEngine only prices the pass; what a pass *finds* is tracked by
- * the BankEngine retention counters (micro level) or the framework's
- * event sampling (trace level), both fed by the same seeded
- * FaultModel.
+ * RunContext::runMaintenance, which samples retention decay from the
+ * run's seeded FaultModel once per elapsed refresh window.
  */
 
 #ifndef ANAHEIM_DRAM_SCRUB_H

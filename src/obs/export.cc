@@ -10,7 +10,6 @@
 
 #include "common/logging.h"
 #include "common/parallel.h"
-#include "obs/json.h"
 
 namespace anaheim::obs {
 
@@ -215,92 +214,6 @@ writeChromeTrace(const std::string &path, const TraceCollector &collector)
     return static_cast<bool>(file);
 }
 
-namespace {
-
-Status
-invalid(const std::string &what)
-{
-    return Status(ErrorCode::InvalidArgument, what);
-}
-
-} // namespace
-
-Status
-validateChromeTrace(const std::string &json)
-{
-    std::string error;
-    const auto doc = parseJson(json, &error);
-    if (doc == nullptr)
-        return invalid("trace is not valid JSON: " + error);
-    if (!doc->isObject())
-        return invalid("trace document is not an object");
-    const JsonValue *events = doc->find("traceEvents");
-    if (events == nullptr || !events->isArray())
-        return invalid("missing \"traceEvents\" array");
-
-    std::set<double> namedPids;
-    size_t completeEvents = 0;
-    for (size_t i = 0; i < events->array().size(); ++i) {
-        const JsonValue &event = events->array()[i];
-        const std::string at = " (event " + std::to_string(i) + ")";
-        if (!event.isObject())
-            return invalid("traceEvents entry is not an object" + at);
-        const JsonValue *ph = event.find("ph");
-        const JsonValue *pid = event.find("pid");
-        const JsonValue *tid = event.find("tid");
-        const JsonValue *name = event.find("name");
-        if (ph == nullptr || !ph->isString())
-            return invalid("event missing string \"ph\"" + at);
-        if (pid == nullptr || !pid->isNumber())
-            return invalid("event missing numeric \"pid\"" + at);
-        if (tid == nullptr || !tid->isNumber())
-            return invalid("event missing numeric \"tid\"" + at);
-        if (name == nullptr || !name->isString())
-            return invalid("event missing string \"name\"" + at);
-        if (ph->string() == "M") {
-            if (name->string() == "process_name")
-                namedPids.insert(pid->number());
-            continue;
-        }
-        if (ph->string() != "X")
-            return invalid("unexpected phase \"" + ph->string() + "\"" +
-                           at);
-        const JsonValue *ts = event.find("ts");
-        const JsonValue *dur = event.find("dur");
-        if (ts == nullptr || !ts->isNumber())
-            return invalid("complete event missing numeric \"ts\"" + at);
-        if (dur == nullptr || !dur->isNumber())
-            return invalid("complete event missing numeric \"dur\"" + at);
-        if (ts->number() < 0.0 || dur->number() < 0.0)
-            return invalid("negative ts/dur" + at);
-        ++completeEvents;
-    }
-    if (completeEvents == 0)
-        return invalid("trace contains no complete (\"X\") events");
-    for (size_t i = 0; i < events->array().size(); ++i) {
-        const JsonValue &event = events->array()[i];
-        const JsonValue *ph = event.find("ph");
-        if (ph->string() == "M")
-            continue;
-        if (namedPids.count(event.find("pid")->number()) == 0) {
-            return invalid("event " + std::to_string(i) +
-                           " references a pid with no process_name");
-        }
-    }
-    return Status::okStatus();
-}
-
-Status
-validateChromeTraceFile(const std::string &path)
-{
-    std::ifstream file(path);
-    if (!file)
-        return invalid("cannot open " + path);
-    std::ostringstream contents;
-    contents << file.rdbuf();
-    return validateChromeTrace(contents.str());
-}
-
 std::string
 metricsJson(const MetricsSnapshot &snapshot, const std::string &source,
             const std::vector<SeriesSnapshot> &series)
@@ -364,86 +277,6 @@ metricsJson(const MetricsSnapshot &snapshot, const std::string &source,
     }
     out << "\n}\n";
     return out.str();
-}
-
-Status
-validateMetricsJson(const std::string &json)
-{
-    std::string error;
-    const auto doc = parseJson(json, &error);
-    if (doc == nullptr)
-        return invalid("metrics document is not valid JSON: " + error);
-    if (!doc->isObject())
-        return invalid("metrics document is not an object");
-    for (const char *key :
-         {"schema_version", "git_sha", "build_type", "threads"}) {
-        const JsonValue *field = doc->find(key);
-        if (field == nullptr || !field->isString())
-            return invalid(std::string("missing header field \"") +
-                           key + "\"");
-    }
-    const JsonValue *metrics = doc->find("metrics");
-    if (metrics == nullptr || !metrics->isArray())
-        return invalid("missing \"metrics\" array");
-    for (size_t i = 0; i < metrics->array().size(); ++i) {
-        const JsonValue &entry = metrics->array()[i];
-        const std::string at = " (metric " + std::to_string(i) + ")";
-        const JsonValue *name = entry.find("name");
-        const JsonValue *kind = entry.find("kind");
-        const JsonValue *value = entry.find("value");
-        if (name == nullptr || !name->isString())
-            return invalid("metric missing string \"name\"" + at);
-        if (kind == nullptr || !kind->isString() ||
-            (kind->string() != "counter" && kind->string() != "gauge" &&
-             kind->string() != "histogram"))
-            return invalid("metric missing known \"kind\"" + at);
-        if (value == nullptr || !value->isNumber())
-            return invalid("metric missing numeric \"value\"" + at);
-    }
-    const JsonValue *series = doc->find("timeseries");
-    if (series == nullptr)
-        return Status::okStatus(); // section is optional
-    if (!series->isArray())
-        return invalid("\"timeseries\" is not an array");
-    for (size_t i = 0; i < series->array().size(); ++i) {
-        const JsonValue &entry = series->array()[i];
-        const std::string at = " (series " + std::to_string(i) + ")";
-        const JsonValue *name = entry.find("name");
-        const JsonValue *tick = entry.find("tick_ns");
-        const JsonValue *points = entry.find("points");
-        if (name == nullptr || !name->isString())
-            return invalid("series missing string \"name\"" + at);
-        if (tick == nullptr || !tick->isNumber() ||
-            tick->number() <= 0.0)
-            return invalid("series missing positive \"tick_ns\"" + at);
-        if (points == nullptr || !points->isArray())
-            return invalid("series missing \"points\" array" + at);
-        double lastStart = -1.0;
-        for (size_t j = 0; j < points->array().size(); ++j) {
-            const JsonValue &point = points->array()[j];
-            const std::string where = " (series " + std::to_string(i) +
-                                      ", point " + std::to_string(j) +
-                                      ")";
-            for (const char *key : {"start_ns", "count", "sum", "min",
-                                    "max", "p50", "p99", "rate_per_s"}) {
-                const JsonValue *field = point.find(key);
-                if (field == nullptr || !field->isNumber())
-                    return invalid(std::string("point missing numeric "
-                                               "\"") +
-                                   key + "\"" + where);
-            }
-            if (point.find("start_ns")->number() <= lastStart)
-                return invalid("points not in start_ns order" + where);
-            lastStart = point.find("start_ns")->number();
-            if (point.find("count")->number() < 0.0)
-                return invalid("negative count" + where);
-            if (point.find("count")->number() > 0.0 &&
-                point.find("p99")->number() <
-                    point.find("p50")->number())
-                return invalid("p99 below p50" + where);
-        }
-    }
-    return Status::okStatus();
 }
 
 std::string

@@ -21,7 +21,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/status.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
@@ -38,18 +37,6 @@ bool writeChromeTrace(
     const std::string &path,
     const TraceCollector &collector = TraceCollector::global());
 
-/**
- * Schema-check a Chrome trace document: parses the JSON, requires a
- * "traceEvents" array whose entries carry name/ph/pid/tid (and ts/dur
- * for "X" events), and requires every "X" event to be attributable to
- * a named process. Returns Ok or InvalidArgument with the first
- * violation.
- */
-Status validateChromeTrace(const std::string &json);
-
-/** validateChromeTrace() over a file's contents. */
-Status validateChromeTraceFile(const std::string &path);
-
 /** The metrics document for a registry snapshot; when `series` is
  *  non-empty a "timeseries" section follows the flat metrics array
  *  (one entry per series: name, tick, per-window
@@ -58,16 +45,6 @@ std::string metricsJson(
     const MetricsSnapshot &snapshot,
     const std::string &source = "anaheim",
     const std::vector<SeriesSnapshot> &series = {});
-
-/**
- * Schema-check a metrics JSON document: self-describing header,
- * metrics entries with known kinds, and — when a "timeseries" section
- * is present — per-series tick/points invariants (non-negative
- * counts, windows in start order, p99 >= p50). Returns Ok or
- * InvalidArgument with the first violation. Mirrored by
- * scripts/validate_trace.py for CI artifacts.
- */
-Status validateMetricsJson(const std::string &json);
 
 /** Write the global registry's snapshot to `path`: CSV when the path
  *  ends in ".csv", JSON otherwise (with the timeseries section when

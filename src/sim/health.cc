@@ -101,9 +101,6 @@ HealthMonitor::HealthMonitor(const HealthConfig &config,
     ANAHEIM_CHECK(config_.permanentThreshold >= 1, InvalidArgument,
                   "permanent threshold must be >= 1, got ",
                   config_.permanentThreshold);
-    ANAHEIM_CHECK(config_.windowNs >= 0.0, InvalidArgument,
-                  "health window must be >= 0 ns, got ",
-                  config_.windowNs);
     ANAHEIM_CHECK(config_.minCapacityFraction >= 0.0 &&
                       config_.minCapacityFraction <= 1.0,
                   InvalidArgument,
@@ -115,7 +112,7 @@ HealthMonitor::HealthMonitor(const HealthConfig &config,
 }
 
 bool
-HealthMonitor::recordError(const FaultSiteId &site, double nowNs)
+HealthMonitor::recordError(const FaultSiteId &site)
 {
     ANAHEIM_CHECK(site.dieGroup < map_.dieGroups, InvalidArgument,
                   "fault site die group ", site.dieGroup,
@@ -129,15 +126,7 @@ HealthMonitor::recordError(const FaultSiteId &site, double nowNs)
     if (map_.contains(site))
         return false;
     ++events_;
-    std::vector<double> &hits = history_[site];
-    hits.push_back(nowNs);
-    if (config_.windowNs > 0.0) {
-        const double horizon = nowNs - config_.windowNs;
-        hits.erase(std::remove_if(hits.begin(), hits.end(),
-                                  [&](double t) { return t < horizon; }),
-                   hits.end());
-    }
-    if (hits.size() < config_.permanentThreshold)
+    if (++history_[site] < config_.permanentThreshold)
         return false;
     // Classified permanent: quarantine the site (sorted insert keeps
     // ResourceMap::contains O(log n)) and drop its history.
@@ -147,12 +136,6 @@ HealthMonitor::recordError(const FaultSiteId &site, double nowNs)
         site);
     history_.erase(site);
     return true;
-}
-
-void
-HealthMonitor::recordClean(const FaultSiteId &site)
-{
-    history_.erase(site);
 }
 
 bool

@@ -6,12 +6,11 @@
  * them go away; a permanent fault (stuck-at cells, a dead bank, a
  * broken MMAC lane) deterministically fails every replay into the same
  * site. The HealthMonitor tells the two apart from the error history:
- * it keeps a sliding window of detected-error timestamps per fault
- * site, and when the same site accumulates `permanentThreshold` events
- * inside `windowNs` it is classified permanent and quarantined. The
- * quarantine set is exposed as a ResourceMap that the layout/planner
- * layers use to allocate around the offline resources and that
- * PimKernelModel uses to price the degraded device.
+ * it counts detected errors per fault site, and a site that
+ * accumulates `permanentThreshold` of them is classified permanent and
+ * quarantined. The quarantine set is exposed as a ResourceMap that the
+ * layout/planner layers use to allocate around the offline resources
+ * and that PimKernelModel uses to price the degraded device.
  *
  * Permanent-fault *injection* lives in FaultConfig (permanentBanks /
  * permanentLanes / permanentBankRate); the monitor only ever sees
@@ -59,11 +58,8 @@ struct FaultSiteId {
 struct HealthConfig {
     /** Master switch; off reproduces the pre-quarantine framework. */
     bool enabled = false;
-    /** Error-history window in simulated ns; events older than the
-     *  window no longer count toward the threshold. 0 = unbounded. */
-    double windowNs = 0.0;
-    /** Detected-error events at one site within the window before it
-     *  is classified permanent and quarantined. */
+    /** Detected-error events at one site before it is classified
+     *  permanent and quarantined. */
     size_t permanentThreshold = 3;
     /** Healthy-bank fraction below which PIM offload is abandoned:
      *  further quarantine would leave the lockstep device slower than
@@ -108,17 +104,12 @@ class HealthMonitor
     const ResourceMap &resources() const { return map_; }
 
     /**
-     * Record one detected error attributed to `site` at simulated time
-     * `nowNs`. Returns true when this event pushes the site over the
-     * permanent threshold, i.e. the site was *newly* quarantined (the
-     * caller should remap). Events against an already-quarantined site
-     * are ignored.
+     * Record one detected error attributed to `site`. Returns true when
+     * this event pushes the site over the permanent threshold, i.e. the
+     * site was *newly* quarantined (the caller should remap). Events
+     * against an already-quarantined site are ignored.
      */
-    bool recordError(const FaultSiteId &site, double nowNs);
-
-    /** Clear a site's error history (e.g. after a scrub pass verified
-     *  it clean); quarantined sites stay quarantined. */
-    void recordClean(const FaultSiteId &site);
+    bool recordError(const FaultSiteId &site);
 
     bool isQuarantined(const FaultSiteId &site) const;
     /** Total error events recorded (including sub-threshold ones). */
@@ -131,7 +122,8 @@ class HealthMonitor
   private:
     HealthConfig config_;
     ResourceMap map_;
-    std::map<FaultSiteId, std::vector<double>> history_;
+    /** Detected errors per not-yet-quarantined site. */
+    std::map<FaultSiteId, size_t> history_;
     uint64_t events_ = 0;
 };
 

@@ -1,7 +1,6 @@
 #include <gtest/gtest.h>
 
 #include "dram/bank.h"
-#include "dram/controller.h"
 
 namespace anaheim {
 namespace {
@@ -76,68 +75,6 @@ TEST(BankEngineDeath, ReadOnPrechargedBankPanics)
 {
     BankEngine bank(testTiming());
     EXPECT_DEATH(bank.issue(DramCommand::Rd), "precharged");
-}
-
-TEST(AddressMap, DecomposesAndRotatesAcrossBanks)
-{
-    const DramConfig config = DramConfig::hbm2A100();
-    const auto r0 = mapAddress(config, 0, false);
-    EXPECT_EQ(r0.bank, 0u);
-    EXPECT_EQ(r0.row, 0u);
-    EXPECT_EQ(r0.column, 0u);
-    // Next chunk: same row, next column.
-    const auto r1 = mapAddress(config, config.chunkBytes, false);
-    EXPECT_EQ(r1.bank, 0u);
-    EXPECT_EQ(r1.column, 1u);
-    // One full row later: next bank.
-    const auto r2 = mapAddress(config, config.rowBytes, false);
-    EXPECT_EQ(r2.bank, 1u);
-    EXPECT_EQ(r2.row, 0u);
-}
-
-TEST(MemoryController, SequentialStreamIsRowHitDominated)
-{
-    const DramConfig config = DramConfig::hbm2A100();
-    MemoryController controller(config, config.banksPerDie);
-    for (uint64_t addr = 0; addr < 8 * config.rowBytes;
-         addr += config.chunkBytes)
-        controller.enqueue(mapAddress(config, addr, false));
-    controller.drain();
-    EXPECT_GT(controller.rowHitRate(), 0.9);
-}
-
-TEST(MemoryController, RowHitRateIsZeroBeforeAnyDrain)
-{
-    // Regression: with no accesses the hit rate must be 0, not 0/0.
-    const DramConfig config = DramConfig::hbm2A100();
-    const MemoryController idle(config, config.banksPerDie);
-    EXPECT_EQ(idle.rowHitRate(), 0.0);
-
-    // Enqueued-but-not-drained requests still count no accesses.
-    MemoryController pending(config, config.banksPerDie);
-    pending.enqueue(mapAddress(config, 0, false));
-    EXPECT_EQ(pending.rowHitRate(), 0.0);
-}
-
-TEST(MemoryController, FrFcfsPrefersRowHits)
-{
-    const DramConfig config = DramConfig::hbm2A100();
-    MemoryController hitFriendly(config, 1);
-    MemoryController thrash(config, 1);
-    // Same requests; one ordering alternates rows (worst case), FR-FCFS
-    // should still reorder them into row hits within the queue window.
-    for (int i = 0; i < 16; ++i) {
-        DramRequest a{false, 0, 0, static_cast<uint64_t>(i)};
-        DramRequest b{false, 0, 1, static_cast<uint64_t>(i)};
-        hitFriendly.enqueue(a);
-        hitFriendly.enqueue(b);
-        thrash.enqueue(a);
-        thrash.enqueue(b);
-    }
-    const double ns = hitFriendly.drain();
-    (void)ns;
-    // With FR-FCFS all row-0 requests drain before row 1: 1 ACT each.
-    EXPECT_EQ(hitFriendly.counts().acts, 2u);
 }
 
 TEST(DramConfig, PresetsMatchTableIII)

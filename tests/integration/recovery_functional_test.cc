@@ -260,7 +260,7 @@ TEST_F(FunctionalRecoveryTest,
         if (!path.uncorrectableSeen())
             break;
         ++failedReplays;
-        monitor.recordError(site, static_cast<double>(attempts));
+        monitor.recordError(site);
         path.nextEpoch(); // the replay a transient would survive
     }
     ASSERT_LE(attempts, 10u) << "remap never produced a clean run";

@@ -1,29 +1,46 @@
 /**
  * @file
  * Exporter and attribution tests over a real simulated run: the Chrome
- * trace document validates against its own schema checker and parses
- * with the expected event fields and lanes; the attribution report's
- * category totals reproduce `RunResult::timeNsByCategory`; the
- * timeline leaves execute() in canonical order; metrics exports carry
- * the self-describing header.
+ * trace document carries the expected events, phases and lanes; the
+ * attribution report's category totals reproduce
+ * `RunResult::timeNsByCategory`; the timeline leaves execute() in
+ * canonical order; metrics exports carry the self-describing header.
+ * The full schema check of exported documents is
+ * scripts/validate_trace.py, which ctest runs on the bench smokes'
+ * --trace/--metrics files.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
-#include <set>
+#include <fstream>
 #include <sstream>
 #include <string>
 
 #include "anaheim/framework.h"
 #include "obs/export.h"
-#include "obs/json.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "trace/builders.h"
 
 namespace anaheim::obs {
 namespace {
+
+bool
+contains(const std::string &text, const std::string &needle)
+{
+    return text.find(needle) != std::string::npos;
+}
+
+size_t
+occurrences(const std::string &text, const std::string &needle)
+{
+    size_t count = 0;
+    for (size_t at = text.find(needle); at != std::string::npos;
+         at = text.find(needle, at + needle.size()))
+        ++count;
+    return count;
+}
 
 RunResult
 smallRun(AnaheimConfig config = AnaheimConfig::a100NearBank())
@@ -65,54 +82,23 @@ TEST_F(ExportTest, ChromeTraceValidatesAndParses)
     setTracingEnabled(false);
 
     const std::string json = chromeTraceJson();
-    EXPECT_TRUE(validateChromeTrace(json).ok())
-        << validateChromeTrace(json).toString();
-
-    // Independent parse: the schema fields Perfetto/chrome://tracing
-    // require must be present on every complete event.
-    std::string error;
-    const auto doc = parseJson(json, &error);
-    ASSERT_NE(doc, nullptr) << error;
-    const JsonValue *events = doc->find("traceEvents");
-    ASSERT_NE(events, nullptr);
-    ASSERT_TRUE(events->isArray());
-
-    std::set<std::string> lanes;
-    std::set<std::string> phases;
-    bool sawHostSpan = false;
-    for (const JsonValue &event : events->array()) {
-        const JsonValue *ph = event.find("ph");
-        ASSERT_NE(ph, nullptr);
-        phases.insert(ph->string());
-        ASSERT_NE(event.find("pid"), nullptr);
-        ASSERT_NE(event.find("tid"), nullptr);
-        EXPECT_TRUE(event.find("pid")->isNumber());
-        EXPECT_TRUE(event.find("tid")->isNumber());
-        if (ph->string() == "X") {
-            ASSERT_NE(event.find("ts"), nullptr);
-            ASSERT_NE(event.find("dur"), nullptr);
-            EXPECT_GE(event.find("ts")->number(), 0.0);
-            EXPECT_GE(event.find("dur")->number(), 0.0);
-            if (event.find("name")->string() == "test/export")
-                sawHostSpan = true;
-            const JsonValue *args = event.find("args");
-            if (args != nullptr && args->find("lane") != nullptr)
-                lanes.insert(args->find("lane")->string());
-        }
-    }
-    EXPECT_TRUE(sawHostSpan);
+    EXPECT_TRUE(contains(json, "\"name\": \"test/export\", \"cat\": "
+                               "\"host\", \"ph\": \"X\""))
+        << "host span missing";
     // Only metadata ("M") and complete ("X") events are emitted.
-    for (const std::string &phase : phases)
-        EXPECT_TRUE(phase == "M" || phase == "X") << phase;
+    const std::string phase = "\"ph\": \"";
+    EXPECT_GT(occurrences(json, phase), 0u);
+    EXPECT_EQ(occurrences(json, phase),
+              occurrences(json, phase + "M\"") +
+                  occurrences(json, phase + "X\""));
     // The simulated run contributes both execution lanes.
-    EXPECT_TRUE(lanes.count("GPU")) << "lanes missing GPU";
-    EXPECT_TRUE(lanes.count("PIM")) << "lanes missing PIM";
-
+    EXPECT_TRUE(contains(json, "\"args\": {\"lane\": \"GPU\""))
+        << "lanes missing GPU";
+    EXPECT_TRUE(contains(json, "\"args\": {\"lane\": \"PIM\""))
+        << "lanes missing PIM";
     // Header block rides "otherData".
-    const JsonValue *other = doc->find("otherData");
-    ASSERT_NE(other, nullptr);
-    ASSERT_NE(other->find("schema_version"), nullptr);
-    ASSERT_NE(other->find("git_sha"), nullptr);
+    EXPECT_TRUE(contains(json, "\"otherData\": {\"schema_version\": \""));
+    EXPECT_TRUE(contains(json, "\"git_sha\": \""));
 }
 
 TEST_F(ExportTest, WriteAndValidateTraceFile)
@@ -125,30 +111,11 @@ TEST_F(ExportTest, WriteAndValidateTraceFile)
     const std::string path =
         ::testing::TempDir() + "/anaheim_export_test_trace.json";
     ASSERT_TRUE(writeChromeTrace(path));
-    EXPECT_TRUE(validateChromeTraceFile(path).ok())
-        << validateChromeTraceFile(path).toString();
+    std::ifstream file(path);
+    std::ostringstream written;
+    written << file.rdbuf();
+    EXPECT_EQ(written.str(), chromeTraceJson());
     std::remove(path.c_str());
-}
-
-TEST_F(ExportTest, ValidatorRejectsBrokenTraces)
-{
-    EXPECT_FALSE(validateChromeTrace("not json").ok());
-    EXPECT_FALSE(validateChromeTrace("{}").ok());
-    EXPECT_FALSE(validateChromeTrace("{\"traceEvents\": 3}").ok());
-    // No complete events.
-    EXPECT_FALSE(validateChromeTrace("{\"traceEvents\": []}").ok());
-    // Complete event missing ts.
-    EXPECT_FALSE(
-        validateChromeTrace(
-            "{\"traceEvents\": [{\"name\": \"a\", \"ph\": \"X\", "
-            "\"pid\": 1, \"tid\": 1, \"dur\": 1}]}")
-            .ok());
-    // Complete event whose pid has no process_name metadata.
-    EXPECT_FALSE(
-        validateChromeTrace(
-            "{\"traceEvents\": [{\"name\": \"a\", \"ph\": \"X\", "
-            "\"pid\": 1, \"tid\": 1, \"ts\": 0, \"dur\": 1}]}")
-            .ok());
 }
 
 TEST_F(ExportTest, AttributionMatchesTimeNsByCategory)
@@ -229,28 +196,15 @@ TEST_F(ExportTest, MetricsJsonCarriesHeaderAndEntries)
     const std::string json =
         metricsJson(MetricsRegistry::global().snapshot(), "test");
 
-    std::string error;
-    const auto doc = parseJson(json, &error);
-    ASSERT_NE(doc, nullptr) << error;
-    ASSERT_NE(doc->find("schema_version"), nullptr);
-    ASSERT_NE(doc->find("git_sha"), nullptr);
-    ASSERT_NE(doc->find("build_type"), nullptr);
-    ASSERT_NE(doc->find("threads"), nullptr);
-    const JsonValue *metrics = doc->find("metrics");
-    ASSERT_NE(metrics, nullptr);
-    ASSERT_TRUE(metrics->isArray());
-    bool sawCounter = false;
-    for (const JsonValue &entry : metrics->array()) {
-        ASSERT_NE(entry.find("name"), nullptr);
-        ASSERT_NE(entry.find("kind"), nullptr);
-        ASSERT_NE(entry.find("value"), nullptr);
-        if (entry.find("name")->string() == "test.export.counter") {
-            sawCounter = true;
-            EXPECT_EQ(entry.find("kind")->string(), "counter");
-            EXPECT_GE(entry.find("value")->number(), 3.0);
-        }
-    }
-    EXPECT_TRUE(sawCounter);
+    for (const char *key :
+         {"schema_version", "git_sha", "build_type", "threads"})
+        EXPECT_TRUE(contains(json, "\"" + std::string(key) + "\": \""))
+            << key;
+    const std::string entry = "{\"name\": \"test.export.counter\", "
+                              "\"kind\": \"counter\", \"value\": ";
+    const size_t at = json.find(entry);
+    ASSERT_NE(at, std::string::npos) << json;
+    EXPECT_GE(std::stod(json.substr(at + entry.size())), 3.0);
 }
 
 TEST_F(ExportTest, MetricsJsonTimeseriesSectionValidates)
@@ -261,51 +215,19 @@ TEST_F(ExportTest, MetricsJsonTimeseriesSectionValidates)
     const std::string json =
         metricsJson(MetricsRegistry::global().snapshot(), "test",
                     {series.snapshot()});
-    ASSERT_TRUE(validateMetricsJson(json).ok())
-        << validateMetricsJson(json).message();
 
-    std::string error;
-    const auto doc = parseJson(json, &error);
-    ASSERT_NE(doc, nullptr) << error;
-    const JsonValue *ts = doc->find("timeseries");
-    ASSERT_NE(ts, nullptr);
-    ASSERT_TRUE(ts->isArray());
-    ASSERT_EQ(ts->array().size(), 1u);
-    const JsonValue &entry = ts->array()[0];
-    EXPECT_EQ(entry.find("name")->string(), "test.export.ts");
-    EXPECT_DOUBLE_EQ(entry.find("tick_ns")->number(), 1000.0);
-    const JsonValue *points = entry.find("points");
-    ASSERT_NE(points, nullptr);
-    ASSERT_EQ(points->array().size(), 2u);
-    EXPECT_DOUBLE_EQ(points->array()[0].find("sum")->number(), 4.0);
-    EXPECT_DOUBLE_EQ(points->array()[1].find("start_ns")->number(),
-                     1000.0);
-}
-
-TEST_F(ExportTest, ValidatorRejectsBrokenTimeseries)
-{
-    // Out-of-order windows are the invariant a buggy exporter would
-    // break first; the validator must catch them, and a plain document
-    // with no timeseries section must stay valid.
-    const std::string good =
-        metricsJson(MetricsRegistry::global().snapshot(), "test");
-    EXPECT_TRUE(validateMetricsJson(good).ok());
-
-    const std::string bad =
-        "{\"schema_version\":\"1\",\"git_sha\":\"x\","
-        "\"build_type\":\"t\",\"threads\":\"1\",\"source\":\"test\","
-        "\"metrics\":[{\"name\":\"a\",\"kind\":\"counter\","
-        "\"value\":1,\"count\":1,\"sum\":1}],"
-        "\"timeseries\":[{\"name\":\"s\",\"tick_ns\":1000.0,"
-        "\"dropped_late\":0,\"evicted_windows\":0,\"points\":["
-        "{\"start_ns\":1000.0,\"count\":1,\"sum\":1,\"min\":1,"
-        "\"max\":1,\"p50\":1,\"p99\":1,\"rate_per_s\":1},"
-        "{\"start_ns\":0.0,\"count\":1,\"sum\":1,\"min\":1,"
-        "\"max\":1,\"p50\":1,\"p99\":1,\"rate_per_s\":1}]}]}";
-    const Status status = validateMetricsJson(bad);
-    EXPECT_FALSE(status.ok());
-    EXPECT_NE(status.message().find("order"), std::string::npos)
-        << status.message();
+    EXPECT_EQ(occurrences(json, "\"timeseries\": ["), 1u);
+    EXPECT_TRUE(contains(json, "{\"name\": \"test.export.ts\", "
+                               "\"tick_ns\": 1000, "));
+    // Two windows, in start order, each holding one sample.
+    EXPECT_EQ(occurrences(json, "\"start_ns\": "), 2u);
+    const size_t first =
+        json.find("{\"start_ns\": 0, \"count\": 1, \"sum\": 4, ");
+    const size_t second =
+        json.find("{\"start_ns\": 1000, \"count\": 1, \"sum\": 8, ");
+    ASSERT_NE(first, std::string::npos) << json;
+    ASSERT_NE(second, std::string::npos) << json;
+    EXPECT_LT(first, second);
 }
 
 TEST_F(ExportTest, PrometheusTextExposesFamiliesContiguously)

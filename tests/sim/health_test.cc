@@ -16,12 +16,11 @@ namespace anaheim {
 namespace {
 
 HealthConfig
-enabledConfig(size_t threshold = 3, double windowNs = 0.0)
+enabledConfig(size_t threshold = 3)
 {
     HealthConfig config;
     config.enabled = true;
     config.permanentThreshold = threshold;
-    config.windowNs = windowNs;
     return config;
 }
 
@@ -31,11 +30,11 @@ TEST(HealthMonitor, QuarantinesASiteAtThePermanentThreshold)
 {
     HealthMonitor monitor(enabledConfig(3), 5, 512, 8);
     const FaultSiteId bank{FaultSiteId::Kind::Bank, 2, 17};
-    EXPECT_FALSE(monitor.recordError(bank, 10.0));
-    EXPECT_FALSE(monitor.recordError(bank, 20.0));
+    EXPECT_FALSE(monitor.recordError(bank));
+    EXPECT_FALSE(monitor.recordError(bank));
     EXPECT_FALSE(monitor.isQuarantined(bank));
     // The third strike classifies the site permanent.
-    EXPECT_TRUE(monitor.recordError(bank, 30.0));
+    EXPECT_TRUE(monitor.recordError(bank));
     EXPECT_TRUE(monitor.isQuarantined(bank));
     EXPECT_EQ(monitor.errorEvents(), 3u);
     EXPECT_EQ(monitor.resources().quarantinedBanks(), 1u);
@@ -46,10 +45,10 @@ TEST(HealthMonitor, ErrorsAgainstAQuarantinedSiteAreIgnored)
 {
     HealthMonitor monitor(enabledConfig(1), 5, 512, 8);
     const FaultSiteId bank{FaultSiteId::Kind::Bank, 0, 3};
-    EXPECT_TRUE(monitor.recordError(bank, 1.0));
+    EXPECT_TRUE(monitor.recordError(bank));
     // Already quarantined: never reported as *newly* quarantined again
     // and not double-counted in the quarantine set.
-    EXPECT_FALSE(monitor.recordError(bank, 2.0));
+    EXPECT_FALSE(monitor.recordError(bank));
     EXPECT_EQ(monitor.resources().quarantinedBanks(), 1u);
 }
 
@@ -59,44 +58,15 @@ TEST(HealthMonitor, DistinctSitesAccumulateIndependently)
     const FaultSiteId bankA{FaultSiteId::Kind::Bank, 1, 7};
     const FaultSiteId bankB{FaultSiteId::Kind::Bank, 1, 8};
     const FaultSiteId lane{FaultSiteId::Kind::MmacLane, 1, 7};
-    EXPECT_FALSE(monitor.recordError(bankA, 1.0));
-    EXPECT_FALSE(monitor.recordError(bankB, 2.0));
-    EXPECT_FALSE(monitor.recordError(lane, 3.0)); // same (group, index)
-    EXPECT_TRUE(monitor.recordError(bankA, 4.0));
+    EXPECT_FALSE(monitor.recordError(bankA));
+    EXPECT_FALSE(monitor.recordError(bankB));
+    EXPECT_FALSE(monitor.recordError(lane)); // same (group, index)
+    EXPECT_TRUE(monitor.recordError(bankA));
     EXPECT_FALSE(monitor.isQuarantined(bankB));
     EXPECT_FALSE(monitor.isQuarantined(lane));
-    EXPECT_TRUE(monitor.recordError(lane, 5.0));
+    EXPECT_TRUE(monitor.recordError(lane));
     EXPECT_EQ(monitor.resources().quarantinedBanks(), 1u);
     EXPECT_EQ(monitor.resources().quarantinedLanes(), 1u);
-}
-
-TEST(HealthMonitor, OldEventsAgeOutOfTheWindow)
-{
-    // Two strikes 1 ms apart with a 0.5 ms window: the first has aged
-    // out by the time the second lands, so the site is never
-    // classified permanent — transient upsets spread over time do not
-    // quarantine healthy hardware.
-    HealthMonitor monitor(enabledConfig(2, 0.5e6), 5, 512, 8);
-    const FaultSiteId bank{FaultSiteId::Kind::Bank, 0, 0};
-    EXPECT_FALSE(monitor.recordError(bank, 0.0));
-    EXPECT_FALSE(monitor.recordError(bank, 1.0e6));
-    EXPECT_FALSE(monitor.isQuarantined(bank));
-    // A burst inside the window does quarantine.
-    EXPECT_TRUE(monitor.recordError(bank, 1.2e6));
-    EXPECT_TRUE(monitor.isQuarantined(bank));
-}
-
-TEST(HealthMonitor, RecordCleanResetsTheHistory)
-{
-    HealthMonitor monitor(enabledConfig(2), 5, 512, 8);
-    const FaultSiteId bank{FaultSiteId::Kind::Bank, 3, 100};
-    EXPECT_FALSE(monitor.recordError(bank, 1.0));
-    monitor.recordClean(bank); // e.g. a scrub pass verified it clean
-    EXPECT_FALSE(monitor.recordError(bank, 2.0));
-    EXPECT_TRUE(monitor.recordError(bank, 3.0));
-    // Quarantined sites stay quarantined even after recordClean.
-    monitor.recordClean(bank);
-    EXPECT_TRUE(monitor.isQuarantined(bank));
 }
 
 TEST(HealthMonitor, CapacityFloorTracksQuarantinedBanks)
@@ -106,11 +76,11 @@ TEST(HealthMonitor, CapacityFloorTracksQuarantinedBanks)
     HealthMonitor monitor(config, 2, 4, 8); // 8 banks total
     EXPECT_DOUBLE_EQ(monitor.capacityFraction(), 1.0);
     EXPECT_FALSE(monitor.belowCapacityFloor());
-    monitor.recordError({FaultSiteId::Kind::Bank, 0, 0}, 1.0);
+    monitor.recordError({FaultSiteId::Kind::Bank, 0, 0});
     EXPECT_DOUBLE_EQ(monitor.capacityFraction(), 7.0 / 8.0);
     EXPECT_FALSE(monitor.belowCapacityFloor()); // 0.875 >= 0.75
-    monitor.recordError({FaultSiteId::Kind::Bank, 0, 1}, 2.0);
-    monitor.recordError({FaultSiteId::Kind::Bank, 1, 2}, 3.0);
+    monitor.recordError({FaultSiteId::Kind::Bank, 0, 1});
+    monitor.recordError({FaultSiteId::Kind::Bank, 1, 2});
     EXPECT_DOUBLE_EQ(monitor.capacityFraction(), 5.0 / 8.0);
     EXPECT_TRUE(monitor.belowCapacityFloor());
 }
@@ -126,13 +96,13 @@ TEST(HealthMonitor, RejectsBadConfigurationAndCoordinates)
                          InvalidArgument, "capacity");
     HealthMonitor monitor(enabledConfig(1), 5, 512, 8);
     EXPECT_ANAHEIM_ERROR(
-        monitor.recordError({FaultSiteId::Kind::Bank, 5, 0}, 1.0),
+        monitor.recordError({FaultSiteId::Kind::Bank, 5, 0}),
         InvalidArgument, "die group");
     EXPECT_ANAHEIM_ERROR(
-        monitor.recordError({FaultSiteId::Kind::Bank, 0, 512}, 1.0),
+        monitor.recordError({FaultSiteId::Kind::Bank, 0, 512}),
         InvalidArgument, "resource span");
     EXPECT_ANAHEIM_ERROR(
-        monitor.recordError({FaultSiteId::Kind::MmacLane, 0, 8}, 1.0),
+        monitor.recordError({FaultSiteId::Kind::MmacLane, 0, 8}),
         InvalidArgument, "resource span");
 }
 
@@ -141,10 +111,10 @@ TEST(HealthMonitor, RejectsBadConfigurationAndCoordinates)
 TEST(ResourceMap, GroupQueriesAndWorstGroup)
 {
     HealthMonitor monitor(enabledConfig(1), 3, 16, 8);
-    monitor.recordError({FaultSiteId::Kind::Bank, 0, 2}, 1.0);
-    monitor.recordError({FaultSiteId::Kind::Bank, 2, 5}, 2.0);
-    monitor.recordError({FaultSiteId::Kind::Bank, 2, 9}, 3.0);
-    monitor.recordError({FaultSiteId::Kind::MmacLane, 1, 4}, 4.0);
+    monitor.recordError({FaultSiteId::Kind::Bank, 0, 2});
+    monitor.recordError({FaultSiteId::Kind::Bank, 2, 5});
+    monitor.recordError({FaultSiteId::Kind::Bank, 2, 9});
+    monitor.recordError({FaultSiteId::Kind::MmacLane, 1, 4});
     const ResourceMap &map = monitor.resources();
 
     EXPECT_EQ(map.quarantinedBanks(), 3u);
