@@ -12,8 +12,7 @@
  *   --trace <path>    enable host-span tracing for the whole run and
  *                     write a Chrome trace-event / Perfetto JSON file
  *                     merging host spans with every simulated timeline
- *   --metrics <path>  dump the global metrics registry on exit
- *                     (JSON, or CSV when the path ends in .csv)
+ *   --metrics <path>  dump the global metrics registry as JSON on exit
  *   --prom <path>     dump the metrics registry plus every recorded
  *                     time series as Prometheus text exposition
  * and each --json document opens with a self-describing header block
@@ -93,7 +92,7 @@ class JsonReport
     void
     metric(const std::string &key, double value)
     {
-        metrics_.emplace_back(key, encodeNumber(value));
+        metrics_.emplace_back(key, obs::formatDouble(value));
     }
 
     void
@@ -109,7 +108,7 @@ class JsonReport
     void
     rowMetric(const std::string &key, double value)
     {
-        rows_.back().emplace_back(key, encodeNumber(value));
+        rows_.back().emplace_back(key, obs::formatDouble(value));
     }
 
     void
@@ -164,24 +163,9 @@ class JsonReport
 
   private:
     static std::string
-    encodeNumber(double value)
-    {
-        char buf[64];
-        std::snprintf(buf, sizeof buf, "%.10g", value);
-        return buf;
-    }
-
-    static std::string
     encodeString(const std::string &value)
     {
-        std::string out = "\"";
-        for (char c : value) {
-            if (c == '"' || c == '\\')
-                out += '\\';
-            out += c;
-        }
-        out += '"';
-        return out;
+        return "\"" + obs::jsonEscape(value) + "\"";
     }
 
     std::string benchName_;

@@ -29,7 +29,6 @@ TOP_LEVEL_REQUIRED = {
     "arrival_seed": NUMBER,
     "serial_capacity_rps": NUMBER,
     "peak_speedup_vs_serial": NUMBER,
-    "config.serve_arrival": str,
     "rows": list,
 }
 

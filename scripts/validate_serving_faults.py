@@ -45,7 +45,6 @@ TOP_LEVEL_REQUIRED = {
     "sweep_shed_deadline": NUMBER,
     "sweep_alerts_fired": NUMBER,
     "sweep_alert_ticks_firing": NUMBER,
-    "config.serve_arrival": str,
     "rows": list,
 }
 

@@ -123,7 +123,7 @@ AnaheimFramework::execute(const OpSequence &seq) const
     while (!ctx.done())
         ctx.step();
     RunResult result = ctx.finish();
-    if (config_.obs.trace || obs::tracingEnabled()) {
+    if (obs::tracingEnabled()) {
         const uint32_t run = obs::recordRunTimeline(seq.name, result);
         obs::publishRunMetrics(result, run);
     } else {

@@ -103,14 +103,6 @@ struct ResilienceConfig {
     HealthConfig health;
 };
 
-/** Observability knobs (src/obs). Tracing can also be forced globally
- *  with ANAHEIM_TRACE=1 / obs::setTracingEnabled(). */
-struct ObsConfig {
-    /** Record this framework's simulated timeline into the global
-     *  trace collector even when host-span tracing is off. */
-    bool trace = false;
-};
-
 /** Arrival process the serving scheduler (src/serve) drives streams
  *  with. */
 enum class ArrivalKind {
@@ -159,27 +151,22 @@ struct ServeConfig {
      *  already waiting on its stream is rejected. */
     size_t maxQueuedPerStream = 64;
     /** Batch compatible element-wise PIM dispatches across streams
-     *  (same opcode/degree/limbs/fan-in -> one fused kernel, the
-     *  followers skip the GPU<->PIM transition). */
+     *  (same opcode/degree/limbs/fan-in -> one fused kernel of up to 8
+     *  ciphertexts, the followers skip the GPU<->PIM transition). */
     bool batching = true;
-    /** Ciphertexts per fused PIM dispatch. */
-    size_t maxBatch = 8;
     /** Clock GPU and PIM as independent resources so independent
      *  traces overlap; off = the serial back-to-back baseline. */
     bool overlap = true;
 
     // --- SLO / resilience policies (DESIGN.md §16) ---
-    /** Relative completion deadline (ns of simulated time after
-     *  arrival) every request carries; 0 disables deadline-based
-     *  shedding. A queued request whose earliest-possible completion
-     *  (dispatch time + fault-free service estimate) already misses
-     *  its deadline is shed at dispatch instead of wasting device
-     *  time on a guaranteed SLO violation. */
-    double deadlineNs = 0.0;
-    /** Per-class relative deadlines: stream s uses
-     *  deadlineClassNs[s % size()] when non-empty (deadlineNs
-     *  otherwise), mirroring the priority-class round-robin. A class
-     *  entry of 0 leaves that stream deadline-free. */
+    /** Relative completion deadlines (ns of simulated time after
+     *  arrival): stream s uses deadlineClassNs[s % size()], mirroring
+     *  the priority-class round-robin; one entry gives every stream the
+     *  same deadline. Empty (or an entry of 0) leaves streams
+     *  deadline-free. A queued request whose earliest-possible
+     *  completion (dispatch time + fault-free service estimate)
+     *  already misses its deadline is shed at dispatch instead of
+     *  wasting device time on a guaranteed SLO violation. */
     std::vector<double> deadlineClassNs = {};
     /** Token-bucket per-tenant rate limiter: sustained request rate
      *  (requests/second of simulated time) each stream may submit;
@@ -210,8 +197,6 @@ struct AnaheimConfig {
     bool pimEnabled = true;
     FusionFlags fusion;
     ResilienceConfig resilience;
-    ObsConfig obs;
-    ServeConfig serve;
 
     /** A100 80GB with near-bank PIM (Table III column 1). */
     static AnaheimConfig a100NearBank();

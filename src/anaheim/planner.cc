@@ -9,20 +9,6 @@ namespace anaheim {
 MemoryPlan
 PimMemoryPlanner::plan(const OpSequence &seq) const
 {
-    return planWith(seq, pim_);
-}
-
-MemoryPlan
-PimMemoryPlanner::plan(const OpSequence &seq,
-                       const ResourceMap &resources) const
-{
-    return planWith(seq, pim_.degraded(resources));
-}
-
-MemoryPlan
-PimMemoryPlanner::planWith(const OpSequence &seq,
-                           const PimConfig &pim) const
-{
     MemoryPlan result;
     for (size_t i = 0; i < seq.ops.size(); ++i) {
         const KernelOp &op = seq.ops[i];
@@ -35,8 +21,8 @@ PimMemoryPlanner::planWith(const OpSequence &seq,
         // rows across (up to) the column-group count. Offline banks
         // deepen the row groups: the same chunks stripe over fewer
         // healthy banks.
-        ColumnPartitionLayout layout(dram_, pim.banksPerDieGroup, op.n,
-                                     8, pim.offlineBanks);
+        ColumnPartitionLayout layout(dram_, pim_.banksPerDieGroup, op.n,
+                                     8, pim_.offlineBanks);
         const size_t columnGroups = layout.columnGroups();
         auto rowsFor = [&](const std::vector<Operand> &operands) {
             // Limbs per die group (each group holds its own share).
@@ -44,7 +30,7 @@ PimMemoryPlanner::planWith(const OpSequence &seq,
             for (const auto &operand : operands)
                 totalLimbs += operand.limbs;
             const size_t limbsPerGroup =
-                (totalLimbs + pim.dieGroups - 1) / pim.dieGroups;
+                (totalLimbs + pim_.dieGroups - 1) / pim_.dieGroups;
             // PolyGroups pack polynomials columnGroups-wide.
             const size_t packed =
                 (limbsPerGroup + columnGroups - 1) / columnGroups;

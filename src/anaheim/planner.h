@@ -37,23 +37,14 @@ class PimMemoryPlanner
     {
     }
 
-    /** Plan a trace: per-kernel PolyGroup sizing and the peak demand. */
+    /** Plan a trace: per-kernel PolyGroup sizing and the peak demand.
+     *  On a degraded device (`PimConfig::degraded`) every PolyGroup
+     *  stripes around the offline banks (more chunks — and rows — per
+     *  healthy bank), so the capacity check answers whether the
+     *  degraded device still fits the trace before a migration. */
     MemoryPlan plan(const OpSequence &seq) const;
 
-    /**
-     * Plan the same trace on the healthy subset of a partially failed
-     * device: every PolyGroup stripes around the quarantined banks of
-     * the worst die group (more chunks — and rows — per healthy bank),
-     * so the capacity check answers whether the degraded device still
-     * fits the trace before the framework migrates onto it.
-     */
-    MemoryPlan plan(const OpSequence &seq,
-                    const ResourceMap &resources) const;
-
   private:
-    MemoryPlan planWith(const OpSequence &seq, const PimConfig &pim)
-        const;
-
     DramConfig dram_;
     PimConfig pim_;
 };

@@ -181,24 +181,57 @@ RunContext::refreshActiveFaults()
             health_ && health_->isQuarantined(site) ? 0 : 1;
 }
 
+inline void
+RunContext::record(std::string phase, const char *device, KernelClass cls,
+                   BoundBy bound, const std::string &category,
+                   double durNs, double energyPj)
+{
+    // Every timeline entry — GPU op, PIM op, PIM->GPU fallback,
+    // maintenance phase — starts at the run clock, advances it, and
+    // bills its time to one breakdown category.
+    const double startNs = clock_;
+    clock_ += durNs;
+    result_.timeline.push_back(
+        {std::move(phase), device, cls, startNs, clock_, energyPj, bound});
+    result_.timeNsByCategory[category] += durNs;
+    result_.energyPj += energyPj;
+}
+
 void
 RunContext::chargePhase(const char *phase, const char *device,
                         double durNs, double energyPj)
 {
     // Maintenance phases get their own Gantt entries and breakdown
     // categories so recovery overhead is visible in the timeline.
-    GanttEntry entry;
-    entry.phase = phase;
-    entry.device = device;
-    entry.cls = KernelClass::ElementWise;
-    entry.startNs = clock_;
-    clock_ += durNs;
-    entry.endNs = clock_;
-    entry.energyPj = energyPj;
-    entry.bound = BoundBy::None;
-    result_.timeline.push_back(entry);
-    result_.timeNsByCategory[phase] += durNs;
-    result_.energyPj += energyPj;
+    record(phase, device, KernelClass::ElementWise, BoundBy::None, phase,
+           durNs, energyPj);
+}
+
+double
+RunContext::snapshotNs() const
+{
+    return liveBytes_ > 0.0 ? 2.0 * liveBytes_ / extBw_ : 0.0;
+}
+
+void
+RunContext::chargeSnapshot(const char *phase)
+{
+    chargePhase(phase, "DRAM", snapshotNs(),
+                2.0 * liveBytes_ * config_.dram.energy.globalIoPerBytePj);
+}
+
+void
+RunContext::runGpu(const KernelOp &op, bool fused, double writeBackBytes,
+                   bool writesCached)
+{
+    const GpuKernelStats stats =
+        fw_.gpu_.run(op, fused, writeBackBytes, writesCached);
+    const KernelClass cls = kernelClass(op.type);
+    record(op.phase, "GPU", cls,
+           stats.memoryBound() ? BoundBy::Bandwidth : BoundBy::Compute,
+           kernelClassName(cls), stats.timeNs, stats.energyPj);
+    result_.gpuDramBytes += stats.traffic.total();
+    prevWasPim_ = false;
 }
 
 void
@@ -210,35 +243,6 @@ RunContext::addSilent(uint64_t words)
         pendingSilent_ += words;
     else
         result_.resilience.silentErrors += words;
-}
-
-bool
-RunContext::canRollBack() const
-{
-    // Whether a rollback is still available (vs surfacing the event as
-    // unrecovered / falling back to the GPU).
-    return rc_.checkpoint.enabled &&
-           result_.resilience.rollbacks < rc_.checkpoint.maxRollbacks;
-}
-
-size_t
-RunContext::rollBack(size_t i)
-{
-    // Roll back to the last checkpoint: restore the live footprint from
-    // the snapshot region, drop all in-flight corruption, and resample
-    // the replayed segments' faults under a new generation.
-    ++result_.resilience.rollbacks;
-    ++generation_;
-    result_.resilience.replayedSegments += i - checkpointIndex_;
-    chargePhase("Rollback", "DRAM",
-                liveBytes_ > 0.0 ? 2.0 * liveBytes_ / extBw_ : 0.0,
-                2.0 * liveBytes_ * config_.dram.energy.globalIoPerBytePj);
-    pendingSilent_ = 0;
-    pendingRetCorrectable_ = 0;
-    pendingRetUncorrectable_ = 0;
-    segmentsSinceCkpt_ = 0;
-    prevWasPim_ = false;
-    return checkpointIndex_;
 }
 
 bool
@@ -281,14 +285,50 @@ RunContext::countFallback(FallbackCause cause)
 }
 
 bool
+RunContext::escalate(Detector detector, size_t next)
+{
+    // Suspects are the still-active permanently failed sites the
+    // detector can see: ECC guards the bank arrays, checksums see the
+    // ECC-less lane datapath (and the banks too when ECC is off), and
+    // retention decay has no permanent site at all.
+    const bool ecc = detector == Detector::Ecc;
+    const bool checksum = detector == Detector::Checksum;
+    // With a checkpoint every recovery replays from it. Without one, an
+    // ECC-caught op never committed and re-runs itself, while
+    // checksum-caught outputs have committed and execution goes on
+    // past them.
+    const bool snapshot = rc_.checkpoint.enabled;
+    const size_t resume = snapshot ? checkpointIndex_ : ecc ? next - 1 : next;
+    if (recordSuspects(ecc || (checksum && !rc_.eccEnabled), checksum) &&
+        resume < seq_.ops.size()) {
+        // 1. Quarantine + migrate off the site that crossed the
+        //    permanent threshold. Without a snapshot, committed outputs
+        //    are already lost: surface them first.
+        if (!snapshot && checksum)
+            surfaceUnrecovered();
+        quarantineAndMigrate();
+    } else if (canRollBack()) {
+        // 2. Roll back while the budget lasts.
+        rollBack();
+    } else {
+        // 3. Exhausted: the caller surfaces or falls back to the GPU.
+        return false;
+    }
+    if (snapshot)
+        result_.resilience.replayedSegments += next - resume;
+    restartAt(resume);
+    return true;
+}
+
+bool
 RunContext::recordSuspects(bool banks, bool lanes)
 {
-    // Feed a detected error to the health monitor against every still-
-    // active permanently failed site that could have caused it (the
-    // detector cannot localize beyond that). Returns true when a site
-    // newly crossed the permanent threshold — the caller migrates.
-    // Pure transients leave the suspect set empty, so healthy banks
-    // are never quarantined by an upset storm.
+    // Feed a detected error to the health monitor against every
+    // permanently failed site that could have caused it (the detector
+    // cannot localize beyond that; already quarantined sites ignore
+    // it). Returns true when a site newly crossed the permanent
+    // threshold. Pure transients leave the suspect set empty, so
+    // healthy banks are never quarantined by an upset storm.
     if (!health_)
         return false;
     bool newlyQuarantined = false;
@@ -303,47 +343,59 @@ RunContext::recordSuspects(bool banks, bool lanes)
     return newlyQuarantined;
 }
 
-size_t
-RunContext::quarantineAndMigrate(size_t next, size_t resumeAt)
+bool
+RunContext::canRollBack() const
 {
-    // Quarantine + remap: re-plan the trace on the healthy subset,
-    // migrate the live footprint onto it, and resume — from the last
-    // checkpoint when one exists (the segment group replays on the
-    // degraded device), else from `resumeAt`. Does NOT consume the
-    // rollback budget: the broken site is being removed, not retried.
-    // When quarantine leaves too little capacity (the configured floor,
-    // or the degraded plan no longer fits), PIM offload is abandoned
-    // and the remaining PIM segments are redirected to the GPU.
+    return rc_.checkpoint.enabled &&
+           result_.resilience.rollbacks < rc_.checkpoint.maxRollbacks;
+}
+
+void
+RunContext::rollBack()
+{
+    // Restore the live footprint from the snapshot region.
+    ++result_.resilience.rollbacks;
+    chargeSnapshot("Rollback");
+}
+
+void
+RunContext::quarantineAndMigrate()
+{
+    // Quarantine + remap: re-plan the trace on the healthy subset and
+    // migrate the live footprint onto it. Does NOT consume the rollback
+    // budget: the broken site is being removed, not retried. When
+    // quarantine leaves too little capacity (the configured floor, or
+    // the degraded plan no longer fits), PIM offload is abandoned and
+    // the remaining PIM segments are redirected to the GPU.
     ++result_.resilience.migrations;
-    const ResourceMap &rm = health_->resources();
     refreshActiveFaults();
-    ++generation_; // replays resample their transient faults
     // Control-plane cost: remap tables + lockstep re-fusing.
     chargePhase("Quarantine", "DRAM", 1.0e3, 0.0);
-    const PimConfig degraded = config_.pim.degraded(rm);
-    const MemoryPlan degradedPlan =
-        PimMemoryPlanner(config_.dram, degraded).plan(seq_);
-    if (health_->belowCapacityFloor() || !degradedPlan.fits) {
+    const PimConfig degraded = config_.pim.degraded(health_->resources());
+    if (health_->belowCapacityFloor() ||
+        !PimMemoryPlanner(config_.dram, degraded).plan(seq_).fits) {
         pimOffline_ = true;
         degradedPim_ = nullptr;
     } else {
         degradedPim_ = &fw_.degradedPimModel(degraded);
         // One pass over the live footprint into the new layout.
-        chargePhase(
-            "Migrate", "DRAM",
-            liveBytes_ > 0.0 ? 2.0 * liveBytes_ / extBw_ : 0.0,
-            2.0 * liveBytes_ * config_.dram.energy.globalIoPerBytePj);
+        chargeSnapshot("Migrate");
     }
+}
+
+void
+RunContext::restartAt(size_t i)
+{
+    // The restored (or migrated) state is clean: drop all in-flight
+    // corruption, and start a new generation so replayed ops resample
+    // their transient faults.
+    ++generation_;
     pendingSilent_ = 0;
     pendingRetCorrectable_ = 0;
     pendingRetUncorrectable_ = 0;
     segmentsSinceCkpt_ = 0;
     prevWasPim_ = false;
-    if (rc_.checkpoint.enabled) {
-        result_.resilience.replayedSegments += next - checkpointIndex_;
-        return checkpointIndex_;
-    }
-    return resumeAt;
+    i_ = i;
 }
 
 void
@@ -365,12 +417,6 @@ RunContext::nextOnPim() const
     return i_ < seq_.ops.size() && onPimFlags_[i_] && !pimOffline_;
 }
 
-const char *
-RunContext::nextDevice() const
-{
-    return nextOnPim() ? "PIM" : "GPU";
-}
-
 bool
 RunContext::nextCostFree() const
 {
@@ -382,19 +428,10 @@ RunContext::stepEndOfTrace()
 {
     // End-of-trace boundary: the final outputs get one last
     // verification before they are decrypted.
-    if (checksumOn_) {
-        if (!verifyChecksums(liveBytes_)) {
-            if (recordSuspects(!rc_.eccEnabled, true) &&
-                rc_.checkpoint.enabled) {
-                i_ = quarantineAndMigrate(i_, i_);
-                return;
-            }
-            if (canRollBack()) {
-                i_ = rollBack(i_);
-                return;
-            }
-            surfaceUnrecovered();
-        }
+    if (checksumOn_ && !verifyChecksums(liveBytes_)) {
+        if (escalate(Detector::Checksum, i_))
+            return;
+        surfaceUnrecovered();
     }
     finished_ = true;
 }
@@ -437,10 +474,8 @@ RunContext::runMaintenance()
         if (pendingRetUncorrectable_ > 0) {
             res.scrubUncorrectable += pendingRetUncorrectable_;
             pendingRetUncorrectable_ = 0;
-            if (canRollBack()) {
-                i_ = rollBack(i_);
+            if (escalate(Detector::Scrub, i_))
                 return true;
-            }
             surfaceUnrecovered();
         }
     }
@@ -449,22 +484,13 @@ RunContext::runMaintenance()
         // Verify before snapshotting: never checkpoint corrupt
         // state, or rollback would replay the corruption forever.
         if (checksumOn_ && !verifyChecksums(liveBytes_)) {
-            if (recordSuspects(!rc_.eccEnabled, true)) {
-                i_ = quarantineAndMigrate(i_, i_);
+            if (escalate(Detector::Checksum, i_))
                 return true;
-            }
-            if (canRollBack()) {
-                i_ = rollBack(i_);
-                return true;
-            }
             surfaceUnrecovered();
             segmentsSinceCkpt_ = 0; // retry next interval
         } else {
             ++res.checkpoints;
-            chargePhase(
-                "Checkpoint", "DRAM",
-                liveBytes_ > 0.0 ? 2.0 * liveBytes_ / extBw_ : 0.0,
-                2.0 * liveBytes_ * config_.dram.energy.globalIoPerBytePj);
+            chargeSnapshot("Checkpoint");
             checkpointIndex_ = i_;
             segmentsSinceCkpt_ = 0;
         }
@@ -485,18 +511,14 @@ RunContext::stepPim(const KernelOp &op, bool suppressTransition)
     const double transitionNs =
         prevWasPim_ || suppressTransition ? 0.0 : 2.0e3;
 
-    // One initial attempt, plus replays charged at full price
-    // for every detected-uncorrectable ECC event; when the
-    // retry budget runs out, roll back to the last checkpoint
-    // if one is available, else fall back to the GPU (§VI-A
-    // datapath riding raw DRAM arrays).
+    // One initial attempt, plus replays charged at full price for
+    // every detected-uncorrectable ECC event, until the retry budget
+    // is spent and the op escalates (§VI-A datapath riding raw DRAM
+    // arrays).
     double pimNs = stats.timeNs + transitionNs;
     double pimEnergyPj = stats.energyPj;
     double pimChunks = stats.chunksMoved;
-    bool fellBack = false;
-    FallbackCause cause = FallbackCause::RetryExhausted;
-    bool needRollback = false;
-    bool needMigrate = false;
+    bool exhausted = false;
     if (faultModel_) {
         const uint64_t opStream =
             streamBase_ + generation_ * opStreams_ + i_;
@@ -528,22 +550,7 @@ RunContext::stepPim(const KernelOp &op, bool suppressTransition)
                     break;
                 res.eccUncorrectable += multi;
                 if (attempt >= rc_.maxPimRetries) {
-                    // Escalation past the retry budget: a site
-                    // crossing the permanent threshold is
-                    // quarantined and execution migrates off
-                    // it; otherwise roll back while the budget
-                    // lasts, else abandon the segment to the
-                    // GPU.
-                    if (permWords > 0 && recordSuspects(true, false)) {
-                        needMigrate = true;
-                    } else if (canRollBack()) {
-                        needRollback = true;
-                    } else {
-                        fellBack = true;
-                        cause = rc_.checkpoint.enabled
-                                    ? FallbackCause::RetryExhausted
-                                    : FallbackCause::Uncheckpointed;
-                    }
+                    exhausted = true;
                     break;
                 }
                 ++res.pimRetries;
@@ -552,8 +559,7 @@ RunContext::stepPim(const KernelOp &op, bool suppressTransition)
                 pimChunks += stats.chunksMoved;
             }
         }
-        if ((rc_.laneBer > 0.0 || activeFailedLanes_ > 0) &&
-            !needRollback && !fellBack && !needMigrate) {
+        if ((rc_.laneBer > 0.0 || activeFailedLanes_ > 0) && !exhausted) {
             // Post-multiply lane flips: no ECC reaches the
             // 28-bit datapath, so every hit is silent here.
             // Dead lanes corrupt their share of every op's
@@ -569,83 +575,31 @@ RunContext::stepPim(const KernelOp &op, bool suppressTransition)
         }
     }
 
-    GanttEntry entry;
-    entry.phase = op.phase;
-    entry.device = "PIM";
-    entry.cls = kernelClass(op.type);
-    entry.startNs = clock_;
-    clock_ += pimNs;
-    entry.endNs = clock_;
-    entry.energyPj = pimEnergyPj;
-    // Near-bank PIM time is internal-streaming limited by
-    // construction (§VI-A all-bank lockstep).
-    entry.bound = BoundBy::Bandwidth;
-    result_.timeline.push_back(entry);
-    result_.timeNsByCategory["PIM"] += pimNs;
-    result_.energyPj += pimEnergyPj;
+    // Near-bank PIM time is internal-streaming limited by construction
+    // (§VI-A all-bank lockstep).
+    record(op.phase, "PIM", kernelClass(op.type), BoundBy::Bandwidth, "PIM",
+           pimNs, pimEnergyPj);
     result_.pimInternalBytes += pimChunks * config_.dram.chunkBytes;
     prevWasPim_ = true;
 
-    if (needMigrate) {
-        // Quarantine + remap + replay. Without a checkpoint
-        // only op i re-runs — its operands are intact, since
-        // failed attempts never commit.
-        i_ = quarantineAndMigrate(i_ + 1, i_);
-        return;
-    }
-    if (needRollback) {
-        // Replay the whole segment group from the snapshot —
-        // op i included, hence the +1 before rewinding.
-        i_ = rollBack(i_ + 1);
-        return;
-    }
-    if (fellBack) {
-        // The segment's PIM result is untrustworthy even after
-        // the replays: re-run it on the GPU (unfused — its
-        // operands live in DRAM, not the cache).
-        countFallback(cause);
-        const GpuKernelStats gpuStats = fw_.gpu_.run(op);
-        GanttEntry fallback;
-        fallback.phase = op.phase;
-        fallback.device = "GPU";
-        fallback.cls = kernelClass(op.type);
-        fallback.startNs = clock_;
-        clock_ += gpuStats.timeNs;
-        fallback.endNs = clock_;
-        fallback.energyPj = gpuStats.energyPj;
-        fallback.bound = gpuStats.memoryBound() ? BoundBy::Bandwidth
-                                                : BoundBy::Compute;
-        result_.timeline.push_back(fallback);
-        result_.timeNsByCategory[kernelClassName(kernelClass(op.type))] +=
-            gpuStats.timeNs;
-        result_.energyPj += gpuStats.energyPj;
-        result_.gpuDramBytes += gpuStats.traffic.total();
-        prevWasPim_ = false;
+    if (exhausted) {
+        if (escalate(Detector::Ecc, i_ + 1))
+            return;
+        // The op's PIM result is untrustworthy even after the replays:
+        // re-run it on the GPU (unfused — its operands live in DRAM,
+        // not the cache).
+        countFallback(rc_.checkpoint.enabled
+                          ? FallbackCause::RetryExhausted
+                          : FallbackCause::Uncheckpointed);
+        runGpu(op);
     } else if (checksumOn_ && i_ + 1 < seq_.ops.size() &&
                !onPimFlags_[i_ + 1]) {
         // Coherence write-back boundary (§V-C): the GPU is
         // about to consume this segment's outputs — verify
         // their checksums before corruption can propagate.
         if (!verifyChecksums(op.writeBytes())) {
-            // Checksums are the only detector that sees dead
-            // lanes (and dead banks with ECC off): those sites
-            // are the permanent suspects here.
-            if (recordSuspects(!rc_.eccEnabled, true)) {
-                if (rc_.checkpoint.enabled) {
-                    i_ = quarantineAndMigrate(i_ + 1, i_);
-                    return;
-                }
-                // Quarantine stops future corruption, but the
-                // committed outputs are already lost without a
-                // snapshot to replay from.
-                surfaceUnrecovered();
-                i_ = quarantineAndMigrate(i_ + 1, i_ + 1);
+            if (escalate(Detector::Checksum, i_ + 1))
                 return;
-            }
-            if (canRollBack()) {
-                i_ = rollBack(i_ + 1);
-                return;
-            }
             surfaceUnrecovered();
         }
     }
@@ -675,25 +629,7 @@ RunContext::stepGpu(const KernelOp &op)
                 writeBack += operand.limbs * limbBytes(op.n);
         }
     }
-
-    prevWasPim_ = false;
-    const GpuKernelStats stats =
-        fw_.gpu_.run(op, fused, writeBack, writesCached);
-    GanttEntry entry;
-    entry.phase = op.phase;
-    entry.device = "GPU";
-    entry.cls = kernelClass(op.type);
-    entry.startNs = clock_;
-    clock_ += stats.timeNs;
-    entry.endNs = clock_;
-    entry.energyPj = stats.energyPj;
-    entry.bound =
-        stats.memoryBound() ? BoundBy::Bandwidth : BoundBy::Compute;
-    result_.timeline.push_back(entry);
-    result_.timeNsByCategory[kernelClassName(kernelClass(op.type))] +=
-        stats.timeNs;
-    result_.energyPj += stats.energyPj;
-    result_.gpuDramBytes += stats.traffic.total();
+    runGpu(op, fused, writeBack, writesCached);
     ++i_;
     ++segmentsSinceCkpt_;
 }

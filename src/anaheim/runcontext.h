@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "anaheim/framework.h"
@@ -54,8 +55,6 @@ class RunContext
      *  scheduler's dispatch time). Never moves backwards. */
     void advanceClockTo(double ns);
 
-    const OpSequence &sequence() const { return seq_; }
-
     /** The op the next step() executes, or nullptr when the next step
      *  is the end-of-trace boundary. */
     const KernelOp *nextOp() const;
@@ -63,10 +62,6 @@ class RunContext
     /** True when the next step() dispatches on PIM (offload planned
      *  and the capacity floor has not tripped). */
     bool nextOnPim() const;
-
-    /** "PIM" or "GPU" — the resource the next step() occupies. The
-     *  end-of-trace verify is priced on the GPU. */
-    const char *nextDevice() const;
 
     /** True when the next step() consumes no device time at all: the
      *  end-of-trace boundary with checksums disabled. Schedulers may
@@ -92,12 +87,6 @@ class RunContext
     // mid-serve quarantine re-prices all queued work instead of
     // dispatching against the healthy-device plan.
 
-    /** Counters accumulated so far (valid mid-run, unlike finish()). */
-    const ResilienceStats &resilienceStats() const
-    {
-        return result_.resilience;
-    }
-
     /** Healthy-bank fraction right now (1.0 without health
      *  monitoring or quarantine). */
     double capacityFraction() const
@@ -116,31 +105,49 @@ class RunContext
         return health_ ? &health_->resources() : nullptr;
     }
 
-    /** Live ciphertext footprint in bytes — what a preemption
-     *  save/restore pass moves (same quantity a checkpoint snapshots). */
-    double liveSnapshotBytes() const { return liveBytes_; }
-
-    /** Bytes-per-ns external bandwidth used to price snapshot-sized
-     *  maintenance passes (checkpoint, rollback, preemption). */
-    double externalBwBytesPerNs() const { return extBw_; }
+    /** Device time of one pass over the live ciphertext footprint (2x
+     *  its bytes over the external bus): what a checkpoint, rollback or
+     *  migration charges, and what a serving preemption's save and
+     *  restore each cost. */
+    double snapshotNs() const;
 
   private:
     enum class FallbackCause { RetryExhausted, Uncheckpointed,
                                CapacityFloor };
 
+    /** What caught the corruption escalate() recovers from. */
+    enum class Detector {
+        Ecc,      ///< word-boundary ECC, retries spent; op not committed
+        Scrub,    ///< a scrub pass surfaced multi-bit retention loss
+        Checksum, ///< ciphertext checksums; the outputs have committed
+    };
+
     const PimKernelModel &pimModel() const;
     bool fusesWithPrev(size_t i) const;
     void refreshActiveFaults();
+    void record(std::string phase, const char *device, KernelClass cls,
+                BoundBy bound, const std::string &category, double durNs,
+                double energyPj);
     void chargePhase(const char *phase, const char *device, double durNs,
                      double energyPj);
+    void chargeSnapshot(const char *phase);
+    void runGpu(const KernelOp &op, bool fused = false,
+                double writeBackBytes = 0.0, bool writesCached = false);
     void addSilent(uint64_t words);
-    bool canRollBack() const;
-    size_t rollBack(size_t i);
     bool verifyChecksums(double bytes);
     void surfaceUnrecovered();
     void countFallback(FallbackCause cause);
+    /** The escalation ladder (DESIGN.md §10): quarantine + migrate,
+     *  else roll back. `next` is one past the last op executed; a
+     *  replay from the checkpoint re-runs ops [checkpoint, next). False
+     *  when no rung applies: the caller surfaces the event or falls
+     *  back to the GPU. */
+    bool escalate(Detector detector, size_t next);
     bool recordSuspects(bool banks, bool lanes);
-    size_t quarantineAndMigrate(size_t next, size_t resumeAt);
+    bool canRollBack() const;
+    void rollBack();
+    void quarantineAndMigrate();
+    void restartAt(size_t i);
 
     /** End-of-trace boundary; sets finished_ unless a recovery action
      *  rewound the trace. */

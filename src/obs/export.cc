@@ -39,14 +39,6 @@ buildType()
 #endif
 }
 
-std::string
-formatDouble(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.10g", value);
-    return buf;
-}
-
 void
 appendEvent(std::ostringstream &out, bool &first, const std::string &body)
 {
@@ -90,6 +82,14 @@ jsonEscape(const std::string &value)
         }
     }
     return out;
+}
+
+std::string
+formatDouble(double value)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%.10g", value);
+    return buf;
 }
 
 std::vector<std::pair<std::string, std::string>>
@@ -279,19 +279,6 @@ metricsJson(const MetricsSnapshot &snapshot, const std::string &source,
     return out.str();
 }
 
-std::string
-metricsCsv(const MetricsSnapshot &snapshot)
-{
-    std::ostringstream out;
-    out << "name,kind,value,count,sum\n";
-    for (const MetricsSnapshot::Entry &entry : snapshot.entries) {
-        out << entry.name << "," << entry.kind << ","
-            << formatDouble(entry.value) << "," << entry.count << ","
-            << formatDouble(entry.sum) << "\n";
-    }
-    return out.str();
-}
-
 bool
 writeMetrics(const std::string &path, MetricsRegistry &registry)
 {
@@ -302,15 +289,8 @@ writeMetrics(const std::string &path, MetricsRegistry &registry)
         ANAHEIM_WARN("cannot write metrics to ", path);
         return false;
     }
-    const MetricsSnapshot snapshot = registry.snapshot();
-    const bool csv =
-        path.size() >= 4 && path.compare(path.size() - 4, 4, ".csv") == 0;
-    if (csv) {
-        file << metricsCsv(snapshot);
-    } else {
-        file << metricsJson(snapshot, "anaheim",
-                            TimeSeriesRegistry::global().snapshotAll());
-    }
+    file << metricsJson(registry.snapshot(), "anaheim",
+                        TimeSeriesRegistry::global().snapshotAll());
     return static_cast<bool>(file);
 }
 

@@ -9,9 +9,8 @@
  * or chrome://tracing. Timestamps are microseconds ("X" complete
  * events); process/thread names ride "M" metadata events.
  *
- * Metrics: the registry snapshot as a flat JSON document (with the
- * same self-describing header block the bench JSON reports carry) or
- * as name,kind,value CSV.
+ * Metrics: the registry snapshot as a flat JSON document with the same
+ * self-describing header block the bench JSON reports carry.
  */
 
 #ifndef ANAHEIM_OBS_EXPORT_H
@@ -46,15 +45,12 @@ std::string metricsJson(
     const std::string &source = "anaheim",
     const std::vector<SeriesSnapshot> &series = {});
 
-/** Write the global registry's snapshot to `path`: CSV when the path
- *  ends in ".csv", JSON otherwise (with the timeseries section when
- *  any series is registered). Empty path: no-op, returns false. */
+/** Write metricsJson() of the registry's snapshot to `path` (with the
+ *  timeseries section when any series is registered). Empty path:
+ *  no-op, returns false. */
 bool writeMetrics(
     const std::string &path,
     MetricsRegistry &registry = MetricsRegistry::global());
-
-/** name,kind,value,count,sum CSV for a snapshot. */
-std::string metricsCsv(const MetricsSnapshot &snapshot);
 
 /**
  * Prometheus text exposition (version 0.0.4) of a metrics snapshot
@@ -78,6 +74,9 @@ bool writePrometheus(
 
 /** JSON string escaping shared by the exporters. */
 std::string jsonEscape(const std::string &value);
+
+/** `%.10g` number formatting shared by the exporters and reports. */
+std::string formatDouble(double value);
 
 /** Self-describing header fields stamped into every export: schema
  *  version, git SHA, build type, resolved thread count. */

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 
+#include "obs/export.h"
 #include "obs/trace.h"
 
 namespace anaheim::obs {
@@ -214,18 +215,6 @@ publishRunMetrics(const RunResult &result, uint32_t runId,
     publishRunGauges("run." + std::to_string(runId), result, registry);
 }
 
-namespace {
-
-std::string
-formatDouble(double value)
-{
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.10g", value);
-    return buf;
-}
-
-} // namespace
-
 std::vector<std::pair<std::string, std::string>>
 configSummary(const AnaheimConfig &config)
 {
@@ -276,32 +265,6 @@ configSummary(const AnaheimConfig &config)
     kv.emplace_back(
         "permanent_lanes",
         std::to_string(config.resilience.permanentLanes.size()));
-    kv.emplace_back("obs_trace", config.obs.trace ? "true" : "false");
-    kv.emplace_back("serve_streams", std::to_string(config.serve.streams));
-    kv.emplace_back("serve_arrival",
-                    config.serve.arrival == ArrivalKind::OpenPoisson
-                        ? "open-poisson"
-                        : "closed");
-    kv.emplace_back("serve_offered_rps",
-                    formatDouble(config.serve.offeredRps));
-    kv.emplace_back("serve_batching",
-                    config.serve.batching ? "true" : "false");
-    kv.emplace_back("serve_max_batch",
-                    std::to_string(config.serve.maxBatch));
-    kv.emplace_back("serve_overlap",
-                    config.serve.overlap ? "true" : "false");
-    kv.emplace_back("serve_deadline_ns",
-                    formatDouble(config.serve.deadlineNs));
-    kv.emplace_back("serve_deadline_classes",
-                    std::to_string(config.serve.deadlineClassNs.size()));
-    kv.emplace_back("serve_rate_limit_rps",
-                    formatDouble(config.serve.rateLimitRps));
-    kv.emplace_back("serve_preemption",
-                    config.serve.preemption ? "true" : "false");
-    kv.emplace_back("serve_telemetry_tick_ns",
-                    formatDouble(config.serve.telemetry.tickNs));
-    kv.emplace_back("serve_slo_target",
-                    formatDouble(config.serve.telemetry.sloTarget));
     return kv;
 }
 

@@ -22,8 +22,7 @@
  *
  * Overhead when disabled: `OBS_SPAN` costs one relaxed atomic load and
  * a branch — safe for hot paths. Enable via `ANAHEIM_TRACE=1`,
- * `obs::setTracingEnabled(true)`, or `AnaheimConfig::obs.trace` (which
- * scopes enablement to the framework's simulated timeline).
+ * `obs::setTracingEnabled(true)`, or any bench's `--trace <path>`.
  */
 
 #ifndef ANAHEIM_OBS_TRACE_H

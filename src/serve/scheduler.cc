@@ -6,6 +6,7 @@
 #include <limits>
 #include <memory>
 #include <optional>
+#include <tuple>
 
 #include "anaheim/runcontext.h"
 #include "arrival.h"
@@ -72,6 +73,9 @@ ServeStats::pimUtil() const
 namespace {
 
 constexpr size_t kNoStream = static_cast<size_t>(-1);
+
+/** Ciphertexts per fused PIM dispatch. */
+constexpr size_t kMaxBatch = 8;
 
 /** One client stream's live scheduling state. */
 struct StreamState {
@@ -142,7 +146,7 @@ class ServeEngine
     void admitUpTo(double upTo);
     double nextArrivalNs() const;
     void activate();
-    void shed(size_t s, size_t k, double atNs);
+    void reject(size_t s, size_t k, RejectCause cause, double atNs);
     bool wouldMissDeadline(size_t s, size_t k, double startNs) const;
     void shedQueuedMisses();
     void observeHealth(const RunContext &ctx);
@@ -222,16 +226,13 @@ class ServeEngine
 double
 ServeEngine::deadlineFor(size_t s) const
 {
-    if (!serve_.deadlineClassNs.empty())
-        return serve_.deadlineClassNs[s % serve_.deadlineClassNs.size()];
-    return serve_.deadlineNs;
+    const std::vector<double> &classes = serve_.deadlineClassNs;
+    return classes.empty() ? 0.0 : classes[s % classes.size()];
 }
 
 bool
 ServeEngine::deadlinesEnabled() const
 {
-    if (serve_.deadlineNs > 0.0)
-        return true;
     for (const double d : serve_.deadlineClassNs) {
         if (d > 0.0)
             return true;
@@ -264,28 +265,14 @@ ServeEngine::release(size_t s, size_t k, double arrivalNs)
     req.arrivalNs = arrivalNs;
     if (st.deadlineRelNs > 0.0)
         req.deadlineNs = arrivalNs + st.deadlineRelNs;
-    ServeStats &stats = out_.stats;
     // The token bucket is the tenant's front door: an abusive stream
     // is clipped before it can occupy queue capacity.
-    if (st.bucket && !st.bucket->tryAcquire(arrivalNs)) {
-        req.rejected = true;
-        req.cause = RejectCause::RateLimited;
-        ++stats.rejected;
-        ++stats.rejectedRateLimited;
-        if (telemetry_)
-            tsRejectRateLimited_->observe(arrivalNs, 1.0);
-        return;
-    }
-    if (st.queue.size() >= serve_.maxQueuedPerStream) {
-        req.rejected = true;
-        req.cause = RejectCause::QueueFull;
-        ++stats.rejected;
-        ++stats.rejectedQueueFull;
-        if (telemetry_)
-            tsRejectQueueFull_->observe(arrivalNs, 1.0);
-        return;
-    }
-    st.queue.push_back(k);
+    if (st.bucket && !st.bucket->tryAcquire(arrivalNs))
+        reject(s, k, RejectCause::RateLimited, arrivalNs);
+    else if (st.queue.size() >= serve_.maxQueuedPerStream)
+        reject(s, k, RejectCause::QueueFull, arrivalNs);
+    else
+        st.queue.push_back(k);
 }
 
 // Release every open-loop arrival with a timestamp <= `upTo`.
@@ -318,17 +305,36 @@ ServeEngine::nextArrivalNs() const
     return next;
 }
 
+/** Refuse request k of stream s for `cause`: every rejection path
+ *  goes through here, so the causes partition `rejected` exactly. */
 void
-ServeEngine::shed(size_t s, size_t k, double atNs)
+ServeEngine::reject(size_t s, size_t k, RejectCause cause, double atNs)
 {
     ServeRequest &req = out_.streams[s].requests[k];
     req.rejected = true;
-    req.cause = RejectCause::DeadlineShed;
-    ++out_.stats.rejected;
-    ++out_.stats.shedDeadline;
+    req.cause = cause;
+    ServeStats &stats = out_.stats;
+    ++stats.rejected;
+    obs::TimeSeries *series = nullptr;
+    switch (cause) {
+      case RejectCause::QueueFull:
+        ++stats.rejectedQueueFull;
+        series = tsRejectQueueFull_;
+        break;
+      case RejectCause::RateLimited:
+        ++stats.rejectedRateLimited;
+        series = tsRejectRateLimited_;
+        break;
+      case RejectCause::DeadlineShed:
+        ++stats.shedDeadline;
+        series = tsRejectShed_;
+        recordServeSpan(streams_[s].runId, "Shed", "Shed", atNs, 0.0);
+        break;
+      case RejectCause::None:
+        ANAHEIM_PANIC("rejection needs a cause");
+    }
     if (telemetry_)
-        tsRejectShed_->observe(atNs, 1.0);
-    recordServeSpan(streams_[s].runId, "Shed", "Shed", atNs, 0.0);
+        series->observe(atNs, 1.0);
 }
 
 /** True when dispatching request k of stream s at `startNs` cannot
@@ -343,7 +349,7 @@ ServeEngine::wouldMissDeadline(size_t s, size_t k, double startNs) const
     if (!std::isfinite(req.deadlineNs))
         return false;
     const double earliest = std::max(startNs, req.arrivalNs) +
-                            estimator_->estimate(s).totalNs;
+                            estimator_->estimateNs(s);
     return earliest > req.deadlineNs;
 }
 
@@ -373,7 +379,7 @@ ServeEngine::activate()
             const size_t k = st.queue.front();
             st.queue.pop_front();
             if (wouldMissDeadline(s, k, now_)) {
-                shed(s, k, now_);
+                reject(s, k, RejectCause::DeadlineShed, now_);
                 continue;
             }
             st.activeIndex = k;
@@ -396,7 +402,7 @@ ServeEngine::shedQueuedMisses()
         std::deque<size_t> keep;
         for (const size_t k : st.queue) {
             if (wouldMissDeadline(s, k, now_))
-                shed(s, k, now_);
+                reject(s, k, RejectCause::DeadlineShed, now_);
             else
                 keep.push_back(k);
         }
@@ -491,9 +497,9 @@ ServeEngine::stepStream(size_t s, double startNs, bool suppressTransition)
  * Preemption bookkeeping at the moment `winner` takes device `dev` at
  * `startNs`: if a started lower-priority run was the device's last
  * occupant, this dispatch preempts it — its live footprint is
- * snapshotted out (checkpoint-priced: 2x footprint over the external
- * bus) before the winner's step, and the victim pays the matching
- * restore pass when it next dispatches. Both passes occupy the device
+ * snapshotted out (RunContext::snapshotNs, the checkpoint price)
+ * before the winner's step, and the victim pays the matching restore
+ * pass when it next dispatches. Both passes occupy the device
  * but never touch either run's own result, so a preempted run resumes
  * bitwise-identically (pinned by Serve.PreemptedRunResultsIdentical).
  * Returns the overhead to insert before the winner's step.
@@ -513,9 +519,7 @@ ServeEngine::preemptionOverheadNs(size_t winner, int dev, double startNs)
         if (victim.active && victim.activeStarted && !victim.preempted &&
             victim.priority > streams_[winner].priority &&
             !victim.active->nextCostFree()) {
-            const double saveNs =
-                2.0 * victim.active->liveSnapshotBytes() /
-                victim.active->externalBwBytesPerNs();
+            const double saveNs = victim.active->snapshotNs();
             ++stats.preemptions;
             victim.preempted = true;
             if (telemetry_)
@@ -527,9 +531,7 @@ ServeEngine::preemptionOverheadNs(size_t winner, int dev, double startNs)
     }
     StreamState &st = streams_[winner];
     if (st.preempted) {
-        const double restoreNs = 2.0 *
-                                 st.active->liveSnapshotBytes() /
-                                 st.active->externalBwBytesPerNs();
+        const double restoreNs = st.active->snapshotNs();
         ++stats.preemptionResumes;
         st.preempted = false;
         recordServeSpan(st.runId, "Restore", "Preempt",
@@ -712,7 +714,7 @@ ServeEngine::run()
 {
     OBS_SPAN("serve/run");
     ANAHEIM_ASSERT(!traces_.empty(), "serving needs at least one trace");
-    tracing_ = fw_.config().obs.trace || obs::tracingEnabled();
+    tracing_ = obs::tracingEnabled();
 
     out_.streams.resize(serve_.streams);
     streams_.resize(serve_.streams);
@@ -761,12 +763,13 @@ ServeEngine::run()
         admitUpTo(now_);
         activate();
 
-        // Candidate = earliest dispatch across streams with a live
-        // run; with preemption on, priority outranks start time, so
+        // Candidate = the live run minimizing (start, priority,
+        // stream); with preemption on, priority outranks start time, so
         // ready high-priority work interleaves ahead of low-priority
         // runs at their next step boundary.
         size_t best = streams_.size();
         double bestStart = 0.0;
+        std::tuple<double, double, size_t> bestKey;
         for (size_t s = 0; s < streams_.size(); ++s) {
             if (!streams_[s].active)
                 continue;
@@ -777,25 +780,15 @@ ServeEngine::run()
                 streams_[s].active->nextCostFree()
                     ? requestReadyNs(s)
                     : std::max(requestReadyNs(s), freeAt(dev));
-            bool wins;
-            if (best == streams_.size()) {
-                wins = true;
-            } else if (serve_.preemption) {
-                wins = streams_[s].priority < streams_[best].priority ||
-                       (streams_[s].priority == streams_[best].priority &&
-                        (start < bestStart ||
-                         (start == bestStart && s < best)));
-            } else {
-                wins = start < bestStart ||
-                       (start == bestStart &&
-                        (streams_[s].priority < streams_[best].priority ||
-                         (streams_[s].priority ==
-                              streams_[best].priority &&
-                          s < best)));
-            }
-            if (wins) {
+            const double priority =
+                static_cast<double>(streams_[s].priority);
+            const std::tuple<double, double, size_t> key =
+                serve_.preemption ? std::tuple(priority, start, s)
+                                  : std::tuple(start, priority, s);
+            if (best == streams_.size() || key < bestKey) {
                 best = s;
                 bestStart = start;
+                bestKey = key;
             }
         }
         if (best == streams_.size()) {
@@ -821,7 +814,8 @@ ServeEngine::run()
         // finish; their partial work would be wasted twice over.)
         if (!leader.activeStarted &&
             wouldMissDeadline(best, leader.activeIndex, bestStart)) {
-            shed(best, leader.activeIndex, bestStart);
+            reject(best, leader.activeIndex, RejectCause::DeadlineShed,
+                   bestStart);
             --stats.admitted; // never held the slot for real
             leader.active.reset();
             now_ = std::max(now_, bestStart);
@@ -859,8 +853,8 @@ ServeEngine::run()
                                      streams_[b].priority;
                           return a < b;
                       });
-            if (followers.size() > serve_.maxBatch - 1)
-                followers.resize(serve_.maxBatch - 1);
+            if (followers.size() > kMaxBatch - 1)
+                followers.resize(kMaxBatch - 1);
             end = stepStream(best, stepStart, false);
             for (const size_t s : followers)
                 end = stepStream(s, end, true);
@@ -892,7 +886,6 @@ ServeScheduler::ServeScheduler(const AnaheimFramework &fw,
     : fw_(fw), serve_(serve)
 {
     ANAHEIM_ASSERT(serve_.streams > 0, "serving needs >= 1 stream");
-    ANAHEIM_ASSERT(serve_.maxBatch > 0, "maxBatch must be >= 1");
     ANAHEIM_ASSERT(serve_.priorityClasses > 0,
                    "priorityClasses must be >= 1");
     ANAHEIM_ASSERT(serve_.rateLimitRps == 0.0 ||

@@ -31,20 +31,14 @@ TokenBucket::tryAcquire(double nowNs)
 namespace {
 
 /** Price one trace on `fw`: a resilience-free RunContext stepped to
- *  completion, split into PIM vs everything-else time. */
-ServiceEstimate
+ *  completion. */
+double
 priceTrace(const AnaheimFramework &fw, const OpSequence &seq)
 {
     RunContext ctx(fw, seq);
     while (!ctx.done())
         ctx.step();
-    const RunResult result = ctx.finish();
-    ServiceEstimate est;
-    est.totalNs = result.totalNs;
-    const auto pim = result.timeNsByCategory.find("PIM");
-    est.pimNs = pim != result.timeNsByCategory.end() ? pim->second : 0.0;
-    est.gpuNs = est.totalNs - est.pimNs;
-    return est;
+    return ctx.finish().totalNs;
 }
 
 } // namespace
@@ -57,33 +51,30 @@ ServiceEstimator::ServiceEstimator(const AnaheimConfig &config,
     // Estimates answer "how long on a clean device": strip every
     // fault/recovery knob so pricing never samples a fault stream.
     base_.resilience = ResilienceConfig{};
-    base_.obs.trace = false;
-    priceAll(base_, nullptr);
+    priceAll(base_, false);
 }
 
-const ServiceEstimate &
-ServiceEstimator::estimate(size_t index) const
+double
+ServiceEstimator::estimateNs(size_t index) const
 {
-    return estimates_[index % estimates_.size()];
+    return estimatesNs_[index % estimatesNs_.size()];
 }
 
 void
 ServiceEstimator::reprice(const ResourceMap &resources, bool pimOffline)
 {
-    degraded_ = true;
     AnaheimConfig degraded = base_;
     if (pimOffline) {
         degraded.pimEnabled = false;
-        priceAll(degraded, nullptr);
+        priceAll(degraded, false);
         return;
     }
     degraded.pim = base_.pim.degraded(resources);
-    priceAll(degraded, &resources);
+    priceAll(degraded, true);
 }
 
 void
-ServiceEstimator::priceAll(const AnaheimConfig &config,
-                           const ResourceMap *resources)
+ServiceEstimator::priceAll(const AnaheimConfig &config, bool checkFit)
 {
     const AnaheimFramework fw(config);
     // GPU-only pricing for traces whose degraded plan no longer fits:
@@ -93,19 +84,15 @@ ServiceEstimator::priceAll(const AnaheimConfig &config,
     gpuOnly.pimEnabled = false;
     std::unique_ptr<AnaheimFramework> gpuFw;
 
-    estimates_.resize(traces_.size());
+    estimatesNs_.resize(traces_.size());
     for (size_t t = 0; t < traces_.size(); ++t) {
-        bool fits = true;
-        if (resources != nullptr)
-            fits = PimMemoryPlanner(base_.dram, base_.pim)
-                       .plan(traces_[t], *resources)
-                       .fits;
-        if (fits) {
-            estimates_[t] = priceTrace(fw, traces_[t]);
+        if (!checkFit ||
+            PimMemoryPlanner(config.dram, config.pim).plan(traces_[t]).fits) {
+            estimatesNs_[t] = priceTrace(fw, traces_[t]);
         } else {
             if (!gpuFw)
                 gpuFw = std::make_unique<AnaheimFramework>(gpuOnly);
-            estimates_[t] = priceTrace(*gpuFw, traces_[t]);
+            estimatesNs_[t] = priceTrace(*gpuFw, traces_[t]);
         }
     }
 }

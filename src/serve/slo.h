@@ -49,20 +49,11 @@ class TokenBucket
     double lastNs_ = 0.0;
 };
 
-/** Fault-free price of one trace on the current device view. */
-struct ServiceEstimate {
-    double totalNs = 0.0;
-    /** GPU-side share (roofline kernels + coherence + boundaries). */
-    double gpuNs = 0.0;
-    /** PIM-side share; the part a degraded geometry inflates. */
-    double pimNs = 0.0;
-};
-
 /**
  * Prices every tenant trace by stepping a resilience-free RunContext
  * on a private framework (the models are analytic; one pricing pass
  * per trace costs the same as one request execution). Deadline
- * admission compares `dispatchNs + estimate(t).totalNs` against the
+ * admission compares `dispatchNs + estimateNs(t)` against the
  * request's absolute deadline: the estimate is the *earliest possible*
  * completion, so a miss against it is a guaranteed SLO violation and
  * the request is shed rather than executed.
@@ -77,8 +68,9 @@ class ServiceEstimator
     ServiceEstimator(const AnaheimConfig &config,
                      const std::vector<OpSequence> &traces);
 
-    /** Estimate for traces[index % traces.size()]. */
-    const ServiceEstimate &estimate(size_t index) const;
+    /** Fault-free service time of traces[index % traces.size()] on the
+     *  current device view, in ns. */
+    double estimateNs(size_t index) const;
 
     /**
      * Re-price every trace on the degraded geometry: banks/lanes in
@@ -91,17 +83,14 @@ class ServiceEstimator
      */
     void reprice(const ResourceMap &resources, bool pimOffline);
 
-    /** True once reprice() has run at least once. */
-    bool degraded() const { return degraded_; }
-
   private:
-    void priceAll(const AnaheimConfig &config,
-                  const ResourceMap *resources);
+    /** Price every trace on `config`; with `checkFit`, traces whose
+     *  plan no longer fits `config.pim` are priced GPU-only. */
+    void priceAll(const AnaheimConfig &config, bool checkFit);
 
     AnaheimConfig base_;
     const std::vector<OpSequence> &traces_;
-    std::vector<ServiceEstimate> estimates_;
-    bool degraded_ = false;
+    std::vector<double> estimatesNs_;
 };
 
 } // namespace anaheim::serve

@@ -86,13 +86,17 @@ TEST(PimMemoryPlanner, FailureAwarePlanAllocatesAroundOfflineBanks)
     map.lanesPerUnit = 8;
     for (size_t b = 0; b < 128; ++b)
         map.quarantined.push_back({FaultSiteId::Kind::Bank, 2, b});
-    const auto degradedPlan = planner.plan(boot, map);
+    const auto planOn = [&](const ResourceMap &resources) {
+        return PimMemoryPlanner(DramConfig::hbm2A100(),
+                                PimConfig::nearBankA100().degraded(resources))
+            .plan(boot);
+    };
+    const auto degradedPlan = planOn(map);
     EXPECT_TRUE(degradedPlan.fits);
     EXPECT_GT(degradedPlan.peakRowsPerBank,
               healthyPlan.peakRowsPerBank);
     // An empty quarantine set reproduces the healthy plan exactly.
-    const auto samePlan = planner.plan(boot, ResourceMap{
-                                                 5, 512, 8, {}});
+    const auto samePlan = planOn(ResourceMap{5, 512, 8, {}});
     EXPECT_EQ(samePlan.peakRowsPerBank, healthyPlan.peakRowsPerBank);
     EXPECT_EQ(samePlan.pimKernels, healthyPlan.pimKernels);
 }

@@ -103,9 +103,9 @@ TEST_F(ExportTest, ChromeTraceValidatesAndParses)
 
 TEST_F(ExportTest, WriteAndValidateTraceFile)
 {
-    AnaheimConfig config = AnaheimConfig::a100NearBank();
-    config.obs.trace = true; // sim-timeline recording without host spans
-    const RunResult result = smallRun(config);
+    setTracingEnabled(true);
+    const RunResult result = smallRun(); // records its timeline
+    setTracingEnabled(false);
     ASSERT_FALSE(result.timeline.empty());
 
     const std::string path =
@@ -269,15 +269,6 @@ TEST_F(ExportTest, PrometheusTextExposesFamiliesContiguously)
     }
 }
 
-TEST_F(ExportTest, MetricsCsvHasHeaderAndRows)
-{
-    MetricsRegistry::global().counter("test.export.csv").add();
-    const std::string csv =
-        metricsCsv(MetricsRegistry::global().snapshot());
-    EXPECT_EQ(csv.rfind("name,kind,value,count,sum\n", 0), 0u);
-    EXPECT_NE(csv.find("test.export.csv,counter,"), std::string::npos);
-}
-
 TEST_F(ExportTest, PublishRunMetricsExposesRunTotals)
 {
     const RunResult result = smallRun();
@@ -334,7 +325,11 @@ TEST_F(ExportTest, ConfigSummaryNamesTheArchitecturePoint)
     EXPECT_EQ(value("gpu"), "A100 80GB");
     EXPECT_EQ(value("pim_enabled"), "true");
     EXPECT_EQ(value("pim_variant"), "near-bank");
-    EXPECT_EQ(value("obs_trace"), "false");
+    EXPECT_EQ(value("ecc_enabled"), "true");
+    // Serving runs take their own ServeConfig: the summary describes
+    // only what the framework reads.
+    for (const auto &[k, v] : kv)
+        EXPECT_NE(k.rfind("serve_", 0), 0u) << k << " = " << v;
 }
 
 } // namespace

@@ -507,7 +507,7 @@ resilientServeConfig()
 {
     ServeConfig serve = servingConfig(10000.0);
     serve.requestsPerStream = 4;
-    serve.deadlineNs = 1e9; // generous: estimator on, shedding rare
+    serve.deadlineClassNs = {1e9}; // generous: estimator on, shedding rare
     serve.rateLimitRps = 5000.0;
     serve.rateLimitBurst = 2.0;
     serve.preemption = true;

@@ -69,13 +69,15 @@ TEST(ServiceEstimator, PricesTracesFaultFree)
     const serve::ServiceEstimator clean(AnaheimConfig::a100NearBank(),
                                         traces);
     const serve::ServiceEstimator stripped(faulty, traces);
-    EXPECT_GT(clean.estimate(0).totalNs, 0.0);
-    EXPECT_EQ(clean.estimate(0).totalNs, stripped.estimate(0).totalNs);
-    // PIM-heavy trace: most of the price is PIM time.
-    EXPECT_GT(clean.estimate(0).pimNs, clean.estimate(0).gpuNs);
+    EXPECT_GT(clean.estimateNs(0), 0.0);
+    EXPECT_EQ(clean.estimateNs(0), stripped.estimateNs(0));
+    // The price is a clean-device execution of the trace.
+    EXPECT_EQ(clean.estimateNs(0),
+              AnaheimFramework(AnaheimConfig::a100NearBank())
+                  .execute(traces[0])
+                  .totalNs);
     // Indexing cycles like stream->trace assignment does.
-    EXPECT_EQ(clean.estimate(7).totalNs, clean.estimate(0).totalNs);
-    EXPECT_FALSE(clean.degraded());
+    EXPECT_EQ(clean.estimateNs(7), clean.estimateNs(0));
 }
 
 TEST(ServiceEstimator, RepricesOnDegradedGeometry)
@@ -83,7 +85,7 @@ TEST(ServiceEstimator, RepricesOnDegradedGeometry)
     const AnaheimConfig config = AnaheimConfig::a100NearBank();
     const std::vector<OpSequence> traces = {pimHeavyTrace()};
     serve::ServiceEstimator estimator(config, traces);
-    const double healthyNs = estimator.estimate(0).totalNs;
+    const double healthyNs = estimator.estimateNs(0);
 
     // Quarantine a sizeable slice of one die group: the lockstep
     // device follows its worst group, so PIM work must slow down.
@@ -95,9 +97,7 @@ TEST(ServiceEstimator, RepricesOnDegradedGeometry)
         resources.quarantined.push_back(
             {FaultSiteId::Kind::Bank, 0, b});
     estimator.reprice(resources, false);
-
-    EXPECT_TRUE(estimator.degraded());
-    EXPECT_GT(estimator.estimate(0).totalNs, healthyNs);
+    EXPECT_GT(estimator.estimateNs(0), healthyNs);
 }
 
 TEST(ServiceEstimator, PimOfflineFallsBackToGpuPricing)
@@ -107,17 +107,13 @@ TEST(ServiceEstimator, PimOfflineFallsBackToGpuPricing)
     serve::ServiceEstimator estimator(config, traces);
 
     estimator.reprice(ResourceMap{}, true);
-    EXPECT_TRUE(estimator.degraded());
-    // Everything runs on the GPU now; the estimate must say so.
-    EXPECT_EQ(estimator.estimate(0).pimNs, 0.0);
-    EXPECT_GT(estimator.estimate(0).totalNs, 0.0);
 
-    // And it must equal a from-scratch GPU-only pricing.
+    // Everything runs on the GPU now: the estimate equals a GPU-only
+    // execution of the trace.
     AnaheimConfig gpuOnly = config;
     gpuOnly.pimEnabled = false;
-    const serve::ServiceEstimator reference(gpuOnly, traces);
-    EXPECT_EQ(estimator.estimate(0).totalNs,
-              reference.estimate(0).totalNs);
+    EXPECT_EQ(estimator.estimateNs(0),
+              AnaheimFramework(gpuOnly).execute(traces[0]).totalNs);
 }
 
 } // namespace

@@ -147,6 +147,91 @@ TEST(Degradation, WithoutCheckpointFallbacksAreTaggedUncheckpointed)
     EXPECT_EQ(res.gpuFallbacksRetryExhausted, 0u);
 }
 
+/** Health on, checkpoints off: the ladder with no snapshot to replay
+ *  from. Threshold 1 quarantines a dead site on its first detection. */
+AnaheimConfig
+uncheckpointedConfig()
+{
+    AnaheimConfig config = degradationConfig();
+    config.resilience.checkpoint.enabled = false;
+    config.resilience.health.permanentThreshold = 1;
+    return config;
+}
+
+/** Timeline entries of executed ops (maintenance phases are unbound). */
+size_t
+opEntries(const RunResult &result)
+{
+    size_t count = 0;
+    for (const GanttEntry &entry : result.timeline)
+        count += entry.bound != BoundBy::None ? 1 : 0;
+    return count;
+}
+
+TEST(Degradation, UncheckpointedEndOfTraceMismatchQuarantinesWithoutMigrating)
+{
+    // An all-PIM trace crosses no coherence boundary, so the
+    // end-of-trace verify is the first to see a dead lane's damage.
+    // The lane is quarantined and the committed outputs surfaced as
+    // lost, but no op remains to run on a remapped device: nothing
+    // migrates.
+    OpSequence seq = buildPMult(TraceParams{});
+    const OpSequence one = seq;
+    for (size_t r = 1; r < 4; ++r)
+        seq.append(one);
+    AnaheimConfig config = uncheckpointedConfig();
+    config.resilience.permanentLanes.push_back({0, 3});
+    const RunResult result = AnaheimFramework(config).execute(seq);
+    const ResilienceStats &res = result.resilience;
+
+    EXPECT_EQ(res.checksumChecks, 1u);
+    EXPECT_EQ(res.checksumMismatches, 1u);
+    EXPECT_EQ(res.quarantinedLanes, 1u);
+    EXPECT_EQ(res.unrecovered, 1u);
+    EXPECT_EQ(res.migrations, 0u);
+    EXPECT_EQ(opEntries(result), seq.ops.size());
+}
+
+TEST(Degradation, UncheckpointedCoherenceMismatchSurfacesThenMigrates)
+{
+    // HMULT's Tensor op runs on PIM and feeds the GPU keyswitch, so the
+    // coherence verify catches the dead lane. Quarantine stops further
+    // damage, but the verified outputs have committed and there is no
+    // snapshot: they are surfaced as lost before execution migrates on
+    // past them, and no op replays.
+    AnaheimConfig config = uncheckpointedConfig();
+    config.resilience.permanentLanes.push_back({0, 3});
+    const OpSequence seq = hmultChain(2);
+    const RunResult result = AnaheimFramework(config).execute(seq);
+    const ResilienceStats &res = result.resilience;
+
+    EXPECT_EQ(res.checksumMismatches, 1u);
+    EXPECT_EQ(res.quarantinedLanes, 1u);
+    EXPECT_EQ(res.migrations, 1u);
+    EXPECT_EQ(res.unrecovered, 1u);
+    EXPECT_EQ(res.gpuFallbacks, 0u);
+    EXPECT_EQ(opEntries(result), seq.ops.size());
+}
+
+TEST(Degradation, UncheckpointedEccExhaustionReRunsTheCaughtOp)
+{
+    // A dead bank fails every ECC retry of the first PIM op. Those
+    // attempts never committed, so once the bank is quarantined the
+    // same op re-runs on the healthy subset: nothing is lost, nothing
+    // falls back, and that op appears on the timeline twice.
+    AnaheimConfig config = uncheckpointedConfig();
+    config.resilience.permanentBanks.push_back({2, 17});
+    const OpSequence seq = hmultChain(2);
+    const RunResult result = AnaheimFramework(config).execute(seq);
+    const ResilienceStats &res = result.resilience;
+
+    EXPECT_EQ(res.quarantinedBanks, 1u);
+    EXPECT_EQ(res.migrations, 1u);
+    EXPECT_EQ(res.gpuFallbacks, 0u);
+    EXPECT_EQ(res.unrecovered, 0u);
+    EXPECT_EQ(opEntries(result), seq.ops.size() + 1);
+}
+
 TEST(Degradation, CapacityFloorSendsRemainingPimWorkToTheGpu)
 {
     // A floor just under full capacity: quarantining the two dead
