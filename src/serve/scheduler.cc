@@ -1,12 +1,18 @@
 #include "scheduler.h"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <deque>
+#include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <optional>
+#include <queue>
 #include <tuple>
+#include <utility>
+#include <vector>
 
 #include "anaheim/runcontext.h"
 #include "arrival.h"
@@ -77,6 +83,393 @@ constexpr size_t kNoStream = static_cast<size_t>(-1);
 /** Ciphertexts per fused PIM dispatch. */
 constexpr size_t kMaxBatch = 8;
 
+/**
+ * Binary min-heap of stream ids under `Less`, with every member's slot
+ * indexed: O(1) top, O(log n) push and erase of any member, and no
+ * allocation once the heap has reached its largest size.
+ */
+template <class Less>
+class StreamHeap
+{
+  public:
+    StreamHeap(size_t streams, Less less)
+        : slot_(streams, kNoStream), less_(less)
+    {
+    }
+
+    bool empty() const { return heap_.empty(); }
+    size_t top() const { return heap_.front(); }
+
+    void push(size_t s)
+    {
+        heap_.push_back(s);
+        siftUp(heap_.size() - 1);
+    }
+
+    void erase(size_t s)
+    {
+        const size_t at = slot_[s];
+        slot_[s] = kNoStream;
+        const size_t last = heap_.back();
+        heap_.pop_back();
+        if (at == heap_.size())
+            return;
+        place(at, last);
+        siftUp(at);
+        siftDown(slot_[last]);
+    }
+
+    /** Calls `fn` on every member `pred` accepts. `pred` must reject
+     *  everything ordered after a member it rejects, so a rejected
+     *  member's subtree is skipped unvisited. */
+    template <class Pred, class Fn>
+    void forEachWhile(const Pred &pred, const Fn &fn, size_t at = 0) const
+    {
+        if (at >= heap_.size() || !pred(heap_[at]))
+            return;
+        fn(heap_[at]);
+        forEachWhile(pred, fn, 2 * at + 1);
+        forEachWhile(pred, fn, 2 * at + 2);
+    }
+
+    /** Appends the K smallest members (all, if fewer) to `out`. */
+    template <size_t K>
+    void smallest(std::vector<size_t> &out) const
+    {
+        // Best-first from the root: the next smallest member is always
+        // a child of one already taken, so at most K + 1 slots are open.
+        std::array<size_t, K + 1> open{};
+        size_t count = heap_.empty() ? 0 : 1;
+        for (size_t taken = 0; taken < K && count > 0; ++taken) {
+            size_t best = 0;
+            for (size_t i = 1; i < count; ++i) {
+                if (less_(heap_[open[i]], heap_[open[best]]))
+                    best = i;
+            }
+            const size_t at = open[best];
+            open[best] = open[--count];
+            out.push_back(heap_[at]);
+            for (const size_t child : {2 * at + 1, 2 * at + 2}) {
+                if (child < heap_.size())
+                    open[count++] = child;
+            }
+        }
+    }
+
+  private:
+    void place(size_t at, size_t s)
+    {
+        heap_[at] = s;
+        slot_[s] = at;
+    }
+
+    void siftUp(size_t at)
+    {
+        const size_t s = heap_[at];
+        while (at > 0) {
+            const size_t parent = (at - 1) / 2;
+            if (!less_(s, heap_[parent]))
+                break;
+            place(at, heap_[parent]);
+            at = parent;
+        }
+        place(at, s);
+    }
+
+    void siftDown(size_t at)
+    {
+        const size_t s = heap_[at];
+        while (true) {
+            size_t child = 2 * at + 1;
+            if (child >= heap_.size())
+                break;
+            if (child + 1 < heap_.size() &&
+                less_(heap_[child + 1], heap_[child]))
+                ++child;
+            if (!less_(heap_[child], s))
+                break;
+            place(at, heap_[child]);
+            at = child;
+        }
+        place(at, s);
+    }
+
+    std::vector<size_t> heap_;
+    /** heap_ position of each stream (kNoStream = not a member). */
+    std::vector<size_t> slot_;
+    Less less_;
+};
+
+/** What an indexed stream's next step waits for: ready is
+ *  max(run clock, arrival), priority its class. */
+struct IndexKey {
+    double ready = 0.0;
+    size_t priority = 0;
+};
+
+/** (priority, stream): the order of streams that all start at once. */
+struct ByPriority {
+    const IndexKey *keys;
+    bool operator()(size_t a, size_t b) const
+    {
+        return std::tie(keys[a].priority, a) <
+               std::tie(keys[b].priority, b);
+    }
+};
+
+/** (ready, priority, stream). */
+struct ByReady {
+    const IndexKey *keys;
+    bool operator()(size_t a, size_t b) const
+    {
+        return std::tie(keys[a].ready, keys[a].priority, a) <
+               std::tie(keys[b].ready, keys[b].priority, b);
+    }
+};
+
+/** (priority, ready, stream). */
+struct ByPriorityReady {
+    const IndexKey *keys;
+    bool operator()(size_t a, size_t b) const
+    {
+        return std::tie(keys[a].priority, keys[a].ready, a) <
+               std::tie(keys[b].priority, keys[b].ready, b);
+    }
+};
+
+/**
+ * The dispatch candidates, indexed so every scheduling decision costs
+ * O(log S) rather than a walk over all S streams (DESIGN.md §15).
+ *
+ * A stream with a live run sits in one class by what its next step
+ * claims: the GPU, the PIM, or nothing (a cost-free boundary). The
+ * GPU and PIM classes split further against their device's free-time
+ * horizon (overlap off: one shared horizon):
+ *  - waiting: ready <= horizon. Every waiting stream of the class
+ *    starts at the horizon, so they order by (priority, stream);
+ *  - future: ready > horizon. It starts at its ready time, so these
+ *    order by (ready, priority, stream) and, with preemption, also by
+ *    (priority, ready, stream).
+ * Cost-free streams start at their ready time: always future. A
+ * horizon only grows, and an advance moves the future set's
+ * ready <= horizon prefix into the waiting set. The winner is the
+ * smallest scan key among the set minima; keys are unique per stream,
+ * so it is exactly the argmin over every indexed stream. Batchable PIM
+ * streams are indexed once more per batch key, with the same two sets.
+ */
+class DispatchIndex
+{
+  public:
+    /** Step classes; kGpu/kPim double as the device index. */
+    enum Class : size_t { kGpu = 0, kPim = 1, kCostFree = 2, kClasses };
+
+    DispatchIndex(const std::vector<size_t> &priorities, bool preemption,
+                  bool overlap)
+        : preemption_(preemption), overlap_(overlap),
+          keys_(priorities.size()), members_(priorities.size())
+    {
+        for (size_t s = 0; s < priorities.size(); ++s)
+            keys_[s].priority = priorities[s];
+        for (size_t c = 0; c < kClasses; ++c)
+            classes_.emplace_back(priorities.size(), keys_.data());
+    }
+
+    // The heaps' comparators point into keys_: a copy would read the
+    // original's keys.
+    DispatchIndex(const DispatchIndex &) = delete;
+    DispatchIndex &operator=(const DispatchIndex &) = delete;
+
+    /** Index stream s's live run; `batchKey` (PIM class only, null =
+     *  unbatched) is the op whose shape other streams fuse with. */
+    void
+    insert(size_t s, Class cls, double ready, const KernelOp *batchKey)
+    {
+        keys_[s].ready = ready;
+        Member &m = members_[s];
+        m.cls = cls;
+        m.waiting = cls != kCostFree && ready <= horizons_[slotOf(cls)];
+        m.batch = batchKey != nullptr ? batchOf(*batchKey) : kNoStream;
+        ClassSets &sets = classes_[cls];
+        if (m.waiting) {
+            sets.waiting.push(s);
+            if (m.batch != kNoStream)
+                batches_[m.batch].waiting.push(s);
+        } else {
+            sets.future.push(s);
+            if (preemption_)
+                sets.futureByPriority.push(s);
+            if (m.batch != kNoStream)
+                batches_[m.batch].future.push(s);
+        }
+    }
+
+    /** Drop stream s from the index (no-op when not indexed). */
+    void
+    erase(size_t s)
+    {
+        Member &m = members_[s];
+        if (m.cls == kClasses)
+            return;
+        ClassSets &sets = classes_[m.cls];
+        m.cls = kClasses;
+        if (m.waiting) {
+            sets.waiting.erase(s);
+            if (m.batch != kNoStream)
+                batches_[m.batch].waiting.erase(s);
+        } else {
+            sets.future.erase(s);
+            if (preemption_)
+                sets.futureByPriority.erase(s);
+            if (m.batch != kNoStream)
+                batches_[m.batch].future.erase(s);
+        }
+    }
+
+    /** Device `dev` (kGpu/kPim) is busy until `ns`: every stream of a
+     *  class on that horizon with ready <= ns now starts at ns. */
+    void
+    advance(Class dev, double ns)
+    {
+        const size_t slot = slotOf(dev);
+        ANAHEIM_ASSERT(ns >= horizons_[slot], "device horizons only grow");
+        horizons_[slot] = ns;
+        for (const Class cls : {kGpu, kPim}) {
+            if (slotOf(cls) != slot)
+                continue;
+            ClassSets &sets = classes_[cls];
+            while (!sets.future.empty() &&
+                   keys_[sets.future.top()].ready <= ns) {
+                const size_t s = sets.future.top();
+                Member &m = members_[s];
+                sets.future.erase(s);
+                if (preemption_)
+                    sets.futureByPriority.erase(s);
+                sets.waiting.push(s);
+                m.waiting = true;
+                if (m.batch != kNoStream) {
+                    batches_[m.batch].future.erase(s);
+                    batches_[m.batch].waiting.push(s);
+                }
+            }
+        }
+    }
+
+    /** The indexed stream minimizing (start, priority, stream) — or
+     *  (priority, start, stream) with preemption — and its start;
+     *  kNoStream when nothing is indexed. */
+    std::pair<size_t, double>
+    winner() const
+    {
+        std::pair<size_t, double> best{kNoStream, 0.0};
+        std::tuple<double, double, size_t> bestKey;
+        const auto consider = [&](size_t s, double start) {
+            const double priority =
+                static_cast<double>(keys_[s].priority);
+            const std::tuple<double, double, size_t> key =
+                preemption_ ? std::tuple(priority, start, s)
+                            : std::tuple(start, priority, s);
+            if (best.first == kNoStream || key < bestKey) {
+                best = {s, start};
+                bestKey = key;
+            }
+        };
+        for (const Class cls : {kGpu, kPim, kCostFree}) {
+            const ClassSets &sets = classes_[cls];
+            if (!sets.waiting.empty())
+                consider(sets.waiting.top(), horizons_[slotOf(cls)]);
+            if (preemption_ ? sets.futureByPriority.empty()
+                            : sets.future.empty())
+                continue;
+            const size_t s = preemption_ ? sets.futureByPriority.top()
+                                         : sets.future.top();
+            consider(s, keys_[s].ready);
+        }
+        return best;
+    }
+
+    /** Batch followers of PIM `leader` dispatched at `start`: up to
+     *  kMaxBatch - 1 other streams with its batch key that are ready by
+     *  `start`, in (priority, stream) order. */
+    void
+    followers(size_t leader, double start, std::vector<size_t> &out) const
+    {
+        out.clear();
+        const BatchSets &sets = batches_[members_[leader].batch];
+        // Waiting members are ready by the horizon <= start; the first
+        // kMaxBatch by (priority, stream) hold kMaxBatch - 1 besides
+        // the leader.
+        sets.waiting.smallest<kMaxBatch>(out);
+        sets.future.forEachWhile(
+            [&](size_t s) { return keys_[s].ready <= start; },
+            [&](size_t s) { out.push_back(s); });
+        out.erase(std::remove(out.begin(), out.end(), leader), out.end());
+        std::sort(out.begin(), out.end(), ByPriority{keys_.data()});
+        if (out.size() > kMaxBatch - 1)
+            out.resize(kMaxBatch - 1);
+    }
+
+  private:
+    /** Where an indexed stream sits. */
+    struct Member {
+        Class cls = kClasses; ///< kClasses = not indexed
+        bool waiting = false;
+        size_t batch = kNoStream; ///< batch key id, kNoStream = none
+    };
+
+    struct ClassSets {
+        ClassSets(size_t streams, const IndexKey *keys)
+            : waiting(streams, ByPriority{keys}),
+              future(streams, ByReady{keys}),
+              futureByPriority(streams, ByPriorityReady{keys})
+        {
+        }
+        StreamHeap<ByPriority> waiting;
+        StreamHeap<ByReady> future;
+        /** Maintained with preemption only. */
+        StreamHeap<ByPriorityReady> futureByPriority;
+    };
+
+    /** One batch key's PIM streams, split like their class. */
+    struct BatchSets {
+        BatchSets(size_t streams, const IndexKey *keys)
+            : waiting(streams, ByPriority{keys}),
+              future(streams, ByReady{keys})
+        {
+        }
+        StreamHeap<ByPriority> waiting;
+        StreamHeap<ByReady> future;
+    };
+
+    /** The horizon a GPU/PIM class waits on; overlap off shares one. */
+    size_t slotOf(Class cls) const
+    {
+        return overlap_ && cls == kPim ? 1 : 0;
+    }
+
+    /** Batching compatibility: same opcode/shape PIM steps from
+     *  different streams fuse into one dispatch. */
+    size_t
+    batchOf(const KernelOp &op)
+    {
+        const auto [it, added] = batchIds_.try_emplace(
+            std::tuple(op.type, op.n, op.limbs, op.fanIn), batches_.size());
+        if (added)
+            batches_.emplace_back(keys_.size(), keys_.data());
+        return it->second;
+    }
+
+    const bool preemption_;
+    const bool overlap_;
+    /** Device free-time horizons by slotOf(). */
+    double horizons_[2] = {0.0, 0.0};
+    std::vector<IndexKey> keys_;
+    std::vector<Member> members_;
+    std::vector<ClassSets> classes_;
+    std::vector<BatchSets> batches_;
+    std::map<std::tuple<KernelType, size_t, size_t, size_t>, size_t>
+        batchIds_;
+};
+
 /** One client stream's live scheduling state. */
 struct StreamState {
     const OpSequence *trace = nullptr;
@@ -101,16 +494,9 @@ struct StreamState {
     std::optional<TokenBucket> bucket;
     /** Perfetto run id for this stream's track (tracing only). */
     uint32_t runId = 0;
+    /** On the engine's activation list. */
+    bool activationQueued = false;
 };
-
-/** Batching compatibility key: same opcode/shape PIM steps from
- *  different streams fuse into one dispatch. */
-bool
-sameBatchKey(const KernelOp &a, const KernelOp &b)
-{
-    return a.type == b.type && a.n == b.n && a.limbs == b.limbs &&
-           a.fanIn == b.fanIn;
-}
 
 /** Per-request fault-stream salt: a pure function of the request's
  *  identity, never of the schedule, so batching/overlap toggles leave
@@ -145,14 +531,16 @@ class ServeEngine
     void release(size_t s, size_t k, double arrivalNs);
     void admitUpTo(double upTo);
     double nextArrivalNs() const;
+    void queueActivation(size_t s);
     void activate();
+    void reindex(size_t s);
     void reject(size_t s, size_t k, RejectCause cause, double atNs);
     bool wouldMissDeadline(size_t s, size_t k, double startNs) const;
     void shedQueuedMisses();
     void observeHealth(const RunContext &ctx);
     double requestReadyNs(size_t s) const;
     double stepStream(size_t s, double startNs, bool suppressTransition);
-    double preemptionOverheadNs(size_t winner, int dev, double startNs);
+    double preemptionOverheadNs(size_t winner, size_t dev, double startNs);
     void recordServeSpan(uint32_t runId, const char *name,
                          const char *lane, double startNs, double durNs);
     void publishStreamTotals() const;
@@ -171,9 +559,21 @@ class ServeEngine
     std::unique_ptr<ServiceEstimator> estimator_;
     bool tracing_ = false;
     double now_ = 0.0;
-    /** Device occupancy horizons; [0]=GPU, [1]=PIM (overlap off maps
-     *  both onto slot 0, serializing the system). */
-    double freeNs_[2] = {0.0, 0.0};
+    /** The live runs by dispatch class, with the device horizons. */
+    std::optional<DispatchIndex> index_;
+    /** (next arrival, stream) for every open-loop stream with arrivals
+     *  left, earliest on top. */
+    std::priority_queue<std::pair<double, size_t>,
+                        std::vector<std::pair<double, size_t>>,
+                        std::greater<>>
+        arrivals_;
+    /** Streams whose slot or queue changed since the last activate(). */
+    std::vector<size_t> toActivate_;
+    /** Requests waiting in stream queues, summed over the streams. */
+    size_t queued_ = 0;
+    /** Scratch: admitUpTo's due streams, a dispatch's followers. */
+    std::vector<size_t> due_;
+    std::vector<size_t> followers_;
     /** Stream last dispatched per device slot (preemption victim
      *  detection). */
     size_t devLast_[2] = {kNoStream, kNoStream};
@@ -271,23 +671,34 @@ ServeEngine::release(size_t s, size_t k, double arrivalNs)
         reject(s, k, RejectCause::RateLimited, arrivalNs);
     else if (st.queue.size() >= serve_.maxQueuedPerStream)
         reject(s, k, RejectCause::QueueFull, arrivalNs);
-    else
+    else {
         st.queue.push_back(k);
+        ++queued_;
+    }
 }
 
-// Release every open-loop arrival with a timestamp <= `upTo`.
+// Release every open-loop arrival with a timestamp <= `upTo`, stream
+// by stream in index order: rejections reach telemetry in call order.
 void
 ServeEngine::admitUpTo(double upTo)
 {
-    if (serve_.arrival != ArrivalKind::OpenPoisson)
-        return;
-    for (size_t s = 0; s < streams_.size(); ++s) {
+    due_.clear();
+    while (!arrivals_.empty() && arrivals_.top().first <= upTo) {
+        due_.push_back(arrivals_.top().second);
+        arrivals_.pop();
+    }
+    std::sort(due_.begin(), due_.end());
+    for (const size_t s : due_) {
         StreamState &st = streams_[s];
         while (st.nextArrival < st.arrivals.size() &&
                st.arrivals[st.nextArrival] <= upTo) {
             const size_t k = st.nextArrival++;
             release(s, k, st.arrivals[k]);
         }
+        if (st.nextArrival < st.arrivals.size())
+            arrivals_.emplace(st.arrivals[st.nextArrival], s);
+        if (!st.active)
+            queueActivation(s);
     }
 }
 
@@ -295,14 +706,19 @@ ServeEngine::admitUpTo(double upTo)
 double
 ServeEngine::nextArrivalNs() const
 {
-    double next = std::numeric_limits<double>::infinity();
-    if (serve_.arrival != ArrivalKind::OpenPoisson)
-        return next;
-    for (const StreamState &st : streams_) {
-        if (st.nextArrival < st.arrivals.size())
-            next = std::min(next, st.arrivals[st.nextArrival]);
+    return arrivals_.empty() ? std::numeric_limits<double>::infinity()
+                             : arrivals_.top().first;
+}
+
+/** Put stream s on the activation list: its run slot freed or its idle
+ *  queue gained a request, so the next activate() must look at it. */
+void
+ServeEngine::queueActivation(size_t s)
+{
+    if (!streams_[s].activationQueued) {
+        streams_[s].activationQueued = true;
+        toActivate_.push_back(s);
     }
-    return next;
 }
 
 /** Refuse request k of stream s for `cause`: every rejection path
@@ -357,12 +773,17 @@ ServeEngine::wouldMissDeadline(size_t s, size_t k, double startNs) const
 // their next request the moment the slot frees up. A rejected or shed
 // release immediately falls through to the next candidate, so one bad
 // request can never wedge its stream (pinned by
-// Serve.ClosedLoopRejectionReleasesNext).
+// Serve.ClosedLoopRejectionReleasesNext). Only listed streams can have
+// work to do; they go in index order, because releases, sheds and
+// their telemetry samples and Perfetto spans are recorded in call
+// order.
 void
 ServeEngine::activate()
 {
-    for (size_t s = 0; s < streams_.size(); ++s) {
+    std::sort(toActivate_.begin(), toActivate_.end());
+    for (const size_t s : toActivate_) {
         StreamState &st = streams_[s];
+        st.activationQueued = false;
         while (!st.active) {
             if (st.queue.empty()) {
                 // A closed-loop stream releases its next request the
@@ -378,6 +799,7 @@ ServeEngine::activate()
             }
             const size_t k = st.queue.front();
             st.queue.pop_front();
+            --queued_;
             if (wouldMissDeadline(s, k, now_)) {
                 reject(s, k, RejectCause::DeadlineShed, now_);
                 continue;
@@ -387,8 +809,32 @@ ServeEngine::activate()
             ++out_.stats.admitted;
             st.active = std::make_unique<RunContext>(
                 fw_, *st.trace, requestSalt(s, k));
+            reindex(s);
         }
     }
+    toActivate_.clear();
+}
+
+/** Re-index stream s after its run changed (activated, stepped,
+ *  completed or shed); a freed slot goes on the activation list. */
+void
+ServeEngine::reindex(size_t s)
+{
+    index_->erase(s);
+    const StreamState &st = streams_[s];
+    if (!st.active) {
+        queueActivation(s);
+        return;
+    }
+    const RunContext &ctx = *st.active;
+    const DispatchIndex::Class cls =
+        ctx.nextCostFree() ? DispatchIndex::kCostFree
+        : ctx.nextOnPim()  ? DispatchIndex::kPim
+                           : DispatchIndex::kGpu;
+    index_->insert(s, cls, requestReadyNs(s),
+                   serve_.batching && cls == DispatchIndex::kPim
+                       ? ctx.nextOp()
+                       : nullptr);
 }
 
 /** Re-check every queued (not yet admitted to a slot) request against
@@ -401,10 +847,12 @@ ServeEngine::shedQueuedMisses()
         StreamState &st = streams_[s];
         std::deque<size_t> keep;
         for (const size_t k : st.queue) {
-            if (wouldMissDeadline(s, k, now_))
+            if (wouldMissDeadline(s, k, now_)) {
                 reject(s, k, RejectCause::DeadlineShed, now_);
-            else
+                --queued_;
+            } else {
                 keep.push_back(k);
+            }
         }
         st.queue.swap(keep);
     }
@@ -490,6 +938,7 @@ ServeEngine::stepStream(size_t s, double startNs, bool suppressTransition)
         }
     }
     stats.makespanNs = std::max(stats.makespanNs, end);
+    reindex(s);
     return end;
 }
 
@@ -505,7 +954,8 @@ ServeEngine::stepStream(size_t s, double startNs, bool suppressTransition)
  * Returns the overhead to insert before the winner's step.
  */
 double
-ServeEngine::preemptionOverheadNs(size_t winner, int dev, double startNs)
+ServeEngine::preemptionOverheadNs(size_t winner, size_t dev,
+                                  double startNs)
 {
     if (!serve_.preemption)
         return 0.0;
@@ -630,15 +1080,11 @@ ServeEngine::telemetryCloseTick()
     const double mid = windowStart + 0.5 * tick;
     const ServeStats &stats = out_.stats;
 
-    size_t depth = 0;
-    for (size_t s = 0; s < streams_.size(); ++s) {
-        depth += streams_[s].queue.size();
-        if (s < tsTenantQueue_.size()) {
-            tsTenantQueue_[s]->observe(
-                mid, static_cast<double>(streams_[s].queue.size()));
-        }
+    for (size_t s = 0; s < tsTenantQueue_.size(); ++s) {
+        tsTenantQueue_[s]->observe(
+            mid, static_cast<double>(streams_[s].queue.size()));
     }
-    tsQueueDepth_->observe(mid, static_cast<double>(depth));
+    tsQueueDepth_->observe(mid, static_cast<double>(queued_));
     tsGpuBusy_->observe(mid,
                         (stats.gpuBusyNs - lastGpuBusyNs_) / tick);
     tsPimBusy_->observe(mid,
@@ -747,51 +1193,34 @@ ServeEngine::run()
                                                         traces_);
     telemetryInit();
 
-    ServeStats &stats = out_.stats;
-    // Device occupancy horizons. With overlap off both point at the
-    // same slot, which serializes every dispatch system-wide — the
-    // back-to-back baseline bench_serving measures speedup against.
-    const auto deviceOf = [](const RunContext &ctx) {
-        return ctx.nextOnPim() ? 1 : 0;
-    };
-    const auto freeAt = [&](int dev) -> double & {
-        return freeNs_[serve_.overlap ? dev : 0];
-    };
+    // Device occupancy horizons live in the index. With overlap off
+    // GPU and PIM share one, which serializes every dispatch
+    // system-wide — the back-to-back baseline bench_serving measures
+    // speedup against.
+    std::vector<size_t> priorities(streams_.size());
+    for (size_t s = 0; s < streams_.size(); ++s) {
+        priorities[s] = streams_[s].priority;
+        if (serve_.arrival == ArrivalKind::OpenPoisson &&
+            !streams_[s].arrivals.empty())
+            arrivals_.emplace(streams_[s].arrivals.front(), s);
+        queueActivation(s);
+    }
+    index_.emplace(priorities, serve_.preemption, serve_.overlap);
 
+    ServeStats &stats = out_.stats;
     while (true) {
         telemetryTickTo(now_);
         admitUpTo(now_);
         activate();
 
         // Candidate = the live run minimizing (start, priority,
-        // stream); with preemption on, priority outranks start time, so
-        // ready high-priority work interleaves ahead of low-priority
-        // runs at their next step boundary.
-        size_t best = streams_.size();
-        double bestStart = 0.0;
-        std::tuple<double, double, size_t> bestKey;
-        for (size_t s = 0; s < streams_.size(); ++s) {
-            if (!streams_[s].active)
-                continue;
-            // A cost-free boundary (end-of-trace, checksums off)
-            // claims no resource: it completes at the run's own clock.
-            const int dev = deviceOf(*streams_[s].active);
-            const double start =
-                streams_[s].active->nextCostFree()
-                    ? requestReadyNs(s)
-                    : std::max(requestReadyNs(s), freeAt(dev));
-            const double priority =
-                static_cast<double>(streams_[s].priority);
-            const std::tuple<double, double, size_t> key =
-                serve_.preemption ? std::tuple(priority, start, s)
-                                  : std::tuple(start, priority, s);
-            if (best == streams_.size() || key < bestKey) {
-                best = s;
-                bestStart = start;
-                bestKey = key;
-            }
-        }
-        if (best == streams_.size()) {
+        // stream), where start = max(ready, horizon of its device) and
+        // a cost-free boundary (end-of-trace, checksums off) starts at
+        // its run's own clock; with preemption on, priority outranks
+        // start time, so ready high-priority work interleaves ahead of
+        // low-priority runs at their next step boundary.
+        const auto [best, bestStart] = index_->winner();
+        if (best == kNoStream) {
             const double next = nextArrivalNs();
             if (!std::isfinite(next))
                 break; // no runs, no queues, no future arrivals
@@ -818,58 +1247,43 @@ ServeEngine::run()
                    bestStart);
             --stats.admitted; // never held the slot for real
             leader.active.reset();
+            reindex(best);
             now_ = std::max(now_, bestStart);
             continue;
         }
-        const int dev = deviceOf(*leader.active);
-        double end;
         if (leader.active->nextCostFree()) {
             stepStream(best, bestStart, false);
             now_ = std::max(now_, bestStart);
             continue;
         }
+        const DispatchIndex::Class dev = leader.active->nextOnPim()
+                                             ? DispatchIndex::kPim
+                                             : DispatchIndex::kGpu;
         const double overhead =
             preemptionOverheadNs(best, dev, bestStart);
         const double stepStart = bestStart + overhead;
-        if (dev == 1 && serve_.batching) {
+        double end;
+        if (dev == DispatchIndex::kPim && serve_.batching) {
             // Fuse compatible PIM steps from other streams into the
             // leader's dispatch: followers run back-to-back inside one
             // launch and skip the GPU<->PIM transition charge.
-            const KernelOp &key = *leader.active->nextOp();
-            std::vector<size_t> followers;
-            for (size_t s = 0; s < streams_.size(); ++s) {
-                if (s == best || !streams_[s].active ||
-                    !streams_[s].active->nextOnPim())
-                    continue;
-                if (requestReadyNs(s) <= bestStart &&
-                    sameBatchKey(*streams_[s].active->nextOp(), key))
-                    followers.push_back(s);
-            }
-            std::sort(followers.begin(), followers.end(),
-                      [&](size_t a, size_t b) {
-                          if (streams_[a].priority !=
-                              streams_[b].priority)
-                              return streams_[a].priority <
-                                     streams_[b].priority;
-                          return a < b;
-                      });
-            if (followers.size() > kMaxBatch - 1)
-                followers.resize(kMaxBatch - 1);
+            index_->followers(best, bestStart, followers_);
             end = stepStream(best, stepStart, false);
-            for (const size_t s : followers)
+            for (const size_t s : followers_)
                 end = stepStream(s, end, true);
-            if (!followers.empty()) {
+            if (!followers_.empty()) {
                 ++stats.batches;
-                stats.batchedOps += followers.size() + 1;
+                stats.batchedOps += followers_.size() + 1;
             }
             stats.pimBusyNs += end - stepStart;
         } else {
             end = stepStream(best, stepStart, false);
-            (dev == 1 ? stats.pimBusyNs : stats.gpuBusyNs) +=
+            (dev == DispatchIndex::kPim ? stats.pimBusyNs
+                                        : stats.gpuBusyNs) +=
                 end - stepStart;
         }
-        freeAt(dev) = end;
-        devLast_[serve_.overlap ? dev : 0] = best;
+        index_->advance(dev, end);
+        devLast_[serve_.overlap ? dev : DispatchIndex::kGpu] = best;
         now_ = std::max(now_, bestStart);
     }
 

@@ -152,6 +152,12 @@ struct ServeResult {
  * which serializes the whole system and serves as the baseline.
  * Admission is re-checked against every chosen dispatch time, so a
  * request arriving before the winner would start is admitted first.
+ *
+ * Cost: the candidates, batch followers, pending arrivals and slots to
+ * refill are indexed (DESIGN.md §15), so one dispatch costs O(log S)
+ * host time plus the steps it runs; only run set-up and tear-down, and
+ * the queue re-check after a degradation re-pricing, visit every
+ * stream.
  */
 class ServeScheduler
 {

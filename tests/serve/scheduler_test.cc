@@ -4,19 +4,23 @@
  * function of (config, traces, seeds) — bitwise identical across
  * reruns and host thread counts — batching must change scheduling
  * only (never any per-request result), overlap must beat the serial
- * baseline, and the RunContext stepping API must reproduce
- * AnaheimFramework::execute exactly.
+ * baseline, the dispatch order is pinned per config, and the
+ * RunContext stepping API must reproduce AnaheimFramework::execute
+ * exactly.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <string>
+#include <tuple>
 #include <vector>
 
 #include "anaheim/framework.h"
 #include "anaheim/runcontext.h"
 #include "common/parallel.h"
+#include "obs/timeseries.h"
 #include "serve/scheduler.h"
 #include "trace/builders.h"
 
@@ -601,6 +605,259 @@ TEST(Serve, DegradationRepricesWithoutStallingTenants)
     }
     // The fault storm must actually be visible in the per-tenant bill.
     EXPECT_GT(totalRetries, 0u);
+}
+
+/** Word-wise FNV-1a step. */
+uint64_t
+fnv(uint64_t hash, uint64_t word)
+{
+    return (hash ^ word) * 0x100000001b3ull;
+}
+
+/** Folds the completed requests' (stream, index) pairs into `hash`,
+ *  ordered by `timeOf` with (stream, index) breaking ties. */
+template <class TimeOf>
+uint64_t
+foldOrder(uint64_t hash, const serve::ServeResult &result, TimeOf timeOf)
+{
+    std::vector<const serve::ServeRequest *> done;
+    for (const serve::ServeStreamResult &stream : result.streams) {
+        for (const serve::ServeRequest &req : stream.requests) {
+            if (!req.rejected)
+                done.push_back(&req);
+        }
+    }
+    std::sort(done.begin(), done.end(),
+              [&](const serve::ServeRequest *a,
+                  const serve::ServeRequest *b) {
+                  return std::tuple(timeOf(*a), a->stream, a->index) <
+                         std::tuple(timeOf(*b), b->stream, b->index);
+              });
+    for (const serve::ServeRequest *req : done)
+        hash = fnv(fnv(hash, req->stream), req->index);
+    return hash;
+}
+
+/** Integer-only digest of the dispatch order a serve run chose: the
+ *  ServeStats counts, every request's cause, and who started and who
+ *  completed in which order. No raw double bits go in, so the digest
+ *  does not depend on the host libm's last bit (arrivals come from
+ *  std::log, fault rates from exp/pow). */
+uint64_t
+orderDigest(const serve::ServeResult &result)
+{
+    const serve::ServeStats &st = result.stats;
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (const uint64_t count :
+         {st.admitted, st.rejected, st.completed, st.rejectedQueueFull,
+          st.rejectedRateLimited, st.shedDeadline, st.deadlineMet,
+          st.preemptions, st.preemptionResumes, st.repriceEvents,
+          st.batches, st.batchedOps})
+        hash = fnv(hash, count);
+    for (const serve::ServeStreamResult &stream : result.streams) {
+        for (const serve::ServeRequest &req : stream.requests)
+            hash = fnv(hash, static_cast<uint64_t>(req.cause));
+    }
+    hash = foldOrder(hash, result, [](const serve::ServeRequest &r) {
+        return r.startNs;
+    });
+    return foldOrder(hash, result, [](const serve::ServeRequest &r) {
+        return r.endNs;
+    });
+}
+
+/** The degraded device of the serve-chaos scenario: rare transient
+ *  upsets, the full detect-and-recover ladder, and one dead bank that
+ *  health monitoring quarantines mid-serve. */
+AnaheimConfig
+chaosDeviceConfig()
+{
+    AnaheimConfig config = AnaheimConfig::a100NearBank();
+    ResilienceConfig &rc = config.resilience;
+    rc.ber = 1e-7;
+    rc.checksumEnabled = true;
+    rc.checkpoint.enabled = true;
+    rc.checkpoint.intervalSegments = 4;
+    rc.checkpoint.maxRollbacks = 32;
+    rc.health.enabled = true;
+    rc.health.permanentThreshold = 2;
+    rc.permanentBanks.push_back({2, 17});
+    return config;
+}
+
+/** Deadlines, token buckets and a 2-deep queue, sized against the
+ *  clean device's mean service time. */
+void
+applySloStack(ServeConfig &serve, double meanServiceNs)
+{
+    serve.deadlineClassNs = {3.0 * meanServiceNs, 6.0 * meanServiceNs};
+    serve.rateLimitRps =
+        1.5e9 / meanServiceNs / static_cast<double>(serve.streams);
+    serve.rateLimitBurst = 2.0;
+    serve.maxQueuedPerStream = 2;
+}
+
+TEST(Serve, DispatchOrderMatchesPinnedDigests)
+{
+    // The digests were taken from a scheduler that scanned every
+    // stream for each decision, so any faster way of finding the next
+    // candidate, its batch followers, the next arrival or the slots to
+    // refill must keep that dispatch order exactly. Matrix bits:
+    // preemption, overlap, batching, closed loop, 3 priority classes,
+    // SLO stack, chaos device.
+    static constexpr uint64_t kMatrix[128] = {
+        0x5ec94b7cf0f588d2ull, 0x5ec94b7cf0f588d2ull, 0x884f6fb98da69d22ull,
+        0x884f6fb98da69d22ull, 0x826902918f732373ull, 0x826902918f732373ull,
+        0xd14dff08db0aefcdull, 0xd14dff08db0aefcdull, 0xb392c406b791d276ull,
+        0xb392c406b791d276ull, 0x1ee9fdf37d0f9c76ull, 0x1ee9fdf37d0f9c76ull,
+        0x5aa5ee0f89a21b2ull, 0x5aa5ee0f89a21b2ull, 0x7e75756e55e6ccf5ull,
+        0x7e75756e55e6ccf5ull, 0x89f34965b969342ull, 0x4bffb9776aa3fcd0ull,
+        0x5f7bcb369ac94fdaull, 0x7f2894ef49032af0ull, 0x1262d0639180ed37ull,
+        0x96cba4b5de2fcab8ull, 0x4b858542039458c3ull, 0xc438c34f0665c6beull,
+        0x6213847b888bdf76ull, 0x6213847b888bdf76ull, 0xf79634604794f946ull,
+        0xdfb44400238155baull, 0x6d355279897eaa8aull, 0x395117d6a5ba7c7ull,
+        0x10e1773491b699b9ull, 0xfa0d10005eefb3a7ull, 0xa7ee5b45def12f5dull,
+        0xa7ee5b45def12f5dull, 0x99bb1f33281cb0f3ull, 0x99bb1f33281cb0f3ull,
+        0x806046746bd31752ull, 0x806046746bd31752ull, 0xf98719add4a08340ull,
+        0xf98719add4a08340ull, 0xc29858ebccf24e9eull, 0xc29858ebccf24e9eull,
+        0x929025247445b278ull, 0x929025247445b278ull, 0x9491ddd9e4e2874bull,
+        0x9491ddd9e4e2874bull, 0x6a1d87d51d32b8e5ull, 0x6a1d87d51d32b8e5ull,
+        0x22a78cf71ee359b2ull, 0x348ddb923b3349faull, 0xcb16ff9be945de24ull,
+        0x959c0e16d3488fdcull, 0x8359244579614b93ull, 0x597bc54336633357ull,
+        0xd9f95af47e4569fcull, 0x48ac6e0a415e0e5full, 0x645e4727a093a0a6ull,
+        0x645e4727a093a0a6ull, 0x2f71df55e29910ccull, 0xc6673e9b93e67e4aull,
+        0xb2df7196340a421bull, 0xa0df2a865fcc2af1ull, 0x7abb619cdcc769f9ull,
+        0x7dd41b0f0180e7f8ull, 0x20497db16b430c53ull, 0x20497db16b430c53ull,
+        0x10f7c52727ce7517ull, 0x10f7c52727ce7517ull, 0x2909314778e21f86ull,
+        0x2909314778e21f86ull, 0x65cff72de02b68d7ull, 0x65cff72de02b68d7ull,
+        0xbdbc92cb2db342dfull, 0xbdbc92cb2db342dfull, 0xc2f63cfa31225027ull,
+        0xc2f63cfa31225027ull, 0x184c410d154760e0ull, 0x184c410d154760e0ull,
+        0x1905892e782b30d2ull, 0x1905892e782b30d2ull, 0x62e6b85a8e94074bull,
+        0x62e6b85a8e94074bull, 0x4939181158cb8a33ull, 0xee32646f0b8f6d23ull,
+        0x80ef07aca7aa70b4ull, 0x80ef07aca7aa70b4ull, 0xdc1226ae519f167eull,
+        0xd8e16f96689d2fdeull, 0x59d3bf644a09d17full, 0x59d3bf644a09d17full,
+        0xd9dc85ed32a21d43ull, 0xd6d0b08344148b3ull, 0x7057f63f5f986650ull,
+        0x7057f63f5f986650ull, 0x73327d42a856e4e6ull, 0x507398533132633full,
+        0xc0090dc3b9c827b7ull, 0xc0090dc3b9c827b7ull, 0xb33d301d3ba0abb9ull,
+        0xb33d301d3ba0abb9ull, 0xcf09c04e6656532ull, 0xcf09c04e6656532ull,
+        0x23ddc6c44c7c0072ull, 0x23ddc6c44c7c0072ull, 0x6d64534eb67c18ceull,
+        0x6d64534eb67c18ceull, 0x72b2be5637fc8f99ull, 0x72b2be5637fc8f99ull,
+        0x1b7639e172163eb1ull, 0x1b7639e172163eb1ull, 0x74688fd0223d1e60ull,
+        0x74688fd0223d1e60ull, 0xcece9f92c2e25e29ull, 0xeb1f1f11190ff7bbull,
+        0xc11992d9b6c8b488ull, 0xbbc413d277fdbe10ull, 0xe9f556eadf806a16ull,
+        0xe9f556eadf806a16ull, 0x20a8ca0778409ac4ull, 0xcbfba3843f38e285ull,
+        0xb3b94cbffada7cbeull, 0xb3b94cbffada7cbeull, 0x91c0fcdf6d59216cull,
+        0x7cb6c97ac05f38ccull, 0x9e19c1dd532e4371ull, 0x9e19c1dd532e4371ull,
+        0x6f60fba76992d7a8ull, 0xca046741074d6f45ull};
+    const AnaheimFramework clean(AnaheimConfig::a100NearBank());
+    const AnaheimFramework chaos(chaosDeviceConfig());
+    const std::vector<OpSequence> traces = {hmultTrace(), ewTrace(4)};
+    const double meanServiceNs = (clean.execute(traces[0]).totalNs +
+                                  clean.execute(traces[1]).totalNs) /
+                                 2.0;
+    for (size_t cell = 0; cell < 128; ++cell) {
+        ServeConfig serve;
+        serve.streams = 13;
+        serve.requestsPerStream = 3;
+        serve.offeredRps = 2e9 / meanServiceNs;
+        serve.preemption = (cell & 1) != 0;
+        serve.overlap = (cell & 2) != 0;
+        serve.batching = (cell & 4) != 0;
+        if ((cell & 8) != 0)
+            serve.arrival = ArrivalKind::Closed;
+        serve.priorityClasses = (cell & 16) != 0 ? 3 : 1;
+        if ((cell & 32) != 0)
+            applySloStack(serve, meanServiceNs);
+        const AnaheimFramework &fw = (cell & 64) != 0 ? chaos : clean;
+        const uint64_t got =
+            orderDigest(serve::ServeScheduler(fw, serve).run(traces));
+        EXPECT_EQ(got, kMatrix[cell])
+            << "cell " << cell << " digest 0x" << std::hex << got;
+    }
+
+    // Many streams on one HMult trace, so PIM steps of the same shape
+    // pile up: with preemption, a batch leader's start can lie beyond
+    // the PIM horizon, and followers then also come from streams that
+    // become ready between the horizon and that start.
+    static constexpr uint64_t kSingleTrace[4] = {
+        0x2fe2e95051f03cc3ull, 0x977cdc156b5a678ull,
+        0x2883663688f5029dull, 0x1e4f3db62f82e4ddull};
+    const std::vector<OpSequence> hmult = {hmultTrace()};
+    size_t cell = 0;
+    for (const size_t streams : {16, 64}) {
+        for (const double rps : {5000.0, 20000.0}) {
+            ServeConfig serve;
+            serve.streams = streams;
+            serve.requestsPerStream = 3;
+            serve.offeredRps = rps;
+            serve.priorityClasses = 2;
+            serve.preemption = true;
+            const uint64_t got =
+                orderDigest(serve::ServeScheduler(clean, serve).run(hmult));
+            EXPECT_EQ(got, kSingleTrace[cell])
+                << streams << " streams at " << rps << " rps: digest 0x"
+                << std::hex << got;
+            ++cell;
+        }
+    }
+}
+
+TEST(Serve, QueueDepthEqualsTenantQueues)
+{
+    // The aggregate queue_depth gauge must equal the sum of the
+    // per-tenant gauges (every tenant has one at <= 8 streams) in every
+    // window. Chaos + SLO runs every way a request leaves a queue:
+    // activation, a shed at activation, and the re-pricing shed after
+    // the quarantine — which a threshold of 8 detections delays until
+    // the queues have built up.
+    AnaheimConfig config = chaosDeviceConfig();
+    config.resilience.health.permanentThreshold = 8;
+    const AnaheimFramework fw(config);
+    const std::vector<OpSequence> traces = {hmultTrace(), ewTrace(4)};
+    const AnaheimFramework clean(AnaheimConfig::a100NearBank());
+    const double meanServiceNs = (clean.execute(traces[0]).totalNs +
+                                  clean.execute(traces[1]).totalNs) /
+                                 2.0;
+    ServeConfig serve;
+    serve.streams = 8;
+    serve.requestsPerStream = 6;
+    serve.offeredRps = 3e9 / meanServiceNs;
+    serve.priorityClasses = 2;
+    serve.preemption = true;
+    applySloStack(serve, meanServiceNs);
+    serve.telemetry.tickNs = 0.25 * meanServiceNs;
+
+    obs::TimeSeriesRegistry &registry = obs::TimeSeriesRegistry::global();
+    // The run takes the next epoch for its series namespace.
+    const std::string prefix =
+        "serve.run" + std::to_string(registry.beginEpoch() + 1) + ".ts.";
+    const auto result = serve::ServeScheduler(fw, serve).run(traces);
+    ASSERT_GT(result.stats.shedDeadline, 0u);
+    ASSERT_GT(result.stats.repriceEvents, 0u);
+
+    const double tick = serve.telemetry.tickNs;
+    const auto total =
+        registry.series(prefix + "queue_depth", tick).snapshot();
+    ASSERT_FALSE(total.points.empty());
+    std::vector<obs::SeriesSnapshot> tenants;
+    for (size_t s = 0; s < serve.streams; ++s) {
+        tenants.push_back(registry
+                              .series(prefix + "tenant" +
+                                          std::to_string(s) +
+                                          ".queue_depth",
+                                      tick)
+                              .snapshot());
+        ASSERT_EQ(tenants.back().points.size(), total.points.size());
+    }
+    double peak = 0.0;
+    for (size_t w = 0; w < total.points.size(); ++w) {
+        double sum = 0.0;
+        for (const obs::SeriesSnapshot &tenant : tenants)
+            sum += tenant.points[w].sum;
+        EXPECT_EQ(total.points[w].sum, sum) << "window " << w;
+        peak = std::max(peak, sum);
+    }
+    EXPECT_GT(peak, 0.0); // queues actually built up
 }
 
 TEST(Serve, RunContextMatchesExecute)
