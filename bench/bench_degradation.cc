@@ -14,11 +14,11 @@
  * corruption), throughput relative to the fault-free run, the ending
  * healthy-capacity fraction, and the per-cause GPU fallback split.
  *
- * Flags:
+ * Flags (parsed by bench::Flags, scenario.h):
  *   --rate=X         sweep only this permanent bank-failure rate
  *   --trials=N       Monte Carlo trials per cell (default 5)
  *   --repeats=N      HMULTs chained into the long trace (default 6)
- *   --fault-seed=S   base fault seed (trial t uses S + t * 1000003)
+ *   --fault-seed=S   base fault seed (see bench::meanOverTrials)
  *   --smoke          tiny grid / two trials for ctest
  *   --json <path>    machine-readable degradation curve
  *   --trace/--metrics <path>   Perfetto / metrics export
@@ -26,16 +26,14 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "anaheim/framework.h"
-#include "bench_util.h"
 #include "common/status.h"
 #include "obs/report.h"
+#include "scenario.h"
 #include "sim/fault.h"
-#include "trace/builders.h"
 
 using namespace anaheim;
 
@@ -48,38 +46,6 @@ struct Options {
     uint64_t seed = 0x0ddfa117u;
     bool smoke = false;
 };
-
-Options
-parseOptions(int argc, char **argv)
-{
-    Options opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            opts.smoke = true;
-            // One clean cell, one quarantine cell, one floor cell.
-            opts.rates = {0.0, 2e-3, 0.6};
-            opts.trials = 2;
-            opts.repeats = 3;
-        } else if (arg.rfind("--rate=", 0) == 0) {
-            opts.rates = {std::strtod(arg.c_str() + 7, nullptr)};
-        } else if (arg.rfind("--trials=", 0) == 0) {
-            opts.trials = std::strtoull(arg.c_str() + 9, nullptr, 0);
-        } else if (arg.rfind("--repeats=", 0) == 0) {
-            opts.repeats = std::strtoull(arg.c_str() + 10, nullptr, 0);
-        } else if (arg.rfind("--fault-seed=", 0) == 0) {
-            opts.seed = std::strtoull(arg.c_str() + 13, nullptr, 0);
-        } else if ((arg == "--json" || arg == "--trace" ||
-                    arg == "--metrics") &&
-                   i + 1 < argc) {
-            ++i; // handled by bench::JsonScope
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-            std::exit(2);
-        }
-    }
-    return opts;
-}
 
 /** Degradation-campaign resilience policy: everything on. */
 AnaheimConfig
@@ -102,72 +68,32 @@ campaignConfig(double rate, uint64_t faultSeed)
     return config;
 }
 
-struct CellResult {
-    double failedBanks = 0.0;
-    double quarantinedBanks = 0.0;
-    double migrations = 0.0;
-    double rollbacks = 0.0;
-    double availability = 0.0;        ///< trials with zero unrecovered
-    double capacityFraction = 0.0;    ///< ending healthy-bank fraction
-    double throughputVsHealthy = 0.0; ///< healthy time / degraded time
-    double offlineRate = 0.0;        ///< trials ending PIM-offline
-    double fbRetryExhausted = 0.0;
-    double fbUncheckpointed = 0.0;
-    double fbCapacityFloor = 0.0;
-};
-
-CellResult
-runCell(double rate, const Options &opts, const OpSequence &seq,
-        const RunResult &base)
+/** One trial: a device drawn at `rate` from `seed` runs the chain. */
+bench::Row
+runTrial(double rate, uint64_t seed, const OpSequence &seq,
+         const RunResult &base)
 {
-    CellResult out;
-    for (size_t trial = 0; trial < opts.trials; ++trial) {
-        const uint64_t seed = opts.seed + trial * 1000003ull;
-        const AnaheimConfig config = campaignConfig(rate, seed);
+    const AnaheimConfig config = campaignConfig(rate, seed);
 
-        // The trial's device: count its failed banks directly from the
-        // fault model (the run only reports what it quarantined).
-        FaultConfig faults;
-        faults.seed = seed;
-        faults.permanentBankRate = rate;
-        const size_t failed =
-            rate > 0.0 ? FaultModel(faults)
-                             .samplePermanentBanks(
-                                 config.pim.dieGroups,
-                                 config.pim.banksPerDieGroup)
-                             .size()
-                       : 0;
+    // The trial's device: count its failed banks directly from the
+    // fault model (the run only reports what it quarantined).
+    FaultConfig faults;
+    faults.seed = seed;
+    faults.permanentBankRate = rate;
+    const size_t failed =
+        rate > 0.0 ? FaultModel(faults)
+                         .samplePermanentBanks(config.pim.dieGroups,
+                                               config.pim.banksPerDieGroup)
+                         .size()
+                   : 0;
 
-        const RunResult run = AnaheimFramework(config).execute(seq);
-        const ResilienceStats &r = run.resilience;
-        out.failedBanks += static_cast<double>(failed);
-        out.quarantinedBanks += static_cast<double>(r.quarantinedBanks);
-        out.migrations += static_cast<double>(r.migrations);
-        out.rollbacks += static_cast<double>(r.rollbacks);
-        out.availability += r.unrecovered == 0 ? 1.0 : 0.0;
-        out.capacityFraction += run.pimCapacityFraction;
-        out.throughputVsHealthy += base.totalNs / run.totalNs;
-        out.offlineRate += run.pimOffline ? 1.0 : 0.0;
-        out.fbRetryExhausted +=
-            static_cast<double>(r.gpuFallbacksRetryExhausted);
-        out.fbUncheckpointed +=
-            static_cast<double>(r.gpuFallbacksUncheckpointed);
-        out.fbCapacityFloor +=
-            static_cast<double>(r.gpuFallbacksCapacityFloor);
-    }
-    const double trials = static_cast<double>(opts.trials);
-    out.failedBanks /= trials;
-    out.quarantinedBanks /= trials;
-    out.migrations /= trials;
-    out.rollbacks /= trials;
-    out.availability /= trials;
-    out.capacityFraction /= trials;
-    out.throughputVsHealthy /= trials;
-    out.offlineRate /= trials;
-    out.fbRetryExhausted /= trials;
-    out.fbUncheckpointed /= trials;
-    out.fbCapacityFloor /= trials;
-    return out;
+    const RunResult run = AnaheimFramework(config).execute(seq);
+    const ResilienceStats &r = run.resilience;
+    return {failed, r.quarantinedBanks, r.migrations, r.rollbacks,
+            r.unrecovered == 0 ? 1.0 : 0.0, run.pimCapacityFraction,
+            base.totalNs / run.totalNs, run.pimOffline ? 1.0 : 0.0,
+            r.gpuFallbacksRetryExhausted, r.gpuFallbacksUncheckpointed,
+            r.gpuFallbacksCapacityFloor};
 }
 
 } // namespace
@@ -175,7 +101,19 @@ runCell(double rate, const Options &opts, const OpSequence &seq,
 static int
 run(int argc, char **argv)
 {
-    const Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::Flags flags("bench_degradation", argc, argv);
+    if ((opts.smoke = flags.smoke())) {
+        // One clean cell, one quarantine cell, one floor cell.
+        opts.rates = {0.0, 2e-3, 0.6};
+        opts.trials = 2;
+        opts.repeats = 3;
+    }
+    flags.only("--rate", opts.rates);
+    flags.count("--trials", opts.trials);
+    flags.count("--repeats", opts.repeats);
+    flags.seed("--fault-seed", opts.seed);
+    flags.done();
     bench::JsonScope json(opts.smoke ? "degradation_smoke"
                                      : "degradation",
                           argc, argv);
@@ -185,13 +123,7 @@ run(int argc, char **argv)
     json.report().metric("fault_seed", static_cast<double>(opts.seed));
     bench::reportConfig(json.report(), campaignConfig(0.0, opts.seed));
 
-    const TraceParams params;
-    OpSequence seq = buildHMult(params);
-    OpSequence one = seq;
-    for (size_t r = 1; r < opts.repeats; ++r)
-        seq.append(one);
-    seq.name = "hmult_chain";
-
+    const OpSequence seq = bench::hmultChain(opts.repeats);
     // Healthy-device baseline under the same resilience policy, so
     // the throughput column isolates degradation (not the checkpoint /
     // checksum overhead, which bench_fault_campaign already reports).
@@ -204,36 +136,24 @@ run(int argc, char **argv)
         std::to_string(opts.trials) +
         " trials/cell; ECC + checksums + checkpoint + health on)");
 
-    std::printf("%-10s %8s %8s %7s %7s %7s %9s %9s %8s %9s\n", "rate",
-                "failed", "quarant", "migr", "rbacks", "avail",
-                "capacity", "thruput", "offline", "fb-floor");
+    bench::Table table(json.report(), {
+        {"permanent_bank_rate", "rate", "%-10.1e"},
+        {"failed_banks", "failed", "%8.1f"},
+        {"quarantined_banks", "quarant", "%8.1f"},
+        {"migrations", "migr", "%7.1f"},
+        {"rollbacks", "rbacks", "%7.1f"},
+        {"availability", "avail", "%6.0f%%", 100.0},
+        {"capacity_fraction", "capacity", "%9.4f"},
+        {"throughput_vs_healthy", "thruput", "%8.3fx"},
+        {"pim_offline_rate", "offline", "%7.0f%%", 100.0},
+        {"gpu_fallbacks_retry_exhausted"}, {"gpu_fallbacks_uncheckpointed"},
+        {"gpu_fallbacks_capacity_floor", "fb-floor", "%9.1f"},
+    });
     for (const double rate : opts.rates) {
-        const CellResult res = runCell(rate, opts, seq, base);
-        std::printf("%-10.1e %8.1f %8.1f %7.1f %7.1f %6.0f%% %9.4f "
-                    "%8.3fx %7.0f%% %9.1f\n",
-                    rate, res.failedBanks, res.quarantinedBanks,
-                    res.migrations, res.rollbacks,
-                    100.0 * res.availability, res.capacityFraction,
-                    res.throughputVsHealthy, 100.0 * res.offlineRate,
-                    res.fbCapacityFloor);
-        bench::JsonReport &report = json.report();
-        report.beginRow();
-        report.rowMetric("permanent_bank_rate", rate);
-        report.rowMetric("failed_banks", res.failedBanks);
-        report.rowMetric("quarantined_banks", res.quarantinedBanks);
-        report.rowMetric("migrations", res.migrations);
-        report.rowMetric("rollbacks", res.rollbacks);
-        report.rowMetric("availability", res.availability);
-        report.rowMetric("capacity_fraction", res.capacityFraction);
-        report.rowMetric("throughput_vs_healthy",
-                         res.throughputVsHealthy);
-        report.rowMetric("pim_offline_rate", res.offlineRate);
-        report.rowMetric("gpu_fallbacks_retry_exhausted",
-                         res.fbRetryExhausted);
-        report.rowMetric("gpu_fallbacks_uncheckpointed",
-                         res.fbUncheckpointed);
-        report.rowMetric("gpu_fallbacks_capacity_floor",
-                         res.fbCapacityFloor);
+        table.row(bench::meanOverTrials(
+            {rate}, opts.trials, opts.seed, [&](uint64_t seed) {
+                return runTrial(rate, seed, seq, base);
+            }));
     }
 
     // End-of-run availability report for one representative trial of

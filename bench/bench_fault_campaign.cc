@@ -14,25 +14,22 @@
  * tighter scrub/checkpoint intervals buy a lower unrecovered rate at a
  * higher standing overhead.
  *
- * Flags:
+ * Flags (parsed by bench::Flags, scenario.h):
  *   --ber=X          sweep only this raw fault rate
  *   --trials=N       Monte Carlo trials per cell (default 5)
  *   --repeats=N      HMULTs chained into the long trace (default 8)
- *   --fault-seed=S   base fault seed (trial t uses S + t * 1000003)
+ *   --fault-seed=S   base fault seed (see bench::meanOverTrials)
  *   --smoke          tiny grid / two trials for ctest
  *   --json <path>    machine-readable resilience curve
  */
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
 #include "anaheim/framework.h"
-#include "bench_util.h"
 #include "common/status.h"
-#include "trace/builders.h"
+#include "scenario.h"
 
 using namespace anaheim;
 
@@ -44,120 +41,46 @@ struct Options {
     size_t repeats = 8;
     uint64_t seed = 0x0ddfa117u;
     bool smoke = false;
-    std::string jsonPath;
 };
 
-Options
-parseOptions(int argc, char **argv)
-{
-    Options opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            opts.smoke = true;
-            opts.bers = {1e-5};
-            opts.trials = 2;
-            opts.repeats = 4;
-        } else if (arg.rfind("--ber=", 0) == 0) {
-            opts.bers = {std::strtod(arg.c_str() + 6, nullptr)};
-        } else if (arg.rfind("--trials=", 0) == 0) {
-            opts.trials = std::strtoull(arg.c_str() + 9, nullptr, 0);
-        } else if (arg.rfind("--repeats=", 0) == 0) {
-            opts.repeats = std::strtoull(arg.c_str() + 10, nullptr, 0);
-        } else if (arg.rfind("--fault-seed=", 0) == 0) {
-            opts.seed = std::strtoull(arg.c_str() + 13, nullptr, 0);
-        } else if (arg == "--json" && i + 1 < argc) {
-            opts.jsonPath = argv[++i];
-        } else if ((arg == "--trace" || arg == "--metrics") &&
-                   i + 1 < argc) {
-            ++i; // handled by bench::JsonScope
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-            std::exit(2);
-        }
-    }
-    return opts;
-}
-
-/** One campaign cell: (fault rate, scrub interval, checkpoint
+/** One trial of a campaign cell (fault rate, scrub interval, checkpoint
  *  interval), checksums always on. scrubNs == 0 disables scrubbing;
  *  ckptSegments == 0 disables checkpointing (detection still runs, but
  *  recovery degrades to GPU fallback / unrecovered). */
-struct Cell {
-    double ber = 0.0;
-    double scrubNs = 0.0;
-    size_t ckptSegments = 0;
-};
-
-struct CellResult {
-    double scrubPasses = 0.0;
-    double scrubCorrected = 0.0;
-    double checkpoints = 0.0;
-    double rollbacks = 0.0;
-    double replayedSegments = 0.0;
-    double checksumMismatches = 0.0;
-    double gpuFallbacks = 0.0;
-    double unrecoveredRate = 0.0;
-    double timeOvhdPct = 0.0;
-    double energyOvhdPct = 0.0;
-};
-
-CellResult
-runCell(const Cell &cell, const Options &opts, const OpSequence &seq,
-        const RunResult &base)
+bench::Row
+runTrial(double ber, double scrubNs, size_t ckptSegments, uint64_t seed,
+         const OpSequence &seq, const RunResult &base)
 {
-    CellResult out;
-    for (size_t trial = 0; trial < opts.trials; ++trial) {
-        AnaheimConfig config = AnaheimConfig::a100NearBank();
-        ResilienceConfig &rc = config.resilience;
-        // All three fault sites scale with the cell's raw rate. The
-        // lane datapath sees ~10^7 multiplies per segment with no ECC,
-        // so its per-op rate sits far below the storage BER (as it
-        // does physically: logic upsets are much rarer than cell
-        // upsets); retention decays more slowly than reads upset.
-        rc.ber = cell.ber;
-        rc.laneBer = cell.ber * 1e-5;
-        rc.retentionBerPerWindow = cell.ber * 1e-2;
-        rc.faultSeed = opts.seed + trial * 1000003ull;
-        rc.checksumEnabled = true;
-        rc.scrub.enabled = cell.scrubNs > 0.0;
-        if (rc.scrub.enabled)
-            rc.scrub.intervalNs = cell.scrubNs;
-        rc.checkpoint.enabled = cell.ckptSegments > 0;
-        if (rc.checkpoint.enabled) {
-            rc.checkpoint.intervalSegments = cell.ckptSegments;
-            // Long chains need a deeper replay budget than the
-            // single-workload default.
-            rc.checkpoint.maxRollbacks = 32;
-        }
-
-        const RunResult run = AnaheimFramework(config).execute(seq);
-        const ResilienceStats &r = run.resilience;
-        out.scrubPasses += static_cast<double>(r.scrubPasses);
-        out.scrubCorrected += static_cast<double>(r.scrubCorrected);
-        out.checkpoints += static_cast<double>(r.checkpoints);
-        out.rollbacks += static_cast<double>(r.rollbacks);
-        out.replayedSegments += static_cast<double>(r.replayedSegments);
-        out.checksumMismatches += static_cast<double>(r.checksumMismatches);
-        out.gpuFallbacks += static_cast<double>(r.gpuFallbacks);
-        out.unrecoveredRate += r.unrecovered > 0 ? 1.0 : 0.0;
-        out.timeOvhdPct +=
-            100.0 * (run.totalNs - base.totalNs) / base.totalNs;
-        out.energyOvhdPct +=
-            100.0 * (run.energyPj - base.energyPj) / base.energyPj;
+    AnaheimConfig config = AnaheimConfig::a100NearBank();
+    ResilienceConfig &rc = config.resilience;
+    // All three fault sites scale with the cell's raw rate. The lane
+    // datapath sees ~10^7 multiplies per segment with no ECC, so its
+    // per-op rate sits far below the storage BER (as it does
+    // physically: logic upsets are much rarer than cell upsets);
+    // retention decays more slowly than reads upset.
+    rc.ber = ber;
+    rc.laneBer = ber * 1e-5;
+    rc.retentionBerPerWindow = ber * 1e-2;
+    rc.faultSeed = seed;
+    rc.checksumEnabled = true;
+    rc.scrub.enabled = scrubNs > 0.0;
+    if (rc.scrub.enabled)
+        rc.scrub.intervalNs = scrubNs;
+    rc.checkpoint.enabled = ckptSegments > 0;
+    if (rc.checkpoint.enabled) {
+        rc.checkpoint.intervalSegments = ckptSegments;
+        // Long chains need a deeper replay budget than the
+        // single-workload default.
+        rc.checkpoint.maxRollbacks = 32;
     }
-    const double trials = static_cast<double>(opts.trials);
-    out.scrubPasses /= trials;
-    out.scrubCorrected /= trials;
-    out.checkpoints /= trials;
-    out.rollbacks /= trials;
-    out.replayedSegments /= trials;
-    out.checksumMismatches /= trials;
-    out.gpuFallbacks /= trials;
-    out.unrecoveredRate /= trials;
-    out.timeOvhdPct /= trials;
-    out.energyOvhdPct /= trials;
-    return out;
+
+    const RunResult run = AnaheimFramework(config).execute(seq);
+    const ResilienceStats &r = run.resilience;
+    return {r.scrubPasses, r.scrubCorrected, r.checkpoints, r.rollbacks,
+            r.replayedSegments, r.checksumMismatches, r.gpuFallbacks,
+            r.unrecovered > 0 ? 1.0 : 0.0,
+            100.0 * (run.totalNs - base.totalNs) / base.totalNs,
+            100.0 * (run.energyPj - base.energyPj) / base.energyPj};
 }
 
 } // namespace
@@ -165,7 +88,18 @@ runCell(const Cell &cell, const Options &opts, const OpSequence &seq,
 static int
 run(int argc, char **argv)
 {
-    const Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::Flags flags("bench_fault_campaign", argc, argv);
+    if ((opts.smoke = flags.smoke())) {
+        opts.bers = {1e-5};
+        opts.trials = 2;
+        opts.repeats = 4;
+    }
+    flags.only("--ber", opts.bers);
+    flags.count("--trials", opts.trials);
+    flags.count("--repeats", opts.repeats);
+    flags.seed("--fault-seed", opts.seed);
+    flags.done();
     bench::JsonScope json(opts.smoke ? "fault_campaign_smoke"
                                      : "fault_campaign",
                           argc, argv);
@@ -175,13 +109,7 @@ run(int argc, char **argv)
     json.report().metric("fault_seed", static_cast<double>(opts.seed));
     bench::reportConfig(json.report(), AnaheimConfig::a100NearBank());
 
-    const TraceParams params;
-    OpSequence seq = buildHMult(params);
-    OpSequence one = seq;
-    for (size_t r = 1; r < opts.repeats; ++r)
-        seq.append(one);
-    seq.name = "hmult_chain";
-
+    const OpSequence seq = bench::hmultChain(opts.repeats);
     const RunResult base =
         AnaheimFramework(AnaheimConfig::a100NearBank()).execute(seq);
 
@@ -197,40 +125,29 @@ run(int argc, char **argv)
         ckptIntervals = {0, 8};
     }
 
-    std::printf("%-10s %-9s %-6s %7s %7s %7s %9s %8s %8s %10s %10s\n",
-                "rate", "scrub-ns", "ckpt", "scrubs", "ckpts", "rbacks",
-                "replayed", "mismat", "unrec", "time-ovhd", "en-ovhd");
+    bench::Table table(json.report(), {
+        {"ber", "rate", "%-10.1e"},
+        {"scrub_interval_ns", "scrub-ns", "%-9.0f"},
+        {"checkpoint_interval_segments", "ckpt", "%-6.0f"},
+        {"scrub_passes", "scrubs", "%7.1f"},
+        {"scrub_corrected"},
+        {"checkpoints", "ckpts", "%7.1f"},
+        {"rollbacks", "rbacks", "%7.1f"},
+        {"replayed_segments", "replayed", "%9.1f"},
+        {"checksum_mismatches", "mismat", "%8.1f"},
+        {"gpu_fallbacks"},
+        {"unrecovered_rate", "unrec", "%7.0f%%", 100.0},
+        {"time_overhead_pct", "time-ovhd", "%9.2f%%"},
+        {"energy_overhead_pct", "en-ovhd", "%9.2f%%"},
+    });
     for (const double ber : opts.bers) {
         for (const double scrubNs : scrubIntervals) {
             for (const size_t ckpt : ckptIntervals) {
-                const Cell cell{ber, scrubNs, ckpt};
-                const CellResult res = runCell(cell, opts, seq, base);
-                std::printf("%-10.1e %-9.0f %-6zu %7.1f %7.1f %7.1f "
-                            "%9.1f %8.1f %7.0f%% %9.2f%% %9.2f%%\n",
-                            ber, scrubNs, ckpt, res.scrubPasses,
-                            res.checkpoints, res.rollbacks,
-                            res.replayedSegments, res.checksumMismatches,
-                            100.0 * res.unrecoveredRate, res.timeOvhdPct,
-                            res.energyOvhdPct);
-                bench::JsonReport &report = json.report();
-                report.beginRow();
-                report.rowMetric("ber", ber);
-                report.rowMetric("scrub_interval_ns", scrubNs);
-                report.rowMetric("checkpoint_interval_segments",
-                                 static_cast<double>(ckpt));
-                report.rowMetric("scrub_passes", res.scrubPasses);
-                report.rowMetric("scrub_corrected", res.scrubCorrected);
-                report.rowMetric("checkpoints", res.checkpoints);
-                report.rowMetric("rollbacks", res.rollbacks);
-                report.rowMetric("replayed_segments",
-                                 res.replayedSegments);
-                report.rowMetric("checksum_mismatches",
-                                 res.checksumMismatches);
-                report.rowMetric("gpu_fallbacks", res.gpuFallbacks);
-                report.rowMetric("unrecovered_rate", res.unrecoveredRate);
-                report.rowMetric("time_overhead_pct", res.timeOvhdPct);
-                report.rowMetric("energy_overhead_pct",
-                                 res.energyOvhdPct);
+                table.row(bench::meanOverTrials(
+                    {ber, scrubNs, ckpt}, opts.trials, opts.seed,
+                    [&](uint64_t seed) {
+                        return runTrial(ber, scrubNs, ckpt, seed, seq, base);
+                    }));
             }
         }
     }

@@ -11,26 +11,24 @@
  * the recovery machinery's cost: retries, GPU fallbacks, and the
  * time/energy overhead relative to the fault-free run.
  *
- * Flags:
+ * Flags (parsed by bench::Flags, scenario.h):
  *   --ber=X         sweep only this raw bit-error rate
  *   --fault-seed=S  fault-site seed (identical seeds => identical runs)
  *   --ecc=on|off    restrict to one ECC setting (default: both)
  *   --smoke         small vectors / short sweep for ctest
+ *   --json <path>   machine-readable sweep
  */
 
 #include <cstdint>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
 #include "anaheim/framework.h"
-#include "bench_util.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "math/primes.h"
 #include "pim/functional.h"
+#include "scenario.h"
 #include "sim/readpath.h"
 #include "trace/builders.h"
 
@@ -41,43 +39,10 @@ namespace {
 struct Options {
     std::vector<double> bers{1e-7, 1e-6, 1e-5, 1e-4, 1e-3};
     uint64_t seed = 0x0ddfa117u;
-    bool runEccOn = true;
-    bool runEccOff = true;
+    std::vector<bool> eccs{true, false}; ///< --ecc keeps one
     size_t words = 1u << 16;
     bool smoke = false;
-    std::string jsonPath;
 };
-
-Options
-parseOptions(int argc, char **argv)
-{
-    Options opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            opts.smoke = true;
-            opts.bers = {1e-4};
-            opts.words = 1u << 12;
-        } else if (arg.rfind("--ber=", 0) == 0) {
-            opts.bers = {std::strtod(arg.c_str() + 6, nullptr)};
-        } else if (arg.rfind("--fault-seed=", 0) == 0) {
-            opts.seed = std::strtoull(arg.c_str() + 13, nullptr, 0);
-        } else if (arg == "--ecc=on") {
-            opts.runEccOff = false;
-        } else if (arg == "--ecc=off") {
-            opts.runEccOn = false;
-        } else if (arg == "--json" && i + 1 < argc) {
-            opts.jsonPath = argv[++i];
-        } else if ((arg == "--trace" || arg == "--metrics") &&
-                   i + 1 < argc) {
-            ++i; // handled by bench::JsonScope
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-            std::exit(2);
-        }
-    }
-    return opts;
-}
 
 void
 functionalSweep(const Options &opts, bench::JsonReport &report)
@@ -96,13 +61,19 @@ functionalSweep(const Options &opts, bench::JsonReport &report)
         w = static_cast<uint32_t>(rng.uniform(q));
     const PimVector golden = unit.mult(a, b);
 
-    std::printf("%-10s %-4s %12s %10s %10s %8s %8s %11s\n", "BER", "ECC",
-                "words", "faulty", "corrected", "uncorr", "silent",
-                "out-errors");
+    bench::Table table(report, {
+        {"sweep"},
+        {"ber", "BER", "%-10.1e"},
+        {"ecc", "ECC", "%-4s"},
+        {"words_read", "words", "%12.0f"},
+        {"faulty_words", "faulty", "%10.0f"},
+        {"corrected", "corrected", "%10.0f"},
+        {"uncorrectable", "uncorr", "%8.0f"},
+        {"silent", "silent", "%8.0f"},
+        {"output_errors", "out-errors", "%11.0f"},
+    });
     for (const double ber : opts.bers) {
-        for (const bool ecc : {true, false}) {
-            if ((ecc && !opts.runEccOn) || (!ecc && !opts.runEccOff))
-                continue;
+        for (const bool ecc : opts.eccs) {
             FaultConfig faults;
             faults.ber = ber;
             faults.seed = opts.seed;
@@ -115,29 +86,9 @@ functionalSweep(const Options &opts, bench::JsonReport &report)
             for (size_t i = 0; i < out.size(); ++i)
                 outputErrors += out[i] != golden[i];
             const auto &c = path.counters();
-            std::printf("%-10.1e %-4s %12llu %10llu %10llu %8llu %8llu "
-                        "%11zu\n",
-                        ber, ecc ? "on" : "off",
-                        static_cast<unsigned long long>(c.wordsRead),
-                        static_cast<unsigned long long>(c.faultyWords),
-                        static_cast<unsigned long long>(c.corrected),
-                        static_cast<unsigned long long>(c.uncorrectable),
-                        static_cast<unsigned long long>(c.silent),
-                        outputErrors);
-            report.beginRow();
-            report.rowMetric("sweep", "functional");
-            report.rowMetric("ber", ber);
-            report.rowMetric("ecc", ecc ? "on" : "off");
-            report.rowMetric("words_read",
-                             static_cast<double>(c.wordsRead));
-            report.rowMetric("faulty_words",
-                             static_cast<double>(c.faultyWords));
-            report.rowMetric("corrected", static_cast<double>(c.corrected));
-            report.rowMetric("uncorrectable",
-                             static_cast<double>(c.uncorrectable));
-            report.rowMetric("silent", static_cast<double>(c.silent));
-            report.rowMetric("output_errors",
-                             static_cast<double>(outputErrors));
+            table.row({"functional", ber, ecc ? "on" : "off", c.wordsRead,
+                       c.faultyWords, c.corrected, c.uncorrectable, c.silent,
+                       outputErrors});
         }
     }
     bench::note("with ECC on, every single-bit upset is repaired in "
@@ -151,57 +102,37 @@ frameworkSweep(const Options &opts, bench::JsonReport &report)
     bench::header("Framework HMULT under faults: retry/fallback cost "
                   "per BER (A100 near-bank PIM)");
 
-    const TraceParams params;
-    const OpSequence seq = buildHMult(params);
+    const OpSequence seq = buildHMult(TraceParams{});
+    const RunResult base =
+        AnaheimFramework(AnaheimConfig::a100NearBank()).execute(seq);
 
-    AnaheimConfig clean = AnaheimConfig::a100NearBank();
-    const RunResult base = AnaheimFramework(clean).execute(seq);
-
-    std::printf("%-10s %-4s %10s %10s %10s %8s %10s %10s %10s\n", "BER",
-                "ECC", "corrected", "uncorr", "silent", "retries",
-                "fallbacks", "time-ovhd", "energy-ovhd");
+    bench::Table table(report, {
+        {"sweep"},
+        {"ber", "BER", "%-10.1e"},
+        {"ecc", "ECC", "%-4s"},
+        {"faulty_words"},
+        {"ecc_corrected", "corrected", "%10.0f"},
+        {"ecc_uncorrectable", "uncorr", "%10.0f"},
+        {"silent_errors", "silent", "%10.0f"},
+        {"pim_retries", "retries", "%8.0f"},
+        {"gpu_fallbacks", "fallbacks", "%10.0f"},
+        {"time_overhead_pct", "time-ovhd", "%9.2f%%"},
+        {"energy_overhead_pct", "energy-ovhd", "%9.2f%%"},
+    });
     for (const double ber : opts.bers) {
-        for (const bool ecc : {true, false}) {
-            if ((ecc && !opts.runEccOn) || (!ecc && !opts.runEccOff))
-                continue;
+        for (const bool ecc : opts.eccs) {
             AnaheimConfig config = AnaheimConfig::a100NearBank();
             config.resilience.ber = ber;
             config.resilience.faultSeed = opts.seed;
             config.resilience.eccEnabled = ecc;
             const RunResult run = AnaheimFramework(config).execute(seq);
             const auto &r = run.resilience;
-            const double timeOvhd =
-                100.0 * (run.totalNs - base.totalNs) / base.totalNs;
-            const double energyOvhd =
-                100.0 * (run.energyPj - base.energyPj) / base.energyPj;
-            std::printf(
-                "%-10.1e %-4s %10llu %10llu %10llu %8llu %10llu %9.2f%% "
-                "%9.2f%%\n",
-                ber, ecc ? "on" : "off",
-                static_cast<unsigned long long>(r.eccCorrected),
-                static_cast<unsigned long long>(r.eccUncorrectable),
-                static_cast<unsigned long long>(r.silentErrors),
-                static_cast<unsigned long long>(r.pimRetries),
-                static_cast<unsigned long long>(r.gpuFallbacks),
-                timeOvhd, energyOvhd);
-            report.beginRow();
-            report.rowMetric("sweep", "framework");
-            report.rowMetric("ber", ber);
-            report.rowMetric("ecc", ecc ? "on" : "off");
-            report.rowMetric("faulty_words",
-                             static_cast<double>(r.faultyWords));
-            report.rowMetric("ecc_corrected",
-                             static_cast<double>(r.eccCorrected));
-            report.rowMetric("ecc_uncorrectable",
-                             static_cast<double>(r.eccUncorrectable));
-            report.rowMetric("silent_errors",
-                             static_cast<double>(r.silentErrors));
-            report.rowMetric("pim_retries",
-                             static_cast<double>(r.pimRetries));
-            report.rowMetric("gpu_fallbacks",
-                             static_cast<double>(r.gpuFallbacks));
-            report.rowMetric("time_overhead_pct", timeOvhd);
-            report.rowMetric("energy_overhead_pct", energyOvhd);
+            table.row({"framework", ber, ecc ? "on" : "off", r.faultyWords,
+                       r.eccCorrected, r.eccUncorrectable, r.silentErrors,
+                       r.pimRetries, r.gpuFallbacks,
+                       100.0 * (run.totalNs - base.totalNs) / base.totalNs,
+                       100.0 * (run.energyPj - base.energyPj) /
+                           base.energyPj});
         }
     }
     bench::note("ECC off never detects, so timing matches the clean run "
@@ -218,7 +149,19 @@ main(int argc, char **argv)
     // An out-of-range --ber / --fault-seed raises AnaheimError from the
     // fault-model validation; report it cleanly instead of aborting.
     return runGuardedMain("bench_fault_sweep", [&] {
-        const Options opts = parseOptions(argc, argv);
+        Options opts;
+        bench::Flags flags("bench_fault_sweep", argc, argv);
+        if ((opts.smoke = flags.smoke())) {
+            opts.bers = {1e-4};
+            opts.words = 1u << 12;
+        }
+        flags.only("--ber", opts.bers);
+        flags.seed("--fault-seed", opts.seed);
+        flags.read("--ecc", "on or off", [&](const std::string &value) {
+            opts.eccs = {value == "on"};
+            return value == "on" || value == "off";
+        });
+        flags.done();
         bench::JsonScope json("fault_sweep", argc, argv);
         json.report().metric("smoke", opts.smoke ? "yes" : "no");
         json.report().metric("fault_seed", static_cast<double>(opts.seed));

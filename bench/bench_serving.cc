@@ -16,7 +16,7 @@
  * load, and is expected to exceed 1.5x at saturating load with the
  * default 8 streams.
  *
- * Flags:
+ * Flags (parsed by bench::Flags, scenario.h):
  *   --streams=N      concurrent client streams (default 8)
  *   --requests=N     requests per stream (default 4)
  *   --seed=S         arrival-process seed
@@ -30,17 +30,17 @@
  *   --prom <path>    Prometheus text exposition of the same metrics
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
+#include <numeric>
 #include <string>
 #include <vector>
 
 #include "anaheim/framework.h"
-#include "bench_util.h"
 #include "common/status.h"
+#include "scenario.h"
 #include "serve/scheduler.h"
-#include "trace/builders.h"
 
 using namespace anaheim;
 
@@ -55,81 +55,23 @@ struct Options {
     std::vector<double> multipliers{0.25, 0.5, 1.0, 2.0, 4.0};
 };
 
-Options
-parseOptions(int argc, char **argv)
-{
-    Options opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            // Keep the default requests/stream: the top load point must
-            // still clear the 1.5x overlap bar the validator enforces,
-            // and shorter runs are ramp-dominated.
-            opts.smoke = true;
-            opts.multipliers = {0.5, 4.0};
-        } else if (arg.rfind("--streams=", 0) == 0) {
-            opts.streams = std::strtoull(arg.c_str() + 10, nullptr, 0);
-        } else if (arg.rfind("--requests=", 0) == 0) {
-            opts.requests = std::strtoull(arg.c_str() + 11, nullptr, 0);
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            opts.seed = std::strtoull(arg.c_str() + 7, nullptr, 0);
-        } else if (arg.rfind("--repeats=", 0) == 0) {
-            opts.repeats = std::strtoull(arg.c_str() + 10, nullptr, 0);
-        } else if ((arg == "--json" || arg == "--trace" ||
-                    arg == "--metrics" || arg == "--prom") &&
-                   i + 1 < argc) {
-            ++i; // handled by bench::JsonScope
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-            std::exit(2);
-        }
-    }
-    return opts;
-}
-
-/** GPU-heavy tenant: chained HMULTs (NTT/BConv dominated). */
-OpSequence
-buildGpuHeavy(size_t repeats)
-{
-    const TraceParams params;
-    OpSequence seq = buildHMult(params);
-    const OpSequence one = seq;
-    for (size_t r = 1; r < repeats; ++r)
-        seq.append(one);
-    seq.name = "hmult_chain";
-    return seq;
-}
-
-/** PIM-heavy tenant: an element-wise HADD/PMULT chain with `pairs`
- *  add+mult pairs — every op offloads, so the trace is ~100% PIM. */
-OpSequence
-buildPimHeavy(size_t pairs)
-{
-    const TraceParams params;
-    OpSequence seq = buildHAdd(params);
-    const OpSequence add = seq;
-    const OpSequence mult = buildPMult(params);
-    seq.append(mult);
-    for (size_t r = 1; r < pairs; ++r) {
-        seq.append(add);
-        seq.append(mult);
-    }
-    seq.name = "ew_chain";
-    return seq;
-}
-
-struct LoadPoint {
-    double offeredRps = 0.0;
-    serve::ServeStats serial;
-    serve::ServeStats overlapped;
-};
-
 } // namespace
 
 static int
 run(int argc, char **argv)
 {
-    const Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::Flags flags("bench_serving", argc, argv);
+    // Keep the default requests/stream: the top load point must still
+    // clear the 1.5x overlap bar the validator enforces, and shorter
+    // runs are ramp-dominated.
+    if ((opts.smoke = flags.smoke()))
+        opts.multipliers = {0.5, 4.0};
+    flags.count("--streams", opts.streams);
+    flags.count("--requests", opts.requests);
+    flags.seed("--seed", opts.seed);
+    flags.count("--repeats", opts.repeats);
+    flags.done();
     bench::JsonScope json(opts.smoke ? "serving_smoke" : "serving",
                           argc, argv);
     AnaheimConfig config = AnaheimConfig::a100NearBank();
@@ -143,22 +85,8 @@ run(int argc, char **argv)
                          static_cast<double>(opts.seed));
 
     const AnaheimFramework fw(config);
-    const OpSequence gpuHeavy = buildGpuHeavy(opts.repeats);
-    // Calibrate the PIM-heavy chain to the GPU-heavy service time so
-    // aggregate demand splits evenly across the two device clocks.
-    const double gpuHeavyNs = fw.execute(gpuHeavy).totalNs;
-    const double pairNs = fw.execute(buildPimHeavy(1)).totalNs;
-    const size_t pairs = std::max<size_t>(
-        1, static_cast<size_t>(gpuHeavyNs / pairNs + 0.5));
-    const OpSequence pimHeavy = buildPimHeavy(pairs);
-    const double pimHeavyNs = fw.execute(pimHeavy).totalNs;
-    const std::vector<OpSequence> traces = {gpuHeavy, pimHeavy};
-
-    // Serial capacity: requests per second when every request runs
-    // back-to-back on the combined device — the load sweep's unit.
-    const double meanServiceNs = (gpuHeavyNs + pimHeavyNs) / 2.0;
-    const double serialCapacityRps = 1e9 / meanServiceNs;
-    json.report().metric("serial_capacity_rps", serialCapacityRps);
+    const bench::TenantMix mix = bench::tenantMix(fw, opts.repeats);
+    json.report().metric("serial_capacity_rps", mix.serialCapacityRps);
 
     bench::header(
         "Multi-tenant serving: open-loop Poisson load, " +
@@ -167,21 +95,33 @@ run(int argc, char **argv)
         " requests (hmult_chain / ew_chain alternating)");
     std::printf("  service: hmult_chain %.3f ms, ew_chain %.3f ms "
                 "(%zu ew pairs), serial capacity %.0f req/s\n\n",
-                gpuHeavyNs * 1e-6, pimHeavyNs * 1e-6, pairs,
-                serialCapacityRps);
-    std::printf("%-12s %10s %10s %8s %9s %9s %7s %7s %8s\n",
-                "offered", "serial", "overlap", "speedup", "p50 ms",
-                "p99 ms", "gpu", "pim", "batched");
+                mix.gpuHeavyNs * 1e-6, mix.pimHeavyNs * 1e-6, mix.pairs,
+                mix.serialCapacityRps);
+
+    bench::Table table(json.report(), {
+        // The trailing spaces left-align this header one past the
+        // width of its cells.
+        {"offered_rps", "offered     ", "%9.0f/s"},
+        {"serial_throughput_rps", "serial", "%8.0f/s"},
+        {"throughput_rps", "overlap", "%8.0f/s"},
+        {"speedup_vs_serial", "speedup", "%7.2fx"},
+        {"p50_ms", "p50 ms", "%9.3f"},
+        {"p99_ms", "p99 ms", "%9.3f"},
+        {"mean_ms"},
+        {"gpu_util", "gpu", "%6.0f%%", 100.0},
+        {"pim_util", "pim", "%6.0f%%", 100.0},
+        {"batches"},
+        {"batched_ops", "batched", "%8.0f"},
+        {"admitted"}, {"rejected"}, {"completed"},
+    });
 
     double peakSpeedup = 0.0;
     for (const double mult : opts.multipliers) {
-        LoadPoint point;
-        point.offeredRps = mult * serialCapacityRps;
-
+        const double offeredRps = mult * mix.serialCapacityRps;
         ServeConfig serveCfg;
         serveCfg.streams = opts.streams;
         serveCfg.requestsPerStream = opts.requests;
-        serveCfg.offeredRps = point.offeredRps;
+        serveCfg.offeredRps = offeredRps;
         serveCfg.arrivalSeed = opts.seed;
         // Two scheduling classes: GPU-heavy tenants (even streams) win
         // PIM dispatch ties, so their short element-wise segments jump
@@ -191,57 +131,31 @@ run(int argc, char **argv)
         // busy fractions and latency evolve over a handful of windows
         // even at smoke scale (--metrics gets a timeseries section,
         // --prom the text exposition).
-        serveCfg.telemetry.tickNs = meanServiceNs;
+        serveCfg.telemetry.tickNs = mix.meanServiceNs;
 
         ServeConfig serialCfg = serveCfg;
         serialCfg.overlap = false;
         serialCfg.batching = false;
-        point.serial =
-            serve::ServeScheduler(fw, serialCfg).run(traces).stats;
-        point.overlapped =
-            serve::ServeScheduler(fw, serveCfg).run(traces).stats;
+        const serve::ServeStats serial =
+            serve::ServeScheduler(fw, serialCfg).run(mix.traces).stats;
+        const serve::ServeStats ov =
+            serve::ServeScheduler(fw, serveCfg).run(mix.traces).stats;
 
-        const serve::ServeStats &ov = point.overlapped;
         const double speedup =
-            point.serial.throughputRps() > 0.0
-                ? ov.throughputRps() / point.serial.throughputRps()
+            serial.throughputRps() > 0.0
+                ? ov.throughputRps() / serial.throughputRps()
                 : 0.0;
         peakSpeedup = std::max(peakSpeedup, speedup);
-        double meanNs = 0.0;
-        for (const double l : ov.latenciesNs)
-            meanNs += l;
-        meanNs /= ov.latenciesNs.empty()
-                      ? 1.0
-                      : static_cast<double>(ov.latenciesNs.size());
+        const double meanNs =
+            std::accumulate(ov.latenciesNs.begin(), ov.latenciesNs.end(),
+                            0.0) /
+            std::max<double>(1.0, ov.latenciesNs.size());
 
-        std::printf("%9.0f/s %8.0f/s %8.0f/s %7.2fx %9.3f %9.3f "
-                    "%6.0f%% %6.0f%% %8llu\n",
-                    point.offeredRps, point.serial.throughputRps(),
-                    ov.throughputRps(), speedup,
-                    ov.percentileNs(50.0) * 1e-6,
-                    ov.percentileNs(99.0) * 1e-6,
-                    100.0 * ov.gpuUtil(), 100.0 * ov.pimUtil(),
-                    static_cast<unsigned long long>(ov.batchedOps));
-
-        bench::JsonReport &report = json.report();
-        report.beginRow();
-        report.rowMetric("offered_rps", point.offeredRps);
-        report.rowMetric("throughput_rps", ov.throughputRps());
-        report.rowMetric("serial_throughput_rps",
-                         point.serial.throughputRps());
-        report.rowMetric("speedup_vs_serial", speedup);
-        report.rowMetric("p50_ms", ov.percentileNs(50.0) * 1e-6);
-        report.rowMetric("p99_ms", ov.percentileNs(99.0) * 1e-6);
-        report.rowMetric("mean_ms", meanNs * 1e-6);
-        report.rowMetric("gpu_util", ov.gpuUtil());
-        report.rowMetric("pim_util", ov.pimUtil());
-        report.rowMetric("batches", static_cast<double>(ov.batches));
-        report.rowMetric("batched_ops",
-                         static_cast<double>(ov.batchedOps));
-        report.rowMetric("admitted", static_cast<double>(ov.admitted));
-        report.rowMetric("rejected", static_cast<double>(ov.rejected));
-        report.rowMetric("completed",
-                         static_cast<double>(ov.completed));
+        table.row({offeredRps, serial.throughputRps(), ov.throughputRps(),
+                   speedup, ov.percentileNs(50.0) * 1e-6,
+                   ov.percentileNs(99.0) * 1e-6, meanNs * 1e-6,
+                   ov.gpuUtil(), ov.pimUtil(), ov.batches, ov.batchedOps,
+                   ov.admitted, ov.rejected, ov.completed});
     }
     json.report().metric("peak_speedup_vs_serial", peakSpeedup);
 

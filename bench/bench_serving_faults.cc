@@ -24,7 +24,7 @@
  *     schedule — preemption pays with scheduler time, never with any
  *     tenant's computation.
  *
- * Flags:
+ * Flags (parsed by bench::Flags, scenario.h):
  *   --streams=N      concurrent client streams (default 8)
  *   --requests=N     requests per stream (default 6)
  *   --seed=S         arrival-process seed
@@ -40,17 +40,15 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <map>
 #include <string>
 #include <vector>
 
 #include "anaheim/framework.h"
-#include "bench_util.h"
 #include "common/status.h"
+#include "scenario.h"
 #include "serve/scheduler.h"
-#include "trace/builders.h"
 
 using namespace anaheim;
 
@@ -63,59 +61,6 @@ struct Options {
     bool smoke = false;
     std::vector<double> multipliers{0.25, 0.5, 1.0, 2.0};
 };
-
-Options
-parseOptions(int argc, char **argv)
-{
-    Options opts;
-    for (int i = 1; i < argc; ++i) {
-        const std::string arg = argv[i];
-        if (arg == "--smoke") {
-            opts.smoke = true;
-            opts.multipliers = {0.25, 2.0};
-        } else if (arg.rfind("--streams=", 0) == 0) {
-            opts.streams = std::strtoull(arg.c_str() + 10, nullptr, 0);
-        } else if (arg.rfind("--requests=", 0) == 0) {
-            opts.requests = std::strtoull(arg.c_str() + 11, nullptr, 0);
-        } else if (arg.rfind("--seed=", 0) == 0) {
-            opts.seed = std::strtoull(arg.c_str() + 7, nullptr, 0);
-        } else if ((arg == "--json" || arg == "--trace" ||
-                    arg == "--metrics" || arg == "--prom") &&
-                   i + 1 < argc) {
-            ++i; // handled by bench::JsonScope
-        } else {
-            std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-            std::exit(2);
-        }
-    }
-    return opts;
-}
-
-/** GPU-heavy tenant: chained HMULTs (NTT/BConv dominated). */
-OpSequence
-buildGpuHeavy()
-{
-    OpSequence seq = buildHMult(TraceParams{});
-    seq.name = "hmult_chain";
-    return seq;
-}
-
-/** PIM-heavy tenant: element-wise HADD/PMULT pairs, all offloaded. */
-OpSequence
-buildPimHeavy(size_t pairs)
-{
-    const TraceParams params;
-    OpSequence seq = buildHAdd(params);
-    const OpSequence add = seq;
-    const OpSequence mult = buildPMult(params);
-    seq.append(mult);
-    for (size_t r = 1; r < pairs; ++r) {
-        seq.append(add);
-        seq.append(mult);
-    }
-    seq.name = "ew_chain";
-    return seq;
-}
 
 /** One fault scenario of the sweep. */
 struct Scenario {
@@ -189,7 +134,14 @@ resultsIdentical(const serve::ServeResult &a, const serve::ServeResult &b)
 static int
 run(int argc, char **argv)
 {
-    const Options opts = parseOptions(argc, argv);
+    Options opts;
+    bench::Flags flags("bench_serving_faults", argc, argv);
+    if ((opts.smoke = flags.smoke()))
+        opts.multipliers = {0.25, 2.0};
+    flags.count("--streams", opts.streams);
+    flags.count("--requests", opts.requests);
+    flags.seed("--seed", opts.seed);
+    flags.done();
     bench::JsonScope json(
         opts.smoke ? "serving_faults_smoke" : "serving_faults", argc,
         argv);
@@ -206,18 +158,9 @@ run(int argc, char **argv)
     // healthy-scenario framework — recovery-ladder overhead included —
     // so load multipliers and deadline classes are sized against what
     // a request actually costs under the serving policy.
-    const AnaheimFramework calib(configFor({"healthy", 0.0, false}));
-    const OpSequence gpuHeavy = buildGpuHeavy();
-    const double gpuHeavyNs = calib.execute(gpuHeavy).totalNs;
-    const double pairNs = calib.execute(buildPimHeavy(1)).totalNs;
-    const size_t pairs = std::max<size_t>(
-        1, static_cast<size_t>(gpuHeavyNs / pairNs + 0.5));
-    const OpSequence pimHeavy = buildPimHeavy(pairs);
-    const double pimHeavyNs = calib.execute(pimHeavy).totalNs;
-    const std::vector<OpSequence> traces = {gpuHeavy, pimHeavy};
-    const double meanServiceNs = (gpuHeavyNs + pimHeavyNs) / 2.0;
-    const double serialCapacityRps = 1e9 / meanServiceNs;
-    json.report().metric("serial_capacity_rps", serialCapacityRps);
+    const bench::TenantMix mix = bench::tenantMix(
+        AnaheimFramework(configFor({"healthy", 0.0, false})), 1);
+    json.report().metric("serial_capacity_rps", mix.serialCapacityRps);
 
     // The SLO policy under test: two deadline classes spanning a few
     // service times, a per-tenant rate limit at 1.5x the fair share,
@@ -230,10 +173,10 @@ run(int argc, char **argv)
         serve.arrivalSeed = opts.seed;
         serve.priorityClasses = 2;
         serve.maxQueuedPerStream = 2;
-        serve.deadlineClassNs = {3.0 * meanServiceNs,
-                                 6.0 * meanServiceNs};
-        serve.rateLimitRps =
-            1.5 * serialCapacityRps / static_cast<double>(opts.streams);
+        serve.deadlineClassNs = {3.0 * mix.meanServiceNs,
+                                 6.0 * mix.meanServiceNs};
+        serve.rateLimitRps = 1.5 * mix.serialCapacityRps /
+                             static_cast<double>(opts.streams);
         // Burst deeper than the queue: an over-rate tenant hits the
         // queue-full wall before its bucket empties, so both rejection
         // causes show up in the sweep.
@@ -243,7 +186,7 @@ run(int argc, char **argv)
         // a short fast/slow pair: sized so the degraded scenario's
         // deadline misses burn the error budget visibly within a smoke
         // run, firing the Alert lane (gated by validate_serving_faults).
-        serve.telemetry.tickNs = meanServiceNs;
+        serve.telemetry.tickNs = mix.meanServiceNs;
         serve.telemetry.sloTarget = 0.9;
         serve.telemetry.fastWindowTicks = 2;
         serve.telemetry.slowWindowTicks = 6;
@@ -263,35 +206,45 @@ run(int argc, char **argv)
                   "limit + preemption) x fault scenarios x load");
     std::printf("  service: hmult %.3f ms, ew %.3f ms; serial capacity "
                 "%.0f req/s; deadlines {3x, 6x} mean service\n\n",
-                gpuHeavyNs * 1e-6, pimHeavyNs * 1e-6,
-                serialCapacityRps);
-    std::printf("%-10s %-8s %9s %8s %9s %9s %6s %6s %6s %8s %8s\n",
-                "scenario", "load", "goodput", "avail", "p99 ms",
-                "dl-met", "q-full", "r-lim", "shed", "preempt",
-                "reprice");
+                mix.gpuHeavyNs * 1e-6, mix.pimHeavyNs * 1e-6,
+                mix.serialCapacityRps);
+    bench::Table table(json.report(), {
+        {"scenario", "scenario", "%-10s"},
+        {"ber"}, {"permanent_banks"},
+        // The trailing spaces left-align this header one past the
+        // width of its cells.
+        {"load_multiplier", "load    ", "%6.2fx"},
+        {"offered_rps"},
+        {"goodput_rps", "goodput", "%7.0f/s"},
+        {"availability", "avail", "%7.2f%%", 100.0},
+        {"throughput_rps"}, {"p50_ms"},
+        {"p99_ms", "p99 ms", "%9.3f"},
+        {"deadline_met", "dl-met", "%9.0f"},
+        {"admitted"}, {"completed"}, {"rejected"},
+        {"rejected_queue_full", "q-full", "%6.0f"},
+        {"rejected_rate_limited", "r-lim", "%6.0f"},
+        {"shed_deadline", "shed", "%6.0f"},
+        {"preemptions", "preempt", "%8.0f"},
+        {"preemption_overhead_ns"},
+        {"reprice_events", "reprice", "%8.0f"},
+        {"alerts_fired"}, {"alert_ticks_firing"},
+        {"tenant_retries"}, {"tenant_gpu_fallbacks"},
+    });
 
     // goodput keyed by load multiplier for the healthy baseline.
     std::map<double, double> healthyGoodput;
     double floorRatio = std::numeric_limits<double>::infinity();
-    uint64_t sweepQueueFull = 0;
-    uint64_t sweepRateLimited = 0;
-    uint64_t sweepShed = 0;
-    uint64_t sweepAlertsFired = 0;
-    uint64_t sweepAlertTicks = 0;
     bool partitionOk = true;
 
     for (const Scenario &scenario : scenarios) {
         const AnaheimFramework fw(configFor(scenario));
         for (const double mult : opts.multipliers) {
-            const double offeredRps = mult * serialCapacityRps;
+            const double offeredRps = mult * mix.serialCapacityRps;
             const auto result =
                 serve::ServeScheduler(fw, serveFor(offeredRps))
-                    .run(traces);
+                    .run(mix.traces);
             const serve::ServeStats &st = result.stats;
 
-            const double availability =
-                static_cast<double>(st.completed) /
-                static_cast<double>(totalRequests);
             const double goodput = st.goodputRps();
             if (scenario.ber == 0.0 && !scenario.permanentBank)
                 healthyGoodput[mult] = goodput;
@@ -305,11 +258,6 @@ run(int argc, char **argv)
                           st.rejected == st.rejectedQueueFull +
                                              st.rejectedRateLimited +
                                              st.shedDeadline;
-            sweepQueueFull += st.rejectedQueueFull;
-            sweepRateLimited += st.rejectedRateLimited;
-            sweepShed += st.shedDeadline;
-            sweepAlertsFired += st.alertsFired;
-            sweepAlertTicks += st.alertTicksFiring;
 
             uint64_t tenantRetries = 0;
             uint64_t tenantFallbacks = 0;
@@ -318,63 +266,19 @@ run(int argc, char **argv)
                 tenantFallbacks += stream.gpuFallbacks;
             }
 
-            std::printf("%-10s %6.2fx %7.0f/s %7.2f%% %9.3f %9llu "
-                        "%6llu %6llu %6llu %8llu %8llu\n",
-                        scenario.name, mult, goodput,
-                        100.0 * availability,
-                        st.percentileNs(99.0) * 1e-6,
-                        static_cast<unsigned long long>(st.deadlineMet),
-                        static_cast<unsigned long long>(
-                            st.rejectedQueueFull),
-                        static_cast<unsigned long long>(
-                            st.rejectedRateLimited),
-                        static_cast<unsigned long long>(st.shedDeadline),
-                        static_cast<unsigned long long>(st.preemptions),
-                        static_cast<unsigned long long>(
-                            st.repriceEvents));
-
-            bench::JsonReport &report = json.report();
-            report.beginRow();
-            report.rowMetric("scenario", scenario.name);
-            report.rowMetric("ber", scenario.ber);
-            report.rowMetric("permanent_banks",
-                             scenario.permanentBank ? 1.0 : 0.0);
-            report.rowMetric("load_multiplier", mult);
-            report.rowMetric("offered_rps", offeredRps);
-            report.rowMetric("availability", availability);
-            report.rowMetric("goodput_rps", goodput);
-            report.rowMetric("throughput_rps", st.throughputRps());
-            report.rowMetric("p50_ms", st.percentileNs(50.0) * 1e-6);
-            report.rowMetric("p99_ms", st.percentileNs(99.0) * 1e-6);
-            report.rowMetric("deadline_met",
-                             static_cast<double>(st.deadlineMet));
-            report.rowMetric("admitted",
-                             static_cast<double>(st.admitted));
-            report.rowMetric("completed",
-                             static_cast<double>(st.completed));
-            report.rowMetric("rejected",
-                             static_cast<double>(st.rejected));
-            report.rowMetric("rejected_queue_full",
-                             static_cast<double>(st.rejectedQueueFull));
-            report.rowMetric(
-                "rejected_rate_limited",
-                static_cast<double>(st.rejectedRateLimited));
-            report.rowMetric("shed_deadline",
-                             static_cast<double>(st.shedDeadline));
-            report.rowMetric("preemptions",
-                             static_cast<double>(st.preemptions));
-            report.rowMetric("preemption_overhead_ns",
-                             st.preemptionOverheadNs);
-            report.rowMetric("reprice_events",
-                             static_cast<double>(st.repriceEvents));
-            report.rowMetric("alerts_fired",
-                             static_cast<double>(st.alertsFired));
-            report.rowMetric("alert_ticks_firing",
-                             static_cast<double>(st.alertTicksFiring));
-            report.rowMetric("tenant_retries",
-                             static_cast<double>(tenantRetries));
-            report.rowMetric("tenant_gpu_fallbacks",
-                             static_cast<double>(tenantFallbacks));
+            table.row({scenario.name, scenario.ber,
+                       scenario.permanentBank ? 1.0 : 0.0, mult,
+                       offeredRps, goodput,
+                       static_cast<double>(st.completed) /
+                           static_cast<double>(totalRequests),
+                       st.throughputRps(), st.percentileNs(50.0) * 1e-6,
+                       st.percentileNs(99.0) * 1e-6, st.deadlineMet,
+                       st.admitted, st.completed, st.rejected,
+                       st.rejectedQueueFull, st.rejectedRateLimited,
+                       st.shedDeadline, st.preemptions,
+                       st.preemptionOverheadNs, st.repriceEvents,
+                       st.alertsFired, st.alertTicksFiring, tenantRetries,
+                       tenantFallbacks});
         }
     }
 
@@ -383,7 +287,7 @@ run(int argc, char **argv)
     // charges can't shift between requests; admission policies off so
     // both schedules execute the identical request set). The schedules
     // differ — the computations must not.
-    ServeConfig identOn = serveFor(0.5 * serialCapacityRps);
+    ServeConfig identOn = serveFor(0.5 * mix.serialCapacityRps);
     identOn.batching = false;
     identOn.deadlineClassNs.clear();
     identOn.rateLimitRps = 0.0;
@@ -392,9 +296,9 @@ run(int argc, char **argv)
     identOff.preemption = false;
     const AnaheimFramework faultyFw(configFor(scenarios[1]));
     const auto preempted =
-        serve::ServeScheduler(faultyFw, identOn).run(traces);
+        serve::ServeScheduler(faultyFw, identOn).run(mix.traces);
     const auto unpreempted =
-        serve::ServeScheduler(faultyFw, identOff).run(traces);
+        serve::ServeScheduler(faultyFw, identOff).run(mix.traces);
     const bool identical = resultsIdentical(preempted, unpreempted);
     json.report().metric(
         "preempt_identical",
@@ -405,25 +309,19 @@ run(int argc, char **argv)
     json.report().metric("goodput_floor_ratio",
                          std::isfinite(floorRatio) ? floorRatio : 0.0);
     json.report().metric("causes_partition_ok", partitionOk ? 1.0 : 0.0);
-    json.report().metric("sweep_rejected_queue_full",
-                         static_cast<double>(sweepQueueFull));
-    json.report().metric("sweep_rejected_rate_limited",
-                         static_cast<double>(sweepRateLimited));
-    json.report().metric("sweep_shed_deadline",
-                         static_cast<double>(sweepShed));
-    json.report().metric("sweep_alerts_fired",
-                         static_cast<double>(sweepAlertsFired));
-    json.report().metric("sweep_alert_ticks_firing",
-                         static_cast<double>(sweepAlertTicks));
+    for (const std::string key :
+         {"rejected_queue_full", "rejected_rate_limited", "shed_deadline",
+          "alerts_fired", "alert_ticks_firing"})
+        json.report().metric("sweep_" + key, table.total(key));
 
     std::printf("\n  preemption identity: %s (%llu preemptions); "
                 "degraded goodput floor %.3f of healthy; "
-                "%llu SLO burn alerts over the sweep\n",
+                "%.0f SLO burn alerts over the sweep\n",
                 identical ? "BIT-IDENTICAL" : "DIVERGED",
                 static_cast<unsigned long long>(
                     preempted.stats.preemptions),
                 std::isfinite(floorRatio) ? floorRatio : 0.0,
-                static_cast<unsigned long long>(sweepAlertsFired));
+                table.total("alerts_fired"));
     bench::note("goodput = deadline-met completions/s; availability = "
                 "completed/offered. rejected splits exactly into "
                 "queue-full + rate-limited + deadline-shed. The "
