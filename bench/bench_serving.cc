@@ -18,7 +18,7 @@
  *
  * Flags (parsed by bench::Flags, scenario.h):
  *   --streams=N      concurrent client streams (default 8)
- *   --requests=N     requests per stream (default 4)
+ *   --requests=N     requests per stream (default 4, at most 2^20)
  *   --seed=S         arrival-process seed
  *   --repeats=N      HMULTs chained into the GPU-heavy trace
  *   --smoke          two load points / two requests for ctest
@@ -68,7 +68,7 @@ run(int argc, char **argv)
     if ((opts.smoke = flags.smoke()))
         opts.multipliers = {0.5, 4.0};
     flags.count("--streams", opts.streams);
-    flags.count("--requests", opts.requests);
+    flags.count("--requests", opts.requests, serve::kMaxRequestsPerStream);
     flags.seed("--seed", opts.seed);
     flags.count("--repeats", opts.repeats);
     flags.done();

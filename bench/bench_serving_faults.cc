@@ -16,7 +16,7 @@
  * rate-limited vs deadline-shed — the causes partition `rejected`
  * exactly, which the validator re-checks).
  *
- * Two headline gates (scripts/validate_serving_faults.py):
+ * Two headline gates (scripts/validate_bench.py):
  *   - goodput_floor_ratio: degraded-device goodput at moderate load
  *     must stay within 20% of the healthy baseline (>= 0.8);
  *   - preempt_identical: a preempted run's RunResult (energy, traffic,
@@ -26,7 +26,7 @@
  *
  * Flags (parsed by bench::Flags, scenario.h):
  *   --streams=N      concurrent client streams (default 8)
- *   --requests=N     requests per stream (default 6)
+ *   --requests=N     requests per stream (default 6, at most 2^20)
  *   --seed=S         arrival-process seed
  *   --smoke          two load points for ctest
  *   --json <path>    machine-readable sweep
@@ -139,7 +139,7 @@ run(int argc, char **argv)
     if ((opts.smoke = flags.smoke()))
         opts.multipliers = {0.25, 2.0};
     flags.count("--streams", opts.streams);
-    flags.count("--requests", opts.requests);
+    flags.count("--requests", opts.requests, serve::kMaxRequestsPerStream);
     flags.seed("--seed", opts.seed);
     flags.done();
     bench::JsonScope json(
@@ -185,7 +185,7 @@ run(int argc, char **argv)
         // Telemetry tick ~= one mean service time, with a tight SLO and
         // a short fast/slow pair: sized so the degraded scenario's
         // deadline misses burn the error budget visibly within a smoke
-        // run, firing the Alert lane (gated by validate_serving_faults).
+        // run, firing the Alert lane (gated by validate_bench.py).
         serve.telemetry.tickNs = mix.meanServiceNs;
         serve.telemetry.sloTarget = 0.9;
         serve.telemetry.fastWindowTicks = 2;

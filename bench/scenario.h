@@ -46,8 +46,8 @@ namespace anaheim::bench {
  *   flags.count("--trials", opts.trials);
  *   flags.done();
  *
- * A malformed value, a zero count or an unknown flag exits 2 with a
- * message that names the flag.
+ * A malformed value, a zero count, a count above its bound or an
+ * unknown flag exits 2 with a message that names the flag.
  */
 class Flags
 {
@@ -90,13 +90,16 @@ class Flags
         }
     }
 
-    /** `name=N`: a positive count. */
+    /** `name=N`: a positive count, at most `max` when one is given. */
     void
-    count(const std::string &name, size_t &out)
+    count(const std::string &name, size_t &out, uint64_t max = UINT64_MAX)
     {
-        read(name, "a positive integer", [&](const std::string &value) {
+        const std::string want =
+            max == UINT64_MAX ? "a positive integer"
+                              : "a positive integer <= " + std::to_string(max);
+        read(name, want, [&](const std::string &value) {
             uint64_t n = 0;
-            const bool ok = parseUnsigned(value, n) && n > 0;
+            const bool ok = parseUnsigned(value, n) && n > 0 && n <= max;
             out = n;
             return ok;
         });

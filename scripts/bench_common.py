@@ -1,20 +1,14 @@
-"""Shared plumbing for the bench-JSON validators (stdlib only).
-
-Every validate_*_bench.py script follows the same shape: load a bench
---json document, type-check a dict of required top-level keys and a
-dict of required per-row keys, run bench-specific semantic checks, and
-exit 0/1 with one message per violation. This module holds the shared
-half so the validators carry only their schema tables and semantics.
+"""Loads bench --json documents for the scripts that read them
+(validate_bench.py, perf_diff.py, golden_diff.py); stdlib only.
 
 The bench documents are self-describing (bench name, schema_version,
-git_sha, build_type, threads header from obs::exportHeader), which is
-also what scripts/perf_diff.py keys on when comparing two of them.
+git_sha, build_type, threads header from obs::exportHeader):
+validate_bench.py picks its checks by the bench name, and perf_diff.py
+keys on the header when comparing two of them.
 """
 
 import json
 import sys
-
-NUMBER = (int, float)
 
 
 def load_doc(path, tool):
@@ -34,51 +28,3 @@ def load_doc(path, tool):
               file=sys.stderr)
         return None
     return doc
-
-
-def check_required(obj, required, errors, where="top-level"):
-    """Type-check `obj` against `required` ({key: type or type-tuple}).
-
-    Appends one message per missing or mistyped key to `errors`.
-    Returns True when every required key is present with the right
-    type, so callers can skip semantic checks on a broken object.
-    """
-    clean = True
-    for key, want in required.items():
-        if key not in obj:
-            errors.append(f"{where}: missing key '{key}'")
-            clean = False
-        elif not isinstance(obj[key], want):
-            errors.append(f"{where}: '{key}' has type "
-                          f"{type(obj[key]).__name__}")
-            clean = False
-    return clean
-
-
-def check_bench_name(doc, allowed, errors):
-    """Require doc['bench'] to be one of `allowed`."""
-    if doc.get("bench") not in allowed:
-        errors.append(f"bench is '{doc.get('bench')}', want one of "
-                      f"{sorted(allowed)}")
-
-
-def run(tool, default_path, validate, summary=None):
-    """main() boilerplate shared by the validators.
-
-    Loads the document named by argv[1] (or `default_path`), runs
-    `validate(doc) -> [error, ...]`, prints every error with the tool
-    prefix, and returns the process exit code. On success prints one
-    OK line, appending `summary(doc)` when given.
-    """
-    path = sys.argv[1] if len(sys.argv) > 1 else default_path
-    doc = load_doc(path, tool)
-    if doc is None:
-        return 1
-    errors = validate(doc)
-    if errors:
-        for err in errors:
-            print(f"{tool}: {path}: {err}", file=sys.stderr)
-        return 1
-    extra = f" ({summary(doc)})" if summary else ""
-    print(f"{tool}: OK: {path}{extra}")
-    return 0

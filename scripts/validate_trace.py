@@ -22,7 +22,7 @@ and, when given, the --metrics JSON dump:
   - is a JSON object carrying the self-describing header
     (schema_version, git_sha, build_type, threads) as strings
   - has a non-empty "metrics" array of objects, each with a string
-    name, a known kind and a numeric value
+    name, a kind ("counter" or "gauge") and a numeric value
   - when a "timeseries" section is present (serving runs with a
     telemetry tick), every series is an object with a name, a positive
     tick_ns, and point objects with numeric stats in start_ns order,
@@ -136,7 +136,7 @@ def check_metrics(doc, where):
             fail(f"{where}: metric {i} is not an object")
         if not isinstance(entry.get("name"), str):
             fail(f"{where}: metric {i} missing string 'name'")
-        if entry.get("kind") not in ("counter", "gauge", "histogram"):
+        if entry.get("kind") not in ("counter", "gauge"):
             fail(f"{where}: metric {i} has unknown kind "
                  f"{entry.get('kind')!r}")
         if not isinstance(entry.get("value"), NUMBER):
@@ -229,6 +229,9 @@ def self_test():
          False),
         ("metrics", "non-object metric entry", broken(
             good_metrics, lambda d: d.update(metrics=[3])), False),
+        ("metrics", "histogram kind", broken(
+            good_metrics,
+            lambda d: d["metrics"][0].update(kind="histogram")), False),
         ("metrics", "non-object series entry", broken(
             good_metrics, lambda d: d.update(timeseries=[3])), False),
     ]

@@ -227,23 +227,7 @@ metricsJson(const MetricsSnapshot &snapshot, const std::string &source,
     for (const MetricsSnapshot::Entry &entry : snapshot.entries) {
         out << (first ? "\n    {" : ",\n    {") << "\"name\": \""
             << jsonEscape(entry.name) << "\", \"kind\": \"" << entry.kind
-            << "\", \"value\": " << formatDouble(entry.value);
-        if (entry.kind == "histogram") {
-            out << ", \"count\": " << entry.count
-                << ", \"sum\": " << formatDouble(entry.sum)
-                << ", \"buckets\": [";
-            for (size_t i = 0; i < entry.buckets.size(); ++i) {
-                const auto &[bound, count] = entry.buckets[i];
-                out << (i == 0 ? "" : ", ") << "{\"le\": ";
-                if (std::isinf(bound))
-                    out << "\"inf\"";
-                else
-                    out << formatDouble(bound);
-                out << ", \"count\": " << count << "}";
-            }
-            out << "]";
-        }
-        out << "}";
+            << "\", \"value\": " << formatDouble(entry.value) << "}";
         first = false;
     }
     out << "\n  ]";
@@ -353,16 +337,6 @@ prometheusText(const MetricsSnapshot &snapshot,
         } else if (entry.kind == "gauge") {
             out << "# TYPE " << name << " gauge\n"
                 << name << " " << promNumber(entry.value) << "\n";
-        } else if (entry.kind == "histogram") {
-            out << "# TYPE " << name << " histogram\n";
-            uint64_t cumulative = 0;
-            for (const auto &[bound, count] : entry.buckets) {
-                cumulative += count;
-                out << name << "_bucket{le=\"" << promNumber(bound)
-                    << "\"} " << cumulative << "\n";
-            }
-            out << name << "_sum " << promNumber(entry.sum) << "\n"
-                << name << "_count " << entry.count << "\n";
         }
     }
     // Each series exposes its most recent window as one sample in five

@@ -55,8 +55,7 @@ bool writeMetrics(
 /**
  * Prometheus text exposition (version 0.0.4) of a metrics snapshot
  * plus the registered time series: counters/gauges as flat samples,
- * histograms as cumulative `_bucket{le=...}` + `_sum`/`_count`
- * families, and every series' most recent window as
+ * and every series' most recent window as
  * `anaheim_series_{rate,p50,p99,count,mean}{series="<name>"}` gauges —
  * so a finished (or scraped) run diffs with standard PromQL tooling.
  * Metric names are sanitized ([a-zA-Z0-9_], `anaheim_` prefix).

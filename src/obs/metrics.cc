@@ -1,87 +1,10 @@
 #include "metrics.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
+#include <utility>
 
 #include "common/status.h"
 
 namespace anaheim::obs {
-
-namespace {
-
-/** Shared drop counter for non-finite observations, also fed by the
- *  time-series layer (obs/timeseries.cc). Function-local so plain
- *  Histogram construction never touches the registry. */
-Counter &
-droppedSamples()
-{
-    static Counter &counter =
-        MetricsRegistry::global().counter("obs.dropped_samples");
-    return counter;
-}
-
-} // namespace
-
-Histogram::Histogram(std::vector<double> upperBounds)
-    : bounds_(std::move(upperBounds)), buckets_(bounds_.size() + 1)
-{
-    ANAHEIM_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()),
-                  InvalidArgument,
-                  "histogram bounds must be sorted ascending");
-}
-
-void
-Histogram::observe(double value)
-{
-    // NaN compares false against every bound (lower_bound would pick
-    // an arbitrary bucket) and ±inf poisons the running sum: drop
-    // non-finite samples instead of silently mis-bucketing them.
-    if (!std::isfinite(value)) {
-        droppedSamples().add();
-        return;
-    }
-    const auto it =
-        std::lower_bound(bounds_.begin(), bounds_.end(), value);
-    const size_t bucket = static_cast<size_t>(it - bounds_.begin());
-    buckets_[bucket].fetch_add(1, std::memory_order_relaxed);
-    double current = sum_.load(std::memory_order_relaxed);
-    while (!sum_.compare_exchange_weak(current, current + value,
-                                       std::memory_order_relaxed)) {
-    }
-}
-
-uint64_t
-Histogram::count() const
-{
-    uint64_t total = 0;
-    for (const auto &bucket : buckets_)
-        total += bucket.load(std::memory_order_relaxed);
-    return total;
-}
-
-std::vector<uint64_t>
-Histogram::bucketCounts() const
-{
-    std::vector<uint64_t> counts(buckets_.size());
-    for (size_t i = 0; i < buckets_.size(); ++i)
-        counts[i] = buckets_[i].load(std::memory_order_relaxed);
-    return counts;
-}
-
-double
-Histogram::sum() const
-{
-    return sum_.load(std::memory_order_relaxed);
-}
-
-void
-Histogram::reset()
-{
-    for (auto &bucket : buckets_)
-        bucket.store(0, std::memory_order_relaxed);
-    sum_.store(0.0, std::memory_order_relaxed);
-}
 
 const MetricsSnapshot::Entry *
 MetricsSnapshot::find(const std::string &name) const
@@ -97,7 +20,6 @@ struct MetricsRegistry::Instrument {
     const char *kind = "";
     std::unique_ptr<Counter> counter;
     std::unique_ptr<Gauge> gauge;
-    std::unique_ptr<Histogram> histogram;
 };
 
 MetricsRegistry &
@@ -145,23 +67,6 @@ MetricsRegistry::gauge(const std::string &name)
     return *instrument.gauge;
 }
 
-Histogram &
-MetricsRegistry::histogram(const std::string &name,
-                           std::vector<double> upperBounds)
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    Instrument &instrument = lookup(name, "histogram");
-    if (!instrument.histogram) {
-        instrument.histogram =
-            std::make_unique<Histogram>(std::move(upperBounds));
-    } else {
-        ANAHEIM_CHECK(instrument.histogram->bounds() == upperBounds,
-                      InvalidArgument, "histogram '", name,
-                      "' re-registered with different bounds");
-    }
-    return *instrument.histogram;
-}
-
 MetricsSnapshot
 MetricsRegistry::snapshot() const
 {
@@ -178,27 +83,6 @@ MetricsRegistry::snapshot() const
             entry.count = instrument->counter->value();
         } else if (instrument->gauge) {
             entry.value = instrument->gauge->value();
-        } else if (instrument->histogram) {
-            const Histogram &h = *instrument->histogram;
-            // One bucket read serves both the count and the bucket
-            // list, so the entry can never report a count its own
-            // buckets disagree with (even mid-reset).
-            const auto counts = h.bucketCounts();
-            for (const uint64_t c : counts)
-                entry.count += c;
-            entry.sum = h.sum();
-            entry.value =
-                entry.count > 0
-                    ? entry.sum / static_cast<double>(entry.count)
-                    : 0.0;
-            const auto &bounds = h.bounds();
-            for (size_t i = 0; i < counts.size(); ++i) {
-                const double bound =
-                    i < bounds.size()
-                        ? bounds[i]
-                        : std::numeric_limits<double>::infinity();
-                entry.buckets.emplace_back(bound, counts[i]);
-            }
         }
         snap.entries.push_back(std::move(entry));
     }
@@ -224,8 +108,6 @@ MetricsRegistry::resetAll()
             instrument->counter->reset();
         if (instrument->gauge)
             instrument->gauge->reset();
-        if (instrument->histogram)
-            instrument->histogram->reset();
     }
 }
 

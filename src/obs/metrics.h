@@ -1,9 +1,9 @@
 /**
  * @file
- * Process-wide metrics registry: named counters, gauges and histograms
- * that the previously ad-hoc statistics (ResilienceStats fields, DRAM
- * command counts, GPU roofline op/byte totals, PIM datapath events)
- * publish into, giving every bench and example one snapshot/export path
+ * Process-wide metrics registry: named counters and gauges that the
+ * previously ad-hoc statistics (ResilienceStats fields, DRAM command
+ * counts, GPU roofline op/byte totals, PIM datapath events) publish
+ * into, giving every bench and example one snapshot/export path
  * (obs/export.h: `--metrics <path>` JSON or CSV).
  *
  * Concurrency: instrument-side updates are relaxed atomic adds — safe
@@ -27,7 +27,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 namespace anaheim::obs {
@@ -80,50 +79,14 @@ class Gauge
     std::atomic<double> value_{0.0};
 };
 
-/** Fixed-bound histogram: counts per bucket (<= bound), plus an
- *  overflow bucket and a running sum. Non-finite observations are
- *  dropped (NaN has no bucket; ±inf would corrupt the sum) and counted
- *  in the process-wide `obs.dropped_samples` counter.
- *
- *  Consistency under concurrent observers: the sample count IS the sum
- *  of the bucket counts — there is no separate count cell to tear
- *  against — so any snapshot satisfies count() == Σ bucketCounts()
- *  even while observers race with reset(). The running sum is a
- *  separate relaxed cell: a mean derived from a mid-reset snapshot may
- *  transiently mix pre- and post-reset samples, but counts never go
- *  negative and never disagree with the buckets. */
-class Histogram
-{
-  public:
-    explicit Histogram(std::vector<double> upperBounds);
-
-    void observe(double value);
-
-    const std::vector<double> &bounds() const { return bounds_; }
-    /** Per-bucket counts; size() == bounds().size() + 1 (overflow). */
-    std::vector<uint64_t> bucketCounts() const;
-    /** Total samples: Σ bucketCounts(), by construction. */
-    uint64_t count() const;
-    double sum() const;
-    void reset();
-
-  private:
-    std::vector<double> bounds_;
-    std::vector<std::atomic<uint64_t>> buckets_;
-    std::atomic<double> sum_{0.0};
-};
-
 /** Point-in-time copy of every registered instrument. */
 struct MetricsSnapshot {
     struct Entry {
         std::string name;
-        std::string kind; ///< "counter", "gauge" or "histogram"
+        std::string kind; ///< "counter" or "gauge"
         double value = 0.0;
-        /** Histogram extras (count/sum, per-bucket upper-bound+count;
-         *  the last bucket's bound is +inf). */
+        /** A counter's exact value. */
         uint64_t count = 0;
-        double sum = 0.0;
-        std::vector<std::pair<double, uint64_t>> buckets;
     };
     /** Sorted by name for stable exports and diffs. */
     std::vector<Entry> entries;
@@ -141,10 +104,6 @@ class MetricsRegistry
      *  when `name` is already registered as a different kind. */
     Counter &counter(const std::string &name);
     Gauge &gauge(const std::string &name);
-    /** The bounds of an existing histogram win; a conflicting re-spec
-     *  of bounds raises. */
-    Histogram &histogram(const std::string &name,
-                         std::vector<double> upperBounds);
 
     MetricsSnapshot snapshot() const;
 

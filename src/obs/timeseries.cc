@@ -35,8 +35,8 @@ setSeriesSamplingEnabled(bool enabled)
 
 namespace {
 
-/** Shared counter for every dropped (non-finite / negative-time)
- *  observation, also used by obs::Histogram. */
+/** Counter for every dropped (non-finite / negative-time)
+ *  observation. */
 Counter &
 droppedSamplesCounter()
 {

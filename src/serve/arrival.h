@@ -14,7 +14,7 @@
 
 #include <vector>
 
-#include "anaheim/framework.h"
+#include "serve/config.h"
 
 namespace anaheim::serve {
 

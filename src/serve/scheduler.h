@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "anaheim/framework.h"
+#include "serve/config.h"
 
 namespace anaheim::serve {
 
@@ -154,10 +155,12 @@ struct ServeResult {
  * request arriving before the winner would start is admitted first.
  *
  * Cost: the candidates, batch followers, pending arrivals and slots to
- * refill are indexed (DESIGN.md §15), so one dispatch costs O(log S)
- * host time plus the steps it runs; only run set-up and tear-down, and
- * the queue re-check after a degradation re-pricing, visit every
- * stream.
+ * refill are indexed (DESIGN.md §15, dispatch_index.h), so one dispatch
+ * costs O(log S) host time plus the steps it runs; only run set-up and
+ * tear-down, and the queue re-check after a degradation re-pricing,
+ * visit every stream. What a run reports besides its ServeResult —
+ * series, spans, metrics — is recorded by ServeTelemetry
+ * (telemetry.h).
  */
 class ServeScheduler
 {
@@ -170,10 +173,6 @@ class ServeScheduler
     const AnaheimFramework &fw_;
     ServeConfig serve_;
 };
-
-/** serve.* counters/gauges + optional per-stream Perfetto tracks.
- *  Called by ServeScheduler::run() before returning. */
-void publishServeMetrics(const ServeStats &stats);
 
 } // namespace anaheim::serve
 

@@ -15,12 +15,16 @@
 #include <cstring>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "anaheim/framework.h"
 #include "anaheim/runcontext.h"
 #include "common/parallel.h"
+#include "obs/export.h"
+#include "obs/metrics.h"
 #include "obs/timeseries.h"
+#include "obs/trace.h"
 #include "serve/scheduler.h"
 #include "trace/builders.h"
 
@@ -802,22 +806,21 @@ TEST(Serve, DispatchOrderMatchesPinnedDigests)
     }
 }
 
-TEST(Serve, QueueDepthEqualsTenantQueues)
+/** The chaos device with quarantine delayed to 8 detections, so the
+ *  queues have built up by the time re-pricing sheds from them. */
+AnaheimConfig
+lateQuarantineConfig()
 {
-    // The aggregate queue_depth gauge must equal the sum of the
-    // per-tenant gauges (every tenant has one at <= 8 streams) in every
-    // window. Chaos + SLO runs every way a request leaves a queue:
-    // activation, a shed at activation, and the re-pricing shed after
-    // the quarantine — which a threshold of 8 detections delays until
-    // the queues have built up.
     AnaheimConfig config = chaosDeviceConfig();
     config.resilience.health.permanentThreshold = 8;
-    const AnaheimFramework fw(config);
-    const std::vector<OpSequence> traces = {hmultTrace(), ewTrace(4)};
-    const AnaheimFramework clean(AnaheimConfig::a100NearBank());
-    const double meanServiceNs = (clean.execute(traces[0]).totalNs +
-                                  clean.execute(traces[1]).totalNs) /
-                                 2.0;
+    return config;
+}
+
+/** 8 sampled tenants in 2 preempting classes under the SLO stack,
+ *  offered 3x the clean device's capacity. */
+ServeConfig
+sampledChaosServe(double meanServiceNs)
+{
     ServeConfig serve;
     serve.streams = 8;
     serve.requestsPerStream = 6;
@@ -826,6 +829,24 @@ TEST(Serve, QueueDepthEqualsTenantQueues)
     serve.preemption = true;
     applySloStack(serve, meanServiceNs);
     serve.telemetry.tickNs = 0.25 * meanServiceNs;
+    return serve;
+}
+
+TEST(Serve, QueueDepthEqualsTenantQueues)
+{
+    // The aggregate queue_depth gauge must equal the sum of the
+    // per-tenant gauges (every tenant has one at <= 8 streams) in every
+    // window. Chaos + SLO runs every way a request leaves a queue:
+    // activation, a shed at activation, and the re-pricing shed after
+    // the quarantine — which a threshold of 8 detections delays until
+    // the queues have built up.
+    const AnaheimFramework fw(lateQuarantineConfig());
+    const std::vector<OpSequence> traces = {hmultTrace(), ewTrace(4)};
+    const AnaheimFramework clean(AnaheimConfig::a100NearBank());
+    const double meanServiceNs = (clean.execute(traces[0]).totalNs +
+                                  clean.execute(traces[1]).totalNs) /
+                                 2.0;
+    const ServeConfig serve = sampledChaosServe(meanServiceNs);
 
     obs::TimeSeriesRegistry &registry = obs::TimeSeriesRegistry::global();
     // The run takes the next epoch for its series namespace.
@@ -858,6 +879,119 @@ TEST(Serve, QueueDepthEqualsTenantQueues)
         peak = std::max(peak, sum);
     }
     EXPECT_GT(peak, 0.0); // queues actually built up
+}
+
+/** Folds `text` byte by byte, then its length, into `hash`. */
+uint64_t
+fnvText(uint64_t hash, const std::string &text)
+{
+    for (const char c : text)
+        hash = fnv(hash, static_cast<unsigned char>(c));
+    return fnv(hash, text.size());
+}
+
+/** FNV digest of what a traced, sampled serve run leaves in the
+ *  observability layer: every window of its serve.run*.ts.* series,
+ *  the alert counters, every simulated span in record order, and the
+ *  run.* and serve.* metrics. Doubles go in as obs::formatDouble text,
+ *  so the digest does not depend on the host libm's last bit. */
+uint64_t
+telemetryDigest(const serve::ServeResult &result)
+{
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (const obs::SeriesSnapshot &series :
+         obs::TimeSeriesRegistry::global().snapshotAll()) {
+        // "serve.run<epoch>.ts.<name>": the epoch counts earlier runs
+        // in the process, so only <name> goes in.
+        const size_t ts = series.name.find(".ts.");
+        if (series.name.rfind("serve.run", 0) != 0 ||
+            ts == std::string::npos)
+            continue;
+        hash = fnvText(hash, series.name.substr(ts + 4));
+        hash = fnv(fnv(hash, series.droppedLate), series.evictedWindows);
+        for (const obs::SeriesPoint &p : series.points) {
+            hash = fnv(hash, p.count);
+            for (const double v :
+                 {p.startNs, p.sum, p.min, p.max, p.p50, p.p99})
+                hash = fnvText(hash, obs::formatDouble(v));
+        }
+    }
+    const serve::ServeStats &st = result.stats;
+    for (const uint64_t count :
+         {st.alertsFired, st.alertsResolved, st.alertTicksFiring})
+        hash = fnv(hash, count);
+    for (const obs::SimSpan &span :
+         obs::TraceCollector::global().simSpans()) {
+        hash = fnv(fnvText(fnvText(hash, span.name), span.lane), span.run);
+        hash = fnvText(fnvText(hash, obs::formatDouble(span.startUs)),
+                       obs::formatDouble(span.durUs));
+    }
+    for (const obs::MetricsSnapshot::Entry &entry :
+         obs::MetricsRegistry::global().snapshot().entries) {
+        // resetAll() keeps what earlier tests registered, at zero, so
+        // zero entries stay out.
+        if ((entry.name.rfind("run.", 0) == 0 ||
+             entry.name.rfind("serve.", 0) == 0) &&
+            entry.value != 0.0)
+            hash = fnvText(fnvText(hash, entry.name),
+                           obs::formatDouble(entry.value));
+    }
+    return hash;
+}
+
+TEST(Serve, TelemetryMatchesPinnedDigests)
+{
+    // No golden gate sees the serve time series, spans or per-run
+    // metrics: the smokes' golden files hold --json only. These digests
+    // pin all three for a traced, sampled run of the chaos setup above
+    // and of a clean device with two preempting classes under deadlines
+    // tight enough to fire the burn-rate alert.
+    static constexpr uint64_t kDigests[2] = {0x2f2e94b97698511dull,
+                                               0xeda41bf7904bba20ull};
+    const AnaheimFramework chaos(lateQuarantineConfig());
+    const AnaheimFramework clean(AnaheimConfig::a100NearBank());
+    const std::vector<OpSequence> traces = {hmultTrace(), ewTrace(4)};
+    const double meanServiceNs = (clean.execute(traces[0]).totalNs +
+                                  clean.execute(traces[1]).totalNs) /
+                                 2.0;
+    ServeConfig preempting = servingConfig(12000.0);
+    preempting.preemption = true;
+    preempting.deadlineClassNs = {2.0 * meanServiceNs};
+    preempting.telemetry.tickNs = 0.5 * meanServiceNs;
+    preempting.telemetry.sloTarget = 0.9;
+    preempting.telemetry.fastWindowTicks = 2;
+    preempting.telemetry.slowWindowTicks = 6;
+    const std::pair<const AnaheimFramework *, ServeConfig> cells[2] = {
+        {&chaos, sampledChaosServe(meanServiceNs)}, {&clean, preempting}};
+
+    const bool tracing = obs::tracingEnabled();
+    obs::setTracingEnabled(true);
+    for (size_t cell = 0; cell < 2; ++cell) {
+        obs::TraceCollector::global().clear();
+        obs::MetricsRegistry::global().resetAll();
+        obs::TimeSeriesRegistry::global().clear();
+        const auto &[fw, serve] = cells[cell];
+        const auto result = serve::ServeScheduler(*fw, serve).run(traces);
+        EXPECT_GT(result.stats.preemptions, 0u) << "cell " << cell;
+        EXPECT_GT(result.stats.alertsFired, 0u) << "cell " << cell;
+        const uint64_t got = telemetryDigest(result);
+        EXPECT_EQ(got, kDigests[cell])
+            << "cell " << cell << " digest 0x" << std::hex << got;
+    }
+    obs::setTracingEnabled(tracing);
+}
+
+TEST(ServeDeath, RejectsMoreRequestsThanFaultSaltsHold)
+{
+    // Request k of stream s salts its fault stream with
+    // s * kMaxRequestsPerStream + k: one request more per stream and
+    // (s, kMaxRequestsPerStream) would replay the faults of (s + 1, 0).
+    const AnaheimFramework fw(AnaheimConfig::a100NearBank());
+    ServeConfig serve;
+    serve.requestsPerStream = serve::kMaxRequestsPerStream;
+    const serve::ServeScheduler atBound(fw, serve);
+    serve.requestsPerStream = serve::kMaxRequestsPerStream + 1;
+    EXPECT_DEATH(serve::ServeScheduler(fw, serve), "requestsPerStream");
 }
 
 TEST(Serve, RunContextMatchesExecute)
