@@ -8,21 +8,23 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "common/status.h"
 #include "pim/kernelmodel.h"
 
 using namespace anaheim;
 
 static int
-run(int argc, char **argv)
+run(bench::JsonReport &report)
 {
-    bench::JsonScope json("ablation_scaling", argc, argv);
     bench::header("Ablation — PIM scalability and layout choices");
 
     // 1. Die groups: limb-level parallelism (§VI-B "high scalability").
     std::printf("\nKeyMult PAccum<4> (68 limbs) vs die groups "
                 "(A100 near-bank):\n");
-    std::printf("  %-10s %12s %10s\n", "dieGroups", "time", "speedup");
+    bench::Table dies(report, {
+        {"die_groups", "dieGroups", "%9.0f"},
+        {"paccum_us", "time", "%8.1fus"},
+        {"speedup", "speedup", "%7.2fx"},
+    });
     double base = 0.0;
     for (size_t groups : {1u, 2u, 5u, 10u}) {
         PimConfig config = PimConfig::nearBankA100();
@@ -31,28 +33,34 @@ run(int argc, char **argv)
         const auto stats = model.execute(PimOpcode::PAccum, 4, 68, 1 << 16);
         if (base == 0.0)
             base = stats.timeNs;
-        std::printf("  %-10zu %10.1fus %9.2fx\n", groups,
-                    stats.timeNs * 1e-3, base / stats.timeNs);
+        dies.row({groups, stats.timeNs * 1e-3, base / stats.timeNs});
     }
 
     // 2. Banks per unit on the custom-HBM logic die: more banks per
     // unit hides ACT/PRE better but serializes streaming.
     std::printf("\ncustom-HBM banks-per-unit trade-off (PAccum<4>):\n");
-    std::printf("  %-14s %12s\n", "banksPerUnit", "time");
-    for (size_t banks : {2u, 4u, 8u, 16u}) {
+    bench::Table banks(report, {
+        {"banks_per_unit", "banksPerUnit", "%12.0f"},
+        {"paccum_us", "time", "%8.1fus"},
+    });
+    for (size_t perUnit : {2u, 4u, 8u, 16u}) {
         PimConfig config = PimConfig::customHbmA100();
-        config.banksPerUnit = banks;
+        config.banksPerUnit = perUnit;
         const PimKernelModel model(DramConfig::hbm2A100(), config);
         const auto stats = model.execute(PimOpcode::PAccum, 4, 68, 1 << 16);
-        std::printf("  %-14zu %10.1fus\n", banks, stats.timeNs * 1e-3);
+        banks.row({perUnit, stats.timeNs * 1e-3});
     }
 
     // 3. Column-partitioning on/off across instructions (extends the
     // Fig. 10 w/o-CP data point to the full ISA).
     std::printf("\ncolumn partitioning ablation per instruction "
                 "(A100 near-bank, B=16):\n");
-    std::printf("  %-12s %12s %12s %10s\n", "instr", "with CP", "w/o CP",
-                "slowdown");
+    bench::Table layout(report, {
+        {"instr", "instr", "%-9s"},
+        {"with_cp_us", "with CP", "%8.1fus"},
+        {"without_cp_us", "w/o CP", "%8.1fus"},
+        {"cp_slowdown", "slowdown", "%8.2fx"},
+    });
     struct InstrRow {
         PimOpcode op;
         size_t fanIn;
@@ -71,9 +79,8 @@ run(int argc, char **argv)
         const PimKernelModel mWithout(DramConfig::hbm2A100(), without);
         const auto a = mWith.execute(op, fanIn, 54, 1 << 16);
         const auto b = mWithout.execute(op, fanIn, 54, 1 << 16);
-        std::printf("  %-12s %10.1fus %10.1fus %9.2fx\n", label,
-                    a.timeNs * 1e-3, b.timeNs * 1e-3,
-                    b.timeNs / a.timeNs);
+        layout.row({label, a.timeNs * 1e-3, b.timeNs * 1e-3,
+                    b.timeNs / a.timeNs});
     }
 
     std::printf("\n");
@@ -87,9 +94,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Recoverable library errors (bad traces, infeasible
-    // parameters) surface as AnaheimError; report them
-    // cleanly instead of aborting.
-    return runGuardedMain("bench_ablation_scaling",
-                          [&] { return run(argc, argv); });
+    return bench::runBench("ablation_scaling", argc, argv, run);
 }

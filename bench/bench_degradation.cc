@@ -14,7 +14,7 @@
  * corruption), throughput relative to the fault-free run, the ending
  * healthy-capacity fraction, and the per-cause GPU fallback split.
  *
- * Flags (parsed by bench::Flags, scenario.h):
+ * Flags (parsed by bench::Flags, bench_util.h):
  *   --rate=X         sweep only this permanent bank-failure rate
  *   --trials=N       Monte Carlo trials per cell (default 5)
  *   --repeats=N      HMULTs chained into the long trace (default 6)
@@ -113,10 +113,9 @@ run(int argc, char **argv)
     flags.count("--trials", opts.trials);
     flags.count("--repeats", opts.repeats);
     flags.seed("--fault-seed", opts.seed);
-    flags.done();
     bench::JsonScope json(opts.smoke ? "degradation_smoke"
                                      : "degradation",
-                          argc, argv);
+                          flags);
     json.report().metric("smoke", opts.smoke ? "yes" : "no");
     json.report().metric("trials", static_cast<double>(opts.trials));
     json.report().metric("repeats", static_cast<double>(opts.repeats));

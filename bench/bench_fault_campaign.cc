@@ -14,7 +14,7 @@
  * tighter scrub/checkpoint intervals buy a lower unrecovered rate at a
  * higher standing overhead.
  *
- * Flags (parsed by bench::Flags, scenario.h):
+ * Flags (parsed by bench::Flags, bench_util.h):
  *   --ber=X          sweep only this raw fault rate
  *   --trials=N       Monte Carlo trials per cell (default 5)
  *   --repeats=N      HMULTs chained into the long trace (default 8)
@@ -99,10 +99,9 @@ run(int argc, char **argv)
     flags.count("--trials", opts.trials);
     flags.count("--repeats", opts.repeats);
     flags.seed("--fault-seed", opts.seed);
-    flags.done();
     bench::JsonScope json(opts.smoke ? "fault_campaign_smoke"
                                      : "fault_campaign",
-                          argc, argv);
+                          flags);
     json.report().metric("smoke", opts.smoke ? "yes" : "no");
     json.report().metric("trials", static_cast<double>(opts.trials));
     json.report().metric("repeats", static_cast<double>(opts.repeats));

@@ -11,7 +11,7 @@
  * the recovery machinery's cost: retries, GPU fallbacks, and the
  * time/energy overhead relative to the fault-free run.
  *
- * Flags (parsed by bench::Flags, scenario.h):
+ * Flags (parsed by bench::Flags, bench_util.h):
  *   --ber=X         sweep only this raw bit-error rate
  *   --fault-seed=S  fault-site seed (identical seeds => identical runs)
  *   --ecc=on|off    restrict to one ECC setting (default: both)
@@ -24,11 +24,11 @@
 #include <vector>
 
 #include "anaheim/framework.h"
+#include "bench_util.h"
 #include "common/rng.h"
 #include "common/status.h"
 #include "math/primes.h"
 #include "pim/functional.h"
-#include "scenario.h"
 #include "sim/readpath.h"
 #include "trace/builders.h"
 
@@ -77,7 +77,7 @@ functionalSweep(const Options &opts, bench::JsonReport &report)
             FaultConfig faults;
             faults.ber = ber;
             faults.seed = opts.seed;
-            PimReadPath path(faults, ecc);
+            PimDataPath path(faults, ecc);
             unit.attachReadPath(&path);
             const PimVector out = unit.mult(a, b);
             unit.attachReadPath(nullptr);
@@ -161,8 +161,7 @@ main(int argc, char **argv)
             opts.eccs = {value == "on"};
             return value == "on" || value == "off";
         });
-        flags.done();
-        bench::JsonScope json("fault_sweep", argc, argv);
+        bench::JsonScope json("fault_sweep", flags);
         json.report().metric("smoke", opts.smoke ? "yes" : "no");
         json.report().metric("fault_seed", static_cast<double>(opts.seed));
         functionalSweep(opts, json.report());

@@ -5,11 +5,12 @@
  * layout ablation (w/o CP).
  */
 
+#include <algorithm>
 #include <cstdio>
+#include <vector>
 
 #include "anaheim/framework.h"
 #include "bench_util.h"
-#include "common/status.h"
 #include "trace/builders.h"
 
 using namespace anaheim;
@@ -19,105 +20,106 @@ namespace {
 double
 elementWiseMs(const RunResult &result)
 {
-    double ms = 0.0;
-    for (const auto &[cat, ns] : result.timeNsByCategory) {
-        if (cat == "ElementWise" || cat == "PIM")
-            ms += ns * 1e-6;
-    }
-    return ms;
+    return bench::categoryMs(result, "ElementWise") +
+           bench::categoryMs(result, "PIM");
 }
 
-void
-sweep(AnaheimConfig gpuConfig, const char *name)
+OpSequence
+boot(bool basicFuse, bool autFuse)
 {
-    std::printf("\n-- %s --\n", name);
-    const TraceParams params;
-    std::printf("%-22s %12s %12s %12s\n", "Configuration", "total ms",
-                "EW/PIM ms", "vs prev");
+    TraceOptions options;
+    options.basicFuse = basicFuse;
+    options.autFuse = autFuse;
+    return buildBootstrap(TraceParams{}, 3.5, TraceLtAlgorithm::Hoisting,
+                          options);
+}
 
-    auto boot = [&](bool basicFuse, bool autFuse) {
-        TraceOptions options;
-        options.basicFuse = basicFuse;
-        options.autFuse = autFuse;
-        return buildBootstrap(params, 3.5, TraceLtAlgorithm::Hoisting,
-                              options);
-    };
-
+/** The two fusion ladders of one GPU into `ladder`, then its
+ *  column-partitioning ablation and §V-C pipelining bound into
+ *  `layout`: with perfect GPU/PIM overlap the critical path is
+ *  max(GPU time, PIM time). */
+void
+sweep(bench::Table &ladder, std::vector<bench::Row> &layout,
+      const AnaheimConfig &gpuConfig, const char *gpuName)
+{
     double prev = 0.0;
-    auto row = [&](const char *label, const AnaheimConfig &config,
-                   const OpSequence &seq) {
+    // Each step's speedup is over the step before it in its arm (1
+    // for an arm's first step).
+    auto step = [&](const char *label, const AnaheimConfig &config,
+                    const OpSequence &seq) {
         const auto result = AnaheimFramework(config).execute(seq);
         const double total = result.totalNs * 1e-6;
-        std::printf("%-22s %12.2f %12.2f", label, total,
-                    elementWiseMs(result));
-        if (prev > 0.0)
-            std::printf(" %10.2fx", prev / total);
-        std::printf("\n");
+        ladder.row({gpuName, label, total, elementWiseMs(result),
+                    prev > 0.0 ? prev / total : 1.0});
         prev = total;
         return result;
     };
 
-    // GPU-only arm.
     AnaheimConfig base = gpuConfig;
     base.pimEnabled = false;
-    base.fusion.extraFuse = false;
-    prev = 0.0;
-    row("Base (GPU)", base, boot(false, false));
-    row("+BasicFuse (GPU)", base, boot(true, false));
+    base.extraFuse = false;
+    step("Base (GPU)", base, boot(false, false));
+    step("+BasicFuse (GPU)", base, boot(true, false));
     AnaheimConfig extra = base;
-    extra.fusion.extraFuse = true;
-    row("+ExtraFuse (GPU)", extra, boot(true, false));
+    extra.extraFuse = true;
+    step("+ExtraFuse (GPU)", extra, boot(true, false));
 
-    // Anaheim arm.
     AnaheimConfig pim = gpuConfig;
     pim.pimEnabled = true;
-    pim.fusion.extraFuse = true;
+    pim.extraFuse = true;
     prev = 0.0;
-    row("PIM-Base", pim, boot(false, false));
-    row("PIM +BasicFuse", pim, boot(true, false));
-    row("PIM +AutFuse", pim, boot(true, true));
+    step("PIM-Base", pim, boot(false, false));
+    step("PIM +BasicFuse", pim, boot(true, false));
+    const auto withCp = step("PIM +AutFuse", pim, boot(true, true));
 
-    // Column-partitioning ablation on the full configuration.
     AnaheimConfig noCp = pim;
     noCp.pim.columnPartition = false;
-    const auto withCp = AnaheimFramework(pim).execute(boot(true, true));
-    const auto withoutCp =
-        AnaheimFramework(noCp).execute(boot(true, true));
-    std::printf("%-22s %12.2f %12.2f  (element-wise %.2fx slower)\n",
-                "PIM w/o CP layout", withoutCp.totalNs * 1e-6,
-                elementWiseMs(withoutCp),
-                elementWiseMs(withoutCp) / elementWiseMs(withCp));
-
-    // (No) pipelining, §V-C: upper bound on what overlapping PIM and
-    // GPU kernels could still gain — with perfect overlap the critical
-    // path is max(GPU time, PIM time).
-    const double pimMs =
-        withCp.timeNsByCategory.count("PIM")
-            ? withCp.timeNsByCategory.at("PIM") * 1e-6
-            : 0.0;
-    const double gpuMs = withCp.totalNs * 1e-6 - pimMs;
-    const double pipelined = std::max(gpuMs, pimMs);
-    std::printf("%-22s %12.2f %12s  (upper bound: only %.1f%% left for "
-                "pipelining)\n",
-                "PIM + ideal pipeline", pipelined, "-",
-                100.0 * (withCp.totalNs * 1e-6 - pipelined) /
-                    (withCp.totalNs * 1e-6));
+    const auto withoutCp = AnaheimFramework(noCp).execute(boot(true, true));
+    const double totalMs = withCp.totalNs * 1e-6;
+    const double pimMs = bench::categoryMs(withCp, "PIM");
+    const double pipelined = std::max(totalMs - pimMs, pimMs);
+    layout.push_back({gpuName, withoutCp.totalNs * 1e-6,
+                      elementWiseMs(withoutCp),
+                      elementWiseMs(withoutCp) / elementWiseMs(withCp),
+                      pipelined, 100.0 * (totalMs - pipelined) / totalMs});
 }
 
 } // namespace
 
 static int
-run(int argc, char **argv)
+run(bench::JsonReport &report)
 {
-    bench::JsonScope json("fig10_sensitivity", argc, argv);
     bench::header("Fig. 10 — fusion and data-layout sensitivity "
                   "(bootstrapping)");
-    bench::reportConfig(json.report(), AnaheimConfig::a100NearBank());
-    sweep(AnaheimConfig::a100NearBank(), "A100 80GB near-bank");
-    sweep(AnaheimConfig::rtx4090NearBank(), "RTX 4090 near-bank");
+    bench::reportConfig(report, AnaheimConfig::a100NearBank());
+    bench::Table ladder(report, {
+        {"gpu", "GPU", "%-18s"},
+        {"step", "Configuration", "%-16s"},
+        {"total_ms", "total ms", "%8.2f"},
+        {"ew_pim_ms", "EW/PIM ms", "%9.2f"},
+        {"speedup_vs_prev", "vs prev", "%6.2fx"},
+    });
+    std::vector<bench::Row> layoutRows;
+    sweep(ladder, layoutRows, AnaheimConfig::a100NearBank(),
+          "A100 near-bank");
+    sweep(ladder, layoutRows, AnaheimConfig::rtx4090NearBank(),
+          "RTX 4090 near-bank");
+
+    std::printf("\nPIM +AutFuse without the column-partitioned layout, and "
+                "under ideal GPU/PIM pipelining:\n");
+    bench::Table layout(report, {
+        {"gpu", "GPU", "%-18s"},
+        {"no_cp_total_ms", "w/o CP ms", "%9.2f"},
+        {"no_cp_ew_pim_ms", "EW/PIM ms", "%9.2f"},
+        {"no_cp_ew_slowdown", "EW slowdown", "%10.2fx"},
+        {"pipelined_ms", "pipelined ms", "%12.2f"},
+        {"pipeline_headroom_pct", "headroom", "%7.1f%%"},
+    });
+    for (const bench::Row &row : layoutRows)
+        layout.row(row);
     std::printf("\n");
-    bench::note("paper: fusions cut element-wise time 27-37%% on the "
-                "GPU and 40-57%% on Anaheim (A100); AutFuse adds "
+    bench::note("paper: fusions cut element-wise time 27-37% on the "
+                "GPU and 40-57% on Anaheim (A100); AutFuse adds "
                 "1.01-1.09x; w/o CP the element-wise time is 2.24x "
                 "(A100) / 2.11x (4090) slower, nullifying the gains");
     return 0;
@@ -126,9 +128,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Recoverable library errors (bad traces, infeasible
-    // parameters) surface as AnaheimError; report them
-    // cleanly instead of aborting.
-    return runGuardedMain("bench_fig10_sensitivity",
-                          [&] { return run(argc, argv); });
+    return bench::runBench("fig10_sensitivity", argc, argv, run);
 }

@@ -7,68 +7,56 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "common/status.h"
 #include "common/units.h"
 #include "trace/counting.h"
 
 using namespace anaheim;
 
 static int
-run(int argc, char **argv)
+run(bench::JsonReport &report)
 {
-    bench::JsonScope json("fig1_lintrans", argc, argv);
     bench::header("Fig. 1 table — linear-transform algorithm comparison "
                   "(CoeffToSlot, D=4, K=8 per transform)");
 
     const TraceParams params; // N=2^16, L=54, alpha=14
-    const size_t transforms = 4; // CoeffToSlot at fftIter ~ 4
-    const size_t k = 8;
+    auto costs = [&](TraceLtAlgorithm algorithm) {
+        // CoeffToSlot at fftIter ~ 4: four transforms of K = 8.
+        return analyzeLinearTransforms(params, 4, 8, algorithm);
+    };
+    const LinTransCosts base = costs(TraceLtAlgorithm::Base);
+    const LinTransCosts hoisting = costs(TraceLtAlgorithm::Hoisting);
 
-    std::printf("%-10s %14s %16s %12s %14s\n", "Algorithm", "evk bytes",
-                "plaintext bytes", "(I)NTT ops", "cache needed");
-    struct Row {
+    bench::Table table(report, {
+        {"algorithm", "Algorithm", "%-9s"},
+        {"evk_bytes", "evk", "%9.2fGB", 1.0 / kGiB},
+        {"plaintext_bytes", "plaintext", "%10.2fMB", 1.0 / kMiB},
+        {"ntt_ops", "(I)NTT ops", "%11.0f"},
+        {"cache_bytes", "cache", "%10.2fMB", 1.0 / kMiB},
+        {"ntt_reduction_vs_base", "NTT vs Base", "%11.2fx"},
+        {"evk_reduction_vs_hoisting", "evk vs Hoist", "%12.2fx"},
+    });
+    const struct {
         const char *name;
         TraceLtAlgorithm algorithm;
-    };
-    const Row rows[] = {
+    } rows[] = {
         {"Base", TraceLtAlgorithm::Base},
         {"Hoisting", TraceLtAlgorithm::Hoisting},
         {"MinKS", TraceLtAlgorithm::MinKS},
     };
-    double baseNtt = 0.0, hoistNtt = 0.0;
-    double hoistEvk = 0.0, minKsEvk = 0.0;
     for (const auto &row : rows) {
-        const auto costs =
-            analyzeLinearTransforms(params, transforms, k, row.algorithm);
-        std::printf("%-10s %14s %16s %12.0f %14s\n", row.name,
-                    formatBytes(costs.evkBytes).c_str(),
-                    formatBytes(costs.plaintextBytes).c_str(),
-                    costs.nttOps, formatBytes(costs.cacheBytes).c_str());
-        if (row.algorithm == TraceLtAlgorithm::Base)
-            baseNtt = costs.nttOps;
-        if (row.algorithm == TraceLtAlgorithm::Hoisting) {
-            hoistNtt = costs.nttOps;
-            hoistEvk = costs.evkBytes;
-        }
-        if (row.algorithm == TraceLtAlgorithm::MinKS)
-            minKsEvk = costs.evkBytes;
+        const LinTransCosts c = costs(row.algorithm);
+        table.row({row.name, c.evkBytes, c.plaintextBytes, c.nttOps,
+                   c.cacheBytes, base.nttOps / c.nttOps,
+                   hoisting.evkBytes / c.evkBytes});
     }
-
     std::printf("\n");
     bench::note("paper: hoisting cuts (I)NTT ops ~2.47x vs Base; "
                 "MinKS needs ~4x fewer evks but ~217MB of cache");
-    std::printf("  measured: (I)NTT reduction %.2fx, evk reduction "
-                "(hoist/MinKS) %.2fx\n",
-                baseNtt / hoistNtt, hoistEvk / minKsEvk);
     return 0;
 }
 
 int
 main(int argc, char **argv)
 {
-    // Recoverable library errors (bad traces, infeasible
-    // parameters) surface as AnaheimError; report them
-    // cleanly instead of aborting.
-    return runGuardedMain("bench_fig1_lintrans",
-                          [&] { return run(argc, argv); });
+    return bench::runBench("fig1_lintrans", argc, argv, run);
 }

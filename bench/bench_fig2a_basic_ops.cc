@@ -7,7 +7,6 @@
 
 #include "anaheim/framework.h"
 #include "bench_util.h"
-#include "common/status.h"
 #include "trace/builders.h"
 
 using namespace anaheim;
@@ -26,9 +25,8 @@ timeOf(const OpSequence &seq, const LibraryProfile &library)
 } // namespace
 
 static int
-run(int argc, char **argv)
+run(bench::JsonReport &report)
 {
-    bench::JsonScope json("fig2a_basic_ops", argc, argv);
     bench::header("Fig. 2a — basic CKKS function times on A100 80GB "
                   "(N=2^16, L=54, alpha=14)");
 
@@ -42,32 +40,20 @@ run(int argc, char **argv)
         {"HMULT", buildHMult(params)},
         {"HROT", buildHRot(params)},
     };
-    const struct {
-        const char *name;
-        LibraryProfile profile;
-    } libraries[] = {
-        {"Phantom", LibraryProfile::phantom()},
-        {"100x", LibraryProfile::lib100x()},
-        {"Cheddar", LibraryProfile::cheddar()},
-    };
 
-    std::printf("%-8s", "Func");
-    for (const auto &lib : libraries)
-        std::printf(" %12s", lib.name);
-    std::printf("   Cheddar speedup vs Phantom\n");
-
+    bench::Table table(report, {
+        {"function", "Func", "%-6s"},
+        {"phantom_ms", "Phantom", "%10.3fms"},
+        {"lib100x_ms", "100x", "%10.3fms"},
+        {"cheddar_ms", "Cheddar", "%10.3fms"},
+        {"cheddar_speedup", "Cheddar vs Phantom", "%17.2fx"},
+    });
     for (const auto &fn : functions) {
-        std::printf("%-8s", fn.name);
-        double phantomMs = 0, cheddarMs = 0;
-        for (const auto &lib : libraries) {
-            const double ms = timeOf(fn.seq, lib.profile);
-            std::printf(" %10.3fms", ms);
-            if (std::string(lib.name) == "Phantom")
-                phantomMs = ms;
-            if (std::string(lib.name) == "Cheddar")
-                cheddarMs = ms;
-        }
-        std::printf("   %.2fx\n", phantomMs / cheddarMs);
+        const double phantom = timeOf(fn.seq, LibraryProfile::phantom());
+        const double cheddar = timeOf(fn.seq, LibraryProfile::cheddar());
+        table.row({fn.name, phantom,
+                   timeOf(fn.seq, LibraryProfile::lib100x()), cheddar,
+                   phantom / cheddar});
     }
     std::printf("\n");
     bench::note("paper: Cheddar 1.79x (HMULT) / 1.73x (HROT) faster than "
@@ -79,9 +65,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Recoverable library errors (bad traces, infeasible
-    // parameters) surface as AnaheimError; report them
-    // cleanly instead of aborting.
-    return runGuardedMain("bench_fig2a_basic_ops",
-                          [&] { return run(argc, argv); });
+    return bench::runBench("fig2a_basic_ops", argc, argv, run);
 }

@@ -4,10 +4,10 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "anaheim/framework.h"
 #include "bench_util.h"
-#include "common/status.h"
 #include "trace/builders.h"
 
 using namespace anaheim;
@@ -15,58 +15,59 @@ using namespace anaheim;
 namespace {
 
 void
-sweep(const AnaheimConfig &base, const char *gpuName)
+sweep(bench::Table &table, const AnaheimConfig &base, const char *gpuName)
 {
-    std::printf("\n-- %s --\n", gpuName);
-    std::printf("%-4s %6s %6s | %10s %10s %10s %10s | %12s\n", "D", "L",
-                "alpha", "EW ms", "NTT ms", "BConv ms", "Aut ms",
-                "T_boot,eff");
     for (size_t d : {2u, 3u, 4u, 6u}) {
         const TraceParams params = TraceParams::forDnum(d);
-        // The RTX 4090's 24GB cannot hold the D=6 evk working set
-        // (§VII-B reports OoM).
-        const double evkWorkingSetGb =
-            40.0 * 2.0 * d * params.extended() * limbBytes(params.n) / 1e9;
         // ~40 resident rotation/relin keys plus plaintexts, ciphertexts
         // and framework overhead exhaust 24GB once the keys alone pass
         // ~8GB — the D=6 OoM of §VII-B.
+        const double evkWorkingSetGb =
+            40.0 * 2.0 * d * params.extended() * limbBytes(params.n) / 1e9;
         if (base.dram.capacityBytes < 30e9 && evkWorkingSetGb > 8.0) {
-            std::printf("%-4zu %6zu %6zu | %43s | %12s\n", d, params.level,
-                        params.alpha, "", "OoM");
+            bench::note(std::string(gpuName) + " D=" + std::to_string(d) +
+                        ": OoM (the evk working set does not fit)");
             continue;
         }
         AnaheimConfig config = base;
         config.pimEnabled = false;
-        const OpSequence boot =
-            buildBootstrap(params, 3.5, TraceLtAlgorithm::Hoisting);
-        const auto result = AnaheimFramework(config).execute(boot);
-        const double leff = bootstrapLevelsEff(params, 3.5);
-        auto ms = [&](const char *cat) {
-            const auto it = result.timeNsByCategory.find(cat);
-            return it == result.timeNsByCategory.end() ? 0.0
-                                                       : it->second * 1e-6;
-        };
-        std::printf("%-4zu %6zu %6zu | %10.2f %10.2f %10.2f %10.2f | "
-                    "%10.2fms\n",
-                    d, params.level, params.alpha, ms("ElementWise"),
-                    ms("(I)NTT"), ms("BConv"), ms("Automorphism"),
-                    result.totalNs * 1e-6 / leff);
+        const auto result = AnaheimFramework(config).execute(
+            buildBootstrap(params, 3.5, TraceLtAlgorithm::Hoisting));
+        const double totalMs = result.totalNs * 1e-6;
+        const double ewMs = bench::categoryMs(result, "ElementWise");
+        table.row({gpuName, d, params.level, params.alpha, ewMs,
+                   bench::categoryMs(result, "(I)NTT"),
+                   bench::categoryMs(result, "BConv"),
+                   bench::categoryMs(result, "Automorphism"),
+                   100.0 * ewMs / totalMs,
+                   totalMs / bootstrapLevelsEff(params, 3.5)});
     }
 }
 
 } // namespace
 
 static int
-run(int argc, char **argv)
+run(bench::JsonReport &report)
 {
-    bench::JsonScope json("fig2b_dnum", argc, argv);
     bench::header("Fig. 2b — T_boot,eff breakdown vs decomposition "
                   "number D (hoisting, Cheddar, no PIM)");
-    sweep(AnaheimConfig::a100NearBank(), "A100 80GB");
-    sweep(AnaheimConfig::rtx4090NearBank(), "RTX 4090");
+    bench::Table table(report, {
+        {"gpu", "GPU", "%-9s"},
+        {"dnum", "D", "%2.0f"},
+        {"level", "L", "%3.0f"},
+        {"alpha", "alpha", "%5.0f"},
+        {"ew_ms", "EW ms", "%8.2f"},
+        {"ntt_ms", "NTT ms", "%8.2f"},
+        {"bconv_ms", "BConv ms", "%8.2f"},
+        {"aut_ms", "Aut ms", "%8.2f"},
+        {"ew_pct", "EW %", "%5.1f%%"},
+        {"tboot_eff_ms", "T_boot,eff", "%8.2fms"},
+    });
+    sweep(table, AnaheimConfig::a100NearBank(), "A100 80GB");
+    sweep(table, AnaheimConfig::rtx4090NearBank(), "RTX 4090");
     std::printf("\n");
-    bench::note("paper: element-wise ops reach 45-48%% of bootstrapping "
-                "on A100 and 68-69%% on RTX 4090 regardless of D; the "
+    bench::note("paper: element-wise ops reach 45-48% of bootstrapping "
+                "on A100 and 68-69% on RTX 4090 regardless of D; the "
                 "4090 goes OoM at D=6");
     return 0;
 }
@@ -74,9 +75,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Recoverable library errors (bad traces, infeasible
-    // parameters) surface as AnaheimError; report them
-    // cleanly instead of aborting.
-    return runGuardedMain("bench_fig2b_dnum",
-                          [&] { return run(argc, argv); });
+    return bench::runBench("fig2b_dnum", argc, argv, run);
 }

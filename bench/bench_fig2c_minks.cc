@@ -8,15 +8,13 @@
 
 #include "anaheim/framework.h"
 #include "bench_util.h"
-#include "common/status.h"
 #include "trace/builders.h"
 
 using namespace anaheim;
 
 static int
-run(int argc, char **argv)
+run(bench::JsonReport &report)
 {
-    bench::JsonScope json("fig2c_minks", argc, argv);
     bench::header("Fig. 2c — T_boot,eff for MinKS / Hoisting / Base "
                   "(D=4, A100 80GB, no PIM)");
 
@@ -34,37 +32,35 @@ run(int argc, char **argv)
         {"Base", TraceLtAlgorithm::Base},
     };
 
-    std::printf("%-8s %12s %10s %10s %10s | %12s %8s\n", "Algo", "EW ms",
-                "NTT ms", "BConv ms", "Aut ms", "T_boot,eff", "EW %");
+    bench::Table table(report, {
+        {"algorithm", "Algo", "%-6s"},
+        {"ew_ms", "EW ms", "%8.2f"},
+        {"ntt_ms", "NTT ms", "%8.2f"},
+        {"bconv_ms", "BConv ms", "%8.2f"},
+        {"aut_ms", "Aut ms", "%8.2f"},
+        {"tboot_eff_ms", "T_boot,eff", "%8.2fms"},
+        {"ew_pct", "EW %", "%5.1f%%"},
+    });
     for (const auto &row : rows) {
-        const OpSequence boot =
-            buildBootstrap(params, 3.5, row.algorithm);
-        const auto result = framework.execute(boot);
-        auto ms = [&](const char *cat) {
-            const auto it = result.timeNsByCategory.find(cat);
-            return it == result.timeNsByCategory.end() ? 0.0
-                                                       : it->second * 1e-6;
-        };
-        const double leff = bootstrapLevelsEff(params, 3.5);
-        std::printf("%-8s %10.2f %10.2f %10.2f %10.2f | %10.2fms %7.1f%%\n",
-                    row.name, ms("ElementWise"), ms("(I)NTT"),
-                    ms("BConv"), ms("Automorphism"),
-                    result.totalNs * 1e-6 / leff,
-                    100.0 * ms("ElementWise") / (result.totalNs * 1e-6));
+        const auto result =
+            framework.execute(buildBootstrap(params, 3.5, row.algorithm));
+        const double totalMs = result.totalNs * 1e-6;
+        const double ewMs = bench::categoryMs(result, "ElementWise");
+        table.row({row.name, ewMs, bench::categoryMs(result, "(I)NTT"),
+                   bench::categoryMs(result, "BConv"),
+                   bench::categoryMs(result, "Automorphism"),
+                   totalMs / bootstrapLevelsEff(params, 3.5),
+                   100.0 * ewMs / totalMs});
     }
     std::printf("\n");
     bench::note("paper: MinKS hardly speeds up GPUs (evks stream from "
                 "DRAM regardless); hoisting wins while raising the "
-                "element-wise share from ~28%% to 45-48%%");
+                "element-wise share from ~28% to 45-48%");
     return 0;
 }
 
 int
 main(int argc, char **argv)
 {
-    // Recoverable library errors (bad traces, infeasible
-    // parameters) surface as AnaheimError; report them
-    // cleanly instead of aborting.
-    return runGuardedMain("bench_fig2c_minks",
-                          [&] { return run(argc, argv); });
+    return bench::runBench("fig2c_minks", argc, argv, run);
 }

@@ -8,7 +8,6 @@
 
 #include "anaheim/framework.h"
 #include "bench_util.h"
-#include "common/status.h"
 #include "trace/builders.h"
 
 using namespace anaheim;
@@ -16,46 +15,39 @@ using namespace anaheim;
 namespace {
 
 void
-sweep(const AnaheimConfig &base, const char *gpuName)
+sweep(bench::Table &table, const AnaheimConfig &base, const char *gpuName)
 {
-    std::printf("\n-- %s --\n", gpuName);
-    std::printf("%-10s %8s | %10s %10s | %10s %12s\n", "fftIter", "L_eff",
-                "EW ms", "total ms", "EW share", "T_boot,eff");
     const TraceParams params;
-    double best = 1e30;
-    double bestIter = 0.0;
+    AnaheimConfig config = base;
+    config.pimEnabled = false;
     for (double fftIter : {3.0, 3.5, 4.0, 5.0, 6.0}) {
-        AnaheimConfig config = base;
-        config.pimEnabled = false;
-        const OpSequence boot =
-            buildBootstrap(params, fftIter, TraceLtAlgorithm::Hoisting);
-        const auto result = AnaheimFramework(config).execute(boot);
+        const auto result = AnaheimFramework(config).execute(
+            buildBootstrap(params, fftIter, TraceLtAlgorithm::Hoisting));
         const double leff = bootstrapLevelsEff(params, fftIter);
-        const double ew =
-            result.timeNsByCategory.count("ElementWise")
-                ? result.timeNsByCategory.at("ElementWise") * 1e-6
-                : 0.0;
-        const double tbe = result.totalNs * 1e-6 / leff;
-        std::printf("%-10.1f %8.1f | %10.2f %10.2f | %9.1f%% %10.2fms\n",
-                    fftIter, leff, ew, result.totalNs * 1e-6,
-                    100.0 * ew / (result.totalNs * 1e-6), tbe);
-        if (tbe < best) {
-            best = tbe;
-            bestIter = fftIter;
-        }
+        const double ew = bench::categoryMs(result, "ElementWise");
+        const double totalMs = result.totalNs * 1e-6;
+        table.row({gpuName, fftIter, leff, ew, totalMs,
+                   100.0 * ew / totalMs, totalMs / leff});
     }
-    std::printf("   best T_boot,eff at fftIter = %.1f\n", bestIter);
 }
 
 } // namespace
 
 static int
-run(int argc, char **argv)
+run(bench::JsonReport &report)
 {
-    bench::JsonScope json("fig3_fftiter", argc, argv);
     bench::header("Fig. 3 — T_boot,eff vs fftIter (hoisting, no PIM)");
-    sweep(AnaheimConfig::a100NearBank(), "A100 80GB");
-    sweep(AnaheimConfig::rtx4090NearBank(), "RTX 4090");
+    bench::Table table(report, {
+        {"gpu", "GPU", "%-9s"},
+        {"fft_iter", "fftIter", "%7.1f"},
+        {"levels_eff", "L_eff", "%5.1f"},
+        {"ew_ms", "EW ms", "%8.2f"},
+        {"total_ms", "total ms", "%8.2f"},
+        {"ew_pct", "EW share", "%7.1f%%"},
+        {"tboot_eff_ms", "T_boot,eff", "%8.2fms"},
+    });
+    sweep(table, AnaheimConfig::a100NearBank(), "A100 80GB");
+    sweep(table, AnaheimConfig::rtx4090NearBank(), "RTX 4090");
     std::printf("\n");
     bench::note("paper: the fftIter 3/4 mix is best; fftIter > 4 "
                 "degrades T_boot,eff because L_eff drops faster than "
@@ -66,9 +58,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Recoverable library errors (bad traces, infeasible
-    // parameters) surface as AnaheimError; report them
-    // cleanly instead of aborting.
-    return runGuardedMain("bench_fig3_fftiter",
-                          [&] { return run(argc, argv); });
+    return bench::runBench("fig3_fftiter", argc, argv, run);
 }

@@ -6,12 +6,11 @@
  */
 
 #include <cstdio>
-#include <map>
+#include <string>
 
 #include "anaheim/framework.h"
 #include "anaheim/workloads.h"
 #include "bench_util.h"
-#include "common/status.h"
 #include "common/units.h"
 #include "trace/builders.h"
 
@@ -23,7 +22,7 @@ void
 printGantt(const char *label, const RunResult &result)
 {
     // Condense the timeline into phase segments.
-    std::printf("  %-12s total %8.2f us | ", label, result.totalNs * 1e-3);
+    std::printf("  %-12s | ", label);
     std::string lastKey;
     double segStart = 0.0;
     for (size_t i = 0; i <= result.timeline.size(); ++i) {
@@ -50,9 +49,8 @@ printGantt(const char *label, const RunResult &result)
 } // namespace
 
 static int
-run(int argc, char **argv)
+run(bench::JsonReport &report)
 {
-    bench::JsonScope json("fig4_lintrans_pim", argc, argv);
     bench::header("Fig. 4a — linear transform (K=8, hoisting) on A100: "
                   "GPU-only vs 4x-BW DRAM vs PIM");
 
@@ -71,16 +69,25 @@ run(int argc, char **argv)
     const AnaheimConfig withPim = AnaheimConfig::a100NearBank();
     const auto resultPim = AnaheimFramework(withPim).execute(lt);
 
-    printGantt("w/o PIM", resultGpu);
-    printGantt("4x BW DRAM", result4x);
-    printGantt("PIM", resultPim);
-    std::printf("  speedups: 4x-BW %.2fx, PIM %.2fx\n",
-                resultGpu.totalNs / result4x.totalNs,
-                resultGpu.totalNs / resultPim.totalNs);
-    json.report().metric("lt_speedup_4xbw",
-                         resultGpu.totalNs / result4x.totalNs);
-    json.report().metric("lt_speedup_pim",
-                         resultGpu.totalNs / resultPim.totalNs);
+    bench::Table lintrans(report, {
+        {"config", "Config", "%-10s"},
+        {"lt_total_us", "total", "%10.2fus"},
+        {"lt_speedup", "speedup", "%7.2fx"},
+    });
+    const struct {
+        const char *name;
+        const RunResult &result;
+    } arms[] = {
+        {"w/o PIM", resultGpu},
+        {"4x BW DRAM", result4x},
+        {"PIM", resultPim},
+    };
+    for (const auto &arm : arms) {
+        lintrans.row({arm.name, arm.result.totalNs * 1e-3,
+                      resultGpu.totalNs / arm.result.totalNs});
+    }
+    for (const auto &arm : arms)
+        printGantt(arm.name, arm.result);
     bench::note("paper: 4x BW helps element-wise ops 2.84x but barely "
                 "touches ModSwitch; PIM obtains similar gains without "
                 "raising external bandwidth");
@@ -94,48 +101,45 @@ run(int argc, char **argv)
     // Ideal: unlimited cache, MinKS (only compulsory evk/plaintext
     // misses).
     double idealBytes = 0.0;
-    const OpSequence bootMinKs =
-        buildBootstrap(params, 3.5, TraceLtAlgorithm::MinKS);
-    {
-        std::map<const void *, bool> seen;
-        double evkOnce = 0.0;
-        for (const auto &op : bootMinKs.ops) {
-            for (const auto &operand : op.reads) {
-                if (operand.kind == OperandKind::PlainConst)
-                    idealBytes += operand.limbs * limbBytes(op.n);
-            }
+    for (const auto &op :
+         buildBootstrap(params, 3.5, TraceLtAlgorithm::MinKS).ops) {
+        for (const auto &operand : op.reads) {
+            if (operand.kind == OperandKind::PlainConst)
+                idealBytes += operand.limbs * limbBytes(op.n);
         }
-        // One evk per distinct rotation; MinKS reuses a single one per
-        // transform plus relinearization/conjugation keys: ~4 evks.
-        evkOnce = 4.0 * 2.0 * params.digits() * params.extended() *
-                  limbBytes(params.n);
-        idealBytes += evkOnce;
     }
+    // One evk per distinct rotation; MinKS reuses a single one per
+    // transform plus relinearization/conjugation keys: ~4 evks.
+    idealBytes += 4.0 * 2.0 * params.digits() * params.extended() *
+                  limbBytes(params.n);
 
-    std::printf("  %-12s %14s %14s\n", "Config", "GPU DRAM", "energy");
-    std::printf("  %-12s %14s %12.3fJ\n", "w/o PIM",
-                formatBytes(bootGpu.gpuDramBytes).c_str(),
-                bootGpu.energyJoules());
-    std::printf("  %-12s %14s %12.3fJ  (+%s PIM-internal)\n", "PIM",
-                formatBytes(bootPim.gpuDramBytes).c_str(),
-                bootPim.energyJoules(),
-                formatBytes(bootPim.pimInternalBytes).c_str());
-    std::printf("  %-12s %14s\n", "ideal", formatBytes(idealBytes).c_str());
-    std::printf("  reduction: %.2fx vs baseline (paper: 6.15x); "
-                "PIM vs ideal: %.2fx (paper: 1.86x); energy %.2fx "
-                "(paper: 2.87x DRAM energy)\n",
-                bootGpu.gpuDramBytes / bootPim.gpuDramBytes,
+    bench::Table traffic(report, {
+        {"config", "Config", "%-7s"},
+        {"gpu_dram_bytes", "GPU DRAM", "%8.2fGB", 1.0 / kGiB},
+        {"energy_j", "energy", "%7.3fJ"},
+        {"pim_internal_bytes", "PIM-internal", "%10.2fGB", 1.0 / kGiB},
+    });
+    traffic.row({"w/o PIM", bootGpu.gpuDramBytes, bootGpu.energyJoules(),
+                 bootGpu.pimInternalBytes});
+    traffic.row({"PIM", bootPim.gpuDramBytes, bootPim.energyJoules(),
+                 bootPim.pimInternalBytes});
+    std::printf("\nThe unlimited-cache ideal, and the cuts PIM makes:\n");
+    bench::Table versus(report, {
+        {"ideal_gpu_dram_bytes", "ideal DRAM", "%8.2fGB", 1.0 / kGiB},
+        {"dram_reduction", "DRAM cut", "%8.2fx"},
+        {"pim_vs_ideal", "PIM/ideal", "%8.2fx"},
+        {"energy_reduction", "energy cut", "%9.2fx"},
+    });
+    versus.row({idealBytes, bootGpu.gpuDramBytes / bootPim.gpuDramBytes,
                 bootPim.gpuDramBytes / idealBytes,
-                bootGpu.energyJoules() / bootPim.energyJoules());
+                bootGpu.energyJoules() / bootPim.energyJoules()});
+    bench::note("paper: 6.15x less GPU DRAM traffic, 1.86x of the "
+                "ideal, 2.87x less DRAM energy");
     return 0;
 }
 
 int
 main(int argc, char **argv)
 {
-    // Recoverable library errors (bad traces, infeasible
-    // parameters) surface as AnaheimError; report them
-    // cleanly instead of aborting.
-    return runGuardedMain("bench_fig4_lintrans_pim",
-                          [&] { return run(argc, argv); });
+    return bench::runBench("fig4_lintrans_pim", argc, argv, run);
 }

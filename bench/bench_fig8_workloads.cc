@@ -5,19 +5,18 @@
  */
 
 #include <cstdio>
+#include <string>
 
 #include "anaheim/framework.h"
 #include "anaheim/workloads.h"
 #include "bench_util.h"
-#include "common/status.h"
 #include "obs/report.h"
 
 using namespace anaheim;
 
 static int
-run(int argc, char **argv)
+run(bench::JsonReport &report)
 {
-    bench::JsonScope json("fig8_workloads", argc, argv);
     bench::header("Fig. 8 — workload speedup / energy / EDP gains from "
                   "Anaheim");
 
@@ -30,49 +29,40 @@ run(int argc, char **argv)
         {"RTX4090 near-bank", AnaheimConfig::rtx4090NearBank()},
     };
     const auto workloads = makeAllWorkloads();
-    bench::reportConfig(json.report(), configs[0].config);
+    bench::reportConfig(report, configs[0].config);
 
+    bench::Table table(report, {
+        {"config", "Config", "%-17s"},
+        {"workload", "Workload", "%-14s"},
+        {"base_ms", "base ms", "%9.2f"},
+        {"pim_ms", "PIM ms", "%9.2f"},
+        {"speedup", "speedup", "%6.2fx"},
+        {"energy_gain", "energy", "%6.2fx"},
+        {"edp_gain", "EDP", "%6.2fx"},
+    });
     bool attributed = false;
     for (const auto &cfg : configs) {
-        std::printf("\n-- %s --\n", cfg.name);
-        std::printf("%-16s %10s %10s | %8s %8s %8s\n", "Workload",
-                    "base ms", "PIM ms", "speedup", "energy", "EDP");
-        double minSpeed = 1e9, maxSpeed = 0, minEdp = 1e9, maxEdp = 0;
         for (const auto &[info, seq] : workloads) {
-            const bool oom =
-                cfg.config.dram.capacityBytes < 30e9 &&
-                (std::string(info.name) == "ResNet20" ||
-                 std::string(info.name) == "ResNet18-AESPA");
-            if (oom) {
-                // §VII-B / Table V: both CNNs exceed the 4090's 24GB.
-                std::printf("%-16s %10s %10s | %8s %8s %8s\n", info.name,
-                            "-", "-", "OoM", "OoM", "OoM");
+            if (bench::outOfMemory(cfg.config, info.name)) {
+                bench::note(std::string(cfg.name) + " " + info.name +
+                            ": OoM");
                 continue;
             }
             AnaheimConfig base = cfg.config;
             base.pimEnabled = false;
             const auto baseline = AnaheimFramework(base).execute(seq);
             const auto pim = AnaheimFramework(cfg.config).execute(seq);
-            const double speedup = baseline.totalNs / pim.totalNs;
-            const double energy =
-                baseline.energyJoules() / pim.energyJoules();
-            const double edp = baseline.edp() / pim.edp();
-            std::printf("%-16s %10.2f %10.2f | %7.2fx %7.2fx %7.2fx\n",
-                        info.name, baseline.totalNs * 1e-6,
-                        pim.totalNs * 1e-6, speedup, energy, edp);
+            table.row({cfg.name, info.name, baseline.totalNs * 1e-6,
+                       pim.totalNs * 1e-6, baseline.totalNs / pim.totalNs,
+                       baseline.energyJoules() / pim.energyJoules(),
+                       baseline.edp() / pim.edp()});
             if (!attributed) {
                 // Where the first workload's time goes on the first
                 // configuration (kernel class x GPU/PIM x bound).
                 obs::printAttribution(pim);
                 attributed = true;
             }
-            minSpeed = std::min(minSpeed, speedup);
-            maxSpeed = std::max(maxSpeed, speedup);
-            minEdp = std::min(minEdp, edp);
-            maxEdp = std::max(maxEdp, edp);
         }
-        std::printf("   speedup range %.2f-%.2fx, EDP range %.2f-%.2fx\n",
-                    minSpeed, maxSpeed, minEdp, maxEdp);
     }
     std::printf("\n");
     bench::note("paper: speedups 1.24-1.74x (A100 NB), 1.17-1.55x (A100 "
@@ -84,9 +74,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Recoverable library errors (bad traces, infeasible
-    // parameters) surface as AnaheimError; report them
-    // cleanly instead of aborting.
-    return runGuardedMain("bench_fig8_workloads",
-                          [&] { return run(argc, argv); });
+    return bench::runBench("fig8_workloads", argc, argv, run);
 }

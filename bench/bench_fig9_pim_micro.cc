@@ -8,7 +8,6 @@
 #include <cstdio>
 
 #include "bench_util.h"
-#include "common/status.h"
 #include "pim/kernelmodel.h"
 
 using namespace anaheim;
@@ -16,9 +15,9 @@ using namespace anaheim;
 namespace {
 
 void
-sweep(const DramConfig &dram, const PimConfig &base, const char *name)
+sweep(bench::Table &table, const DramConfig &dram, const PimConfig &base,
+      const char *name)
 {
-    std::printf("\n-- %s --\n", name);
     const struct {
         PimOpcode opcode;
         size_t fanIn;
@@ -31,52 +30,45 @@ sweep(const DramConfig &dram, const PimConfig &base, const char *name)
         {PimOpcode::PAccum, 4, "PAccum<4>"},
         {PimOpcode::CAccum, 8, "CAccum<8>"},
     };
-    std::printf("%-10s", "Instr");
-    for (size_t b : {4u, 8u, 16u, 32u, 64u})
-        std::printf("   B=%-8zu", b);
-    std::printf("(speedup vs GPU DRAM path; '-' unsupported)\n");
-
     for (const auto &instr : instrs) {
-        std::printf("%-10s", instr.label);
         for (size_t b : {4u, 8u, 16u, 32u, 64u}) {
+            if (!pimInstrSupported(instr.opcode, instr.fanIn, b))
+                continue;
             PimConfig config = base;
             config.bufferEntries = b;
             const PimKernelModel model(dram, config);
-            if (!pimInstrSupported(instr.opcode, instr.fanIn, b)) {
-                std::printf("   %-10s", "-");
-                continue;
-            }
             const auto pim =
                 model.execute(instr.opcode, instr.fanIn, 54, 1 << 16);
             const auto gpu =
                 model.baseline(instr.opcode, instr.fanIn, 54, 1 << 16);
-            std::printf("   %-9.2f", gpu.timeNs / pim.timeNs);
+            table.row({name, instr.label, b, gpu.timeNs / pim.timeNs,
+                       gpu.energyPj / pim.energyPj});
         }
-        // Energy efficiency at the default B.
-        const PimKernelModel model(dram, base);
-        const auto pim =
-            model.execute(instr.opcode, instr.fanIn, 54, 1 << 16);
-        const auto gpu =
-            model.baseline(instr.opcode, instr.fanIn, 54, 1 << 16);
-        std::printf("  | energy %.2fx @B=%zu\n",
-                    gpu.energyPj / pim.energyPj, base.bufferEntries);
     }
 }
 
 } // namespace
 
 static int
-run(int argc, char **argv)
+run(bench::JsonReport &report)
 {
-    bench::JsonScope json("fig9_pim_micro", argc, argv);
     bench::header("Fig. 9 — PIM instruction microbenchmark vs buffer "
-                  "entries B");
-    sweep(DramConfig::hbm2A100(), PimConfig::nearBankA100(),
-          "A100 near-bank (default B=16)");
-    sweep(DramConfig::hbm2A100(), PimConfig::customHbmA100(),
-          "A100 custom-HBM (default B=16)");
-    sweep(DramConfig::gddr6xRtx4090(), PimConfig::nearBankRtx4090(),
-          "RTX 4090 near-bank (default B=32)");
+                  "entries B (gains vs the GPU DRAM path)");
+    bench::note("default B: 16 on both A100 configurations, 32 on the "
+                "RTX 4090; a B an instruction does not fit has no row");
+    bench::Table table(report, {
+        {"config", "Config", "%-18s"},
+        {"instr", "Instr", "%-9s"},
+        {"buffer_entries", "B", "%2.0f"},
+        {"speedup", "speedup", "%6.2fx"},
+        {"energy_gain", "energy", "%6.2fx"},
+    });
+    sweep(table, DramConfig::hbm2A100(), PimConfig::nearBankA100(),
+          "A100 near-bank");
+    sweep(table, DramConfig::hbm2A100(), PimConfig::customHbmA100(),
+          "A100 custom-HBM");
+    sweep(table, DramConfig::gddr6xRtx4090(), PimConfig::nearBankRtx4090(),
+          "RTX 4090 near-bank");
     std::printf("\n");
     bench::note("paper: 1.65-10.33x speedups and 2.63-17.39x energy "
                 "gains at the default B; PAccum/CAccum gain most "
@@ -88,9 +80,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Recoverable library errors (bad traces, infeasible
-    // parameters) surface as AnaheimError; report them
-    // cleanly instead of aborting.
-    return runGuardedMain("bench_fig9_pim_micro",
-                          [&] { return run(argc, argv); });
+    return bench::runBench("fig9_pim_micro", argc, argv, run);
 }

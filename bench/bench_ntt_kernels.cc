@@ -9,8 +9,8 @@
  * full forward transform at N = 2^16. Before timing, the two paths are
  * cross-checked bitwise on the same input.
  *
- * Emits BENCH_ntt.json (override with --json <path>) so the perf
- * trajectory of the kernels is machine-readable across PRs.
+ * `--json <path>` writes the rows machine-readably (BENCH_ntt.json is
+ * one such run, checked by scripts/validate_bench.py).
  */
 
 #include <chrono>
@@ -22,7 +22,6 @@
 
 #include "bench_util.h"
 #include "common/rng.h"
-#include "common/status.h"
 #include "math/kernels.h"
 #include "math/ntt.h"
 #include "math/primes.h"
@@ -79,30 +78,31 @@ time_kernel(const std::function<void(uint64_t *)> &kernel,
 } // namespace anaheim
 
 static int
-run(int argc, char **argv)
+run(anaheim::bench::JsonReport &report)
 {
     using namespace anaheim;
-
-    std::string jsonPath = bench::jsonPathFromArgs(argc, argv);
-    if (jsonPath.empty())
-        jsonPath = "BENCH_ntt.json"; // the tracked perf-trajectory file
 
     bench::header("NTT kernels: Harvey/Shoup lazy reduction vs "
                   "division-based reference");
     bench::note("40-bit NTT primes; best-of-3; a transform is "
-                "N/2*log2(N) butterflies");
-
-    bench::JsonReport report("ntt_kernels");
+                "N/2*log2(N) butterflies; fwd x = reference time / "
+                "kernel time");
     report.metric("prime_bits", 40);
 
-    std::printf("\n  %-6s %-12s  %13s  %13s  %8s   %13s\n", "logN",
-                "kernel", "fwd ns/bfly", "inv ns/bfly", "fwd x",
-                "fwd xforms/s");
-
+    bench::Table results(report, {
+        {"logn", "logN", "%4.0f"},
+        {"n"},
+        {"q"},
+        {"backend", "kernel", "%-9s"},
+        {"fwd_ns_per_butterfly", "fwd ns/bfly", "%11.2f"},
+        {"inv_ns_per_butterfly", "inv ns/bfly", "%11.2f"},
+        {"fwd_transforms_per_sec", "fwd xforms/s", "%12.0f"},
+        {"fwd_speedup", "fwd x", "%6.2fx"},
+    });
     bool identical = true;
     double speedupAt64k = 0.0;
     std::string bestBackend = "none";
-    for (unsigned logN = 12; logN <= 16; ++logN) {
+    for (size_t logN = 12; logN <= 16; ++logN) {
         const size_t n = size_t{1} << logN;
         const uint64_t q = generateNttPrimes(n, 40, 1)[0];
         const auto table = NttTable::shared(q, n);
@@ -116,20 +116,8 @@ run(int argc, char **argv)
         const auto refInv = time_kernel(
             [&](uint64_t *d) { table->inverseReference(d); }, input, n,
             reps);
-
-        std::printf("  %-6u %-12s  %13.2f  %13.2f  %8s   %13.0f\n",
-                    logN, "reference", refFwd.nsPerButterfly,
-                    refInv.nsPerButterfly, "", refFwd.transformsPerSec);
-        report.beginRow();
-        report.rowMetric("logn", logN);
-        report.rowMetric("n", static_cast<double>(n));
-        report.rowMetric("q", static_cast<double>(q));
-        report.rowMetric("backend", "reference");
-        report.rowMetric("fwd_ns_per_butterfly", refFwd.nsPerButterfly);
-        report.rowMetric("inv_ns_per_butterfly", refInv.nsPerButterfly);
-        report.rowMetric("fwd_transforms_per_sec",
-                         refFwd.transformsPerSec);
-        report.rowMetric("fwd_speedup", 1.0);
+        results.row({logN, n, q, "reference", refFwd.nsPerButterfly,
+                     refInv.nsPerButterfly, refFwd.transformsPerSec, 1.0});
 
         // One timed row per compiled-and-runnable lazy backend, pinned
         // programmatically; the widest (last) one is what CPUID
@@ -162,24 +150,9 @@ run(int argc, char **argv)
                 speedupAt64k = fwdSpeedup;
                 bestBackend = ops->name;
             }
-
-            std::printf("  %-6s %-12s  %13.2f  %13.2f  %7.2fx   "
-                        "%13.0f\n",
-                        "", ops->name, lazyFwd.nsPerButterfly,
-                        lazyInv.nsPerButterfly, fwdSpeedup,
-                        lazyFwd.transformsPerSec);
-            report.beginRow();
-            report.rowMetric("logn", logN);
-            report.rowMetric("n", static_cast<double>(n));
-            report.rowMetric("q", static_cast<double>(q));
-            report.rowMetric("backend", ops->name);
-            report.rowMetric("fwd_ns_per_butterfly",
-                             lazyFwd.nsPerButterfly);
-            report.rowMetric("inv_ns_per_butterfly",
-                             lazyInv.nsPerButterfly);
-            report.rowMetric("fwd_transforms_per_sec",
-                             lazyFwd.transformsPerSec);
-            report.rowMetric("fwd_speedup", fwdSpeedup);
+            results.row({logN, n, q, ops->name, lazyFwd.nsPerButterfly,
+                         lazyInv.nsPerButterfly, lazyFwd.transformsPerSec,
+                         fwdSpeedup});
         }
         kernels::resetBackend();
     }
@@ -188,23 +161,16 @@ run(int argc, char **argv)
     bench::note(std::string("lazy output bitwise identical to "
                             "reference: ") +
                 (identical ? "yes" : "NO"));
-    std::printf("  full-transform forward speedup at N=2^16: %.2fx "
-                "(best backend: %s; acceptance gate: >= 2x)\n",
-                speedupAt64k, bestBackend.c_str());
-
+    bench::note("fastest forward backend at N=2^16: " + bestBackend +
+                " (acceptance gate: fwd x >= 2)");
     report.metric("bitwise_identical", identical ? "yes" : "no");
     report.metric("fwd_speedup_at_2e16", speedupAt64k);
     report.metric("best_backend", bestBackend);
-    report.write(jsonPath);
     return identical ? 0 : 1;
 }
 
 int
 main(int argc, char **argv)
 {
-    // Recoverable library errors (bad traces, infeasible
-    // parameters) surface as AnaheimError; report them
-    // cleanly instead of aborting.
-    return anaheim::runGuardedMain("bench_ntt_kernels",
-                          [&] { return run(argc, argv); });
+    return anaheim::bench::runBench("ntt_kernels", argc, argv, run);
 }

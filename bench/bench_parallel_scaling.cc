@@ -20,7 +20,6 @@
 #include "ckks/keyswitch.h"
 #include "common/parallel.h"
 #include "common/rng.h"
-#include "common/status.h"
 #include "math/kernels.h"
 #include "poly/polynomial.h"
 #include "rns/bconv.h"
@@ -71,44 +70,19 @@ struct OpRow {
     std::vector<OpResult> results; // one per thread configuration
 };
 
-void
-printTable(const std::vector<size_t> &threadCounts,
-           const std::vector<OpRow> &rows)
-{
-    std::printf("  %-22s", "op");
-    for (size_t t : threadCounts)
-        std::printf("  %7zu thr", t);
-    std::printf("   identical\n");
-    for (const auto &row : rows) {
-        std::printf("  %-22s", row.name.c_str());
-        for (const auto &r : row.results)
-            std::printf("  %8.2f ms", r.ms);
-        bool allSame = true;
-        for (const auto &r : row.results)
-            allSame = allSame && r.identical;
-        std::printf("   %s\n", allSame ? "yes" : "NO");
-        std::printf("  %-22s", "  speedup");
-        const double base = row.results.front().ms;
-        for (const auto &r : row.results)
-            std::printf("  %8.2fx  ", r.ms > 0 ? base / r.ms : 0.0);
-        std::printf("\n");
-    }
-}
-
 } // namespace
 } // namespace anaheim
 
 static int
-run(int argc, char **argv)
+run(anaheim::bench::JsonReport &report)
 {
     using namespace anaheim;
 
-    bench::JsonScope json("parallel_scaling", argc, argv);
     // Headline numbers depend on which NTT kernel backend dispatch
     // resolved to; stamp it into the JSON so cross-machine trend
     // comparisons do not mix SIMD tiers.
     const char *backend = kernels::backendName(kernels::activeBackend());
-    json.report().metric("backend", backend);
+    report.metric("backend", backend);
     bench::header("Parallel scaling of host CKKS hot paths "
                   "(N = 2^14, L = 8)");
     bench::note("best-of-3 wall time; speedup relative to 1 thread; "
@@ -191,17 +165,19 @@ run(int argc, char **argv)
     }
     setParallelThreads(defaultThreadCount());
 
-    printTable(threadCounts, rows);
+    bench::Table table(report, {
+        {"op", "op", "%-22s"},
+        {"threads", "threads", "%7.0f"},
+        {"ms", "ms", "%8.2f"},
+        {"speedup", "speedup", "%6.2fx"},
+        {"identical", "identical", "%s"},
+    });
     for (const auto &row : rows) {
-        json.report().beginRow();
-        json.report().rowMetric("op", row.name);
         for (size_t cfg = 0; cfg < threadCounts.size(); ++cfg) {
-            json.report().rowMetric(
-                "ms_" + std::to_string(threadCounts[cfg]) + "thr",
-                row.results[cfg].ms);
-            json.report().rowMetric(
-                "identical_" + std::to_string(threadCounts[cfg]) + "thr",
-                row.results[cfg].identical ? "yes" : "no");
+            const OpResult &r = row.results[cfg];
+            table.row({row.name.c_str(), threadCounts[cfg], r.ms,
+                       row.results.front().ms / r.ms,
+                       r.identical ? "yes" : "no"});
         }
     }
     bench::note("");
@@ -213,9 +189,5 @@ run(int argc, char **argv)
 int
 main(int argc, char **argv)
 {
-    // Recoverable library errors (bad traces, infeasible
-    // parameters) surface as AnaheimError; report them
-    // cleanly instead of aborting.
-    return anaheim::runGuardedMain("bench_parallel_scaling",
-                          [&] { return run(argc, argv); });
+    return anaheim::bench::runBench("parallel_scaling", argc, argv, run);
 }

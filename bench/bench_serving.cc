@@ -16,7 +16,7 @@
  * load, and is expected to exceed 1.5x at saturating load with the
  * default 8 streams.
  *
- * Flags (parsed by bench::Flags, scenario.h):
+ * Flags (parsed by bench::Flags, bench_util.h):
  *   --streams=N      concurrent client streams (default 8)
  *   --requests=N     requests per stream (default 4, at most 2^20)
  *   --seed=S         arrival-process seed
@@ -71,9 +71,8 @@ run(int argc, char **argv)
     flags.count("--requests", opts.requests, serve::kMaxRequestsPerStream);
     flags.seed("--seed", opts.seed);
     flags.count("--repeats", opts.repeats);
-    flags.done();
     bench::JsonScope json(opts.smoke ? "serving_smoke" : "serving",
-                          argc, argv);
+                          flags);
     AnaheimConfig config = AnaheimConfig::a100NearBank();
     bench::reportConfig(json.report(), config);
     json.report().metric("smoke", opts.smoke ? "yes" : "no");

@@ -24,7 +24,7 @@
  *     schedule — preemption pays with scheduler time, never with any
  *     tenant's computation.
  *
- * Flags (parsed by bench::Flags, scenario.h):
+ * Flags (parsed by bench::Flags, bench_util.h):
  *   --streams=N      concurrent client streams (default 8)
  *   --requests=N     requests per stream (default 6, at most 2^20)
  *   --seed=S         arrival-process seed
@@ -141,10 +141,8 @@ run(int argc, char **argv)
     flags.count("--streams", opts.streams);
     flags.count("--requests", opts.requests, serve::kMaxRequestsPerStream);
     flags.seed("--seed", opts.seed);
-    flags.done();
     bench::JsonScope json(
-        opts.smoke ? "serving_faults_smoke" : "serving_faults", argc,
-        argv);
+        opts.smoke ? "serving_faults_smoke" : "serving_faults", flags);
     AnaheimConfig healthy = AnaheimConfig::a100NearBank();
     bench::reportConfig(json.report(), healthy);
     json.report().metric("smoke", opts.smoke ? "yes" : "no");

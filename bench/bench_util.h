@@ -1,33 +1,46 @@
 /**
  * @file
- * Shared helpers for the figure-regeneration benches: table printing and
- * machine-readable JSON output. Every bench prints the same rows/series
- * the paper reports, with the paper's published values alongside where
- * available so shape fidelity is auditable (EXPERIMENTS.md records the
- * comparison), and accepts `--json <path>` to additionally emit its key
- * metrics as a JSON document so the perf trajectory stays comparable
- * across PRs (e.g. BENCH_ntt.json from bench_ntt_kernels).
+ * The harness of every bench but the google-benchmark one:
  *
- * Every bench also accepts, for free via JsonScope:
- *   --trace <path>    enable host-span tracing for the whole run and
- *                     write a Chrome trace-event / Perfetto JSON file
- *                     merging host spans with every simulated timeline
- *   --metrics <path>  dump the global metrics registry as JSON on exit
- *   --prom <path>     dump the metrics registry plus every recorded
- *                     time series as Prometheus text exposition
- * and each --json document opens with a self-describing header block
- * (schema version, git SHA, build type, thread count).
+ *   Flags      the one argv scan: the output paths, `--smoke` and
+ *              `--name=value` flags, each value checked;
+ *   Table      the row spec: each printed value is one column that
+ *              lands on stdout and in the `--json` document's "rows";
+ *   JsonScope  the run's exports, each written when its path is given:
+ *              `--json` (the rows and metrics, after a self-describing
+ *              header of schema version, git SHA, build type and
+ *              thread count), `--trace` (host spans merged with every
+ *              simulated timeline, as Chrome trace-event JSON),
+ *              `--metrics` (the metrics registry as JSON) and `--prom`
+ *              (the registry and time series as Prometheus text).
+ *
+ * A figure bench's main is runBench(); its body prints its tables:
+ *
+ *   bench::Table table(report, {
+ *       {"algorithm", "Algorithm", "%-10s"},
+ *       {"ntt_ops", "(I)NTT ops", "%12.0f"},
+ *   });
+ *   table.row({"Base", 12768.0});
  */
 
 #ifndef ANAHEIM_BENCH_UTIL_H
 #define ANAHEIM_BENCH_UTIL_H
 
+#include <algorithm>
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "common/logging.h"
+#include "common/status.h"
 #include "obs/export.h"
 #include "obs/report.h"
 #include "obs/trace.h"
@@ -50,36 +63,173 @@ note(const std::string &text)
     std::printf("  %s\n", text.c_str());
 }
 
-/** Path following `--<flag> <path>` in argv, or "" when absent. */
-inline std::string
-pathFromArgs(int argc, char **argv, const std::string &flag)
+/**
+ * The one argv scan. Takes the output paths (--json/--trace/--metrics/
+ * --prom <path>, for JsonScope) and splits the rest into `--name` and
+ * `--name=value` flags. A bench applies its smoke presets first and
+ * then reads its flags, so an explicit flag wins over `--smoke`
+ * whatever their order:
+ *
+ *   bench::Flags flags("bench_fault_campaign", argc, argv);
+ *   if ((opts.smoke = flags.smoke()))
+ *       opts.trials = 2;
+ *   flags.count("--trials", opts.trials);
+ *   bench::JsonScope json("fault_campaign", flags);
+ *
+ * A malformed value, a zero count, a count above its bound, a flag no
+ * read asked for (`--smoke` included, when the bench has no smoke
+ * mode) or a path flag without its path exits 2 with a message that
+ * names the flag.
+ */
+class Flags
 {
-    for (int i = 1; i + 1 < argc; ++i) {
-        if (argv[i] == flag)
-            return argv[i + 1];
-    }
-    return "";
-}
+  public:
+    /** Where the run's exports go; "" when the flag is absent. */
+    struct Paths {
+        std::string json;
+        std::string trace;
+        std::string metrics;
+        std::string prom;
+    };
 
-/** Path following a `--json` flag in argv, or "" when absent. */
-inline std::string
-jsonPathFromArgs(int argc, char **argv)
-{
-    return pathFromArgs(argc, argv, "--json");
-}
+    Flags(std::string program, int argc, char **argv)
+        : program_(std::move(program))
+    {
+        for (int i = 1; i < argc; ++i) {
+            const std::string arg = argv[i];
+            std::string *path = arg == "--json"      ? &paths_.json
+                                : arg == "--trace"   ? &paths_.trace
+                                : arg == "--metrics" ? &paths_.metrics
+                                : arg == "--prom"    ? &paths_.prom
+                                                     : nullptr;
+            if (path != nullptr) {
+                if (++i == argc)
+                    fail(arg + " needs a path");
+                *path = argv[i];
+                continue;
+            }
+            const size_t eq = arg.find('=');
+            flags_.push_back(
+                {arg.substr(0, eq),
+                 eq == std::string::npos ? "" : arg.substr(eq + 1)});
+        }
+    }
+
+    const Paths &paths() const { return paths_; }
+
+    /** Whether `--smoke` was given. Only a bench with a smoke mode
+     *  asks, so done() rejects the flag everywhere else. */
+    bool
+    smoke()
+    {
+        bool given = false;
+        read("--smoke", "no value", [&](const std::string &value) {
+            given = true;
+            return value.empty();
+        });
+        return given;
+    }
+
+    /** Apply each `name=value` in argv order, so the last one wins.
+     *  `parse` returns false to reject a value as not being `want`. */
+    template <typename Parse>
+    void
+    read(const std::string &name, const std::string &want,
+         const Parse &parse)
+    {
+        for (Flag &flag : flags_) {
+            if (flag.name != name)
+                continue;
+            flag.read = true;
+            if (!parse(flag.value))
+                fail(name + " wants " + want + ", got '" + flag.value + "'");
+        }
+    }
+
+    /** `name=N`: a positive count, at most `max` when one is given. */
+    void
+    count(const std::string &name, size_t &out, uint64_t max = UINT64_MAX)
+    {
+        const std::string want =
+            max == UINT64_MAX ? "a positive integer"
+                              : "a positive integer <= " + std::to_string(max);
+        read(name, want, [&](const std::string &value) {
+            uint64_t n = 0;
+            const bool ok = parseUnsigned(value, n) && n > 0 && n <= max;
+            out = n;
+            return ok;
+        });
+    }
+
+    /** `name=S`: any unsigned 64-bit seed. */
+    void
+    seed(const std::string &name, uint64_t &out)
+    {
+        read(name, "an unsigned integer", [&](const std::string &value) {
+            return parseUnsigned(value, out);
+        });
+    }
+
+    /** `name=X`: one finite number that replaces the swept list. */
+    void
+    only(const std::string &name, std::vector<double> &out)
+    {
+        read(name, "a finite number", [&](const std::string &value) {
+            char *end = nullptr;
+            out = {std::strtod(value.c_str(), &end)};
+            return !value.empty() &&
+                   !std::isspace(static_cast<unsigned char>(value[0])) &&
+                   *end == '\0' && std::isfinite(out[0]);
+        });
+    }
+
+    /** Exit 2 on a flag that no read asked for. */
+    void
+    done() const
+    {
+        for (const Flag &flag : flags_) {
+            if (!flag.read)
+                fail("unknown flag: " + flag.name);
+        }
+    }
+
+  private:
+    struct Flag {
+        std::string name;
+        std::string value;
+        bool read = false;
+    };
+
+    /** All of `text` as an unsigned 64-bit integer: decimal, 0x hex or
+     *  leading-0 octal, with no sign, blank or trailing junk. */
+    static bool
+    parseUnsigned(const std::string &text, uint64_t &out)
+    {
+        if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+            return false;
+        errno = 0;
+        char *end = nullptr;
+        out = std::strtoull(text.c_str(), &end, 0);
+        return errno != ERANGE && *end == '\0';
+    }
+
+    [[noreturn]] void
+    fail(const std::string &message) const
+    {
+        std::fprintf(stderr, "%s: %s\n", program_.c_str(), message.c_str());
+        std::exit(2);
+    }
+
+    std::string program_;
+    Paths paths_;
+    std::vector<Flag> flags_;
+};
 
 /**
  * Tiny structured-result collector: top-level metrics plus an optional
  * array of row objects, serialized as one JSON document. Values are
  * either numbers or strings; insertion order is preserved so diffs of
- * successive runs stay readable.
- *
- *   JsonReport report("ntt_kernels");
- *   report.metric("machine_threads", 4);
- *   report.beginRow();
- *   report.rowMetric("n", 4096);
- *   report.rowMetric("speedup", 3.1);
- *   report.write(path); // no-op when path is empty
+ * successive runs stay readable. Benches fill the rows through Table.
  */
 class JsonReport
 {
@@ -174,58 +324,50 @@ class JsonReport
 };
 
 /**
- * One-line `--json`/`--trace`/`--metrics` support for a bench main:
- * declares a JsonReport, times the whole run, enables host-span tracing
- * for the scope's lifetime when `--trace <path>` is given, and on
- * destruction appends `total_ms`, writes the JSON document (`--json
- * <path>`), the Chrome trace (`--trace <path>`), and the metrics dump
- * (`--metrics <path>`). All three are no-ops without their flag.
- *
- *   int main(int argc, char **argv) {
- *       bench::JsonScope json("fig1_lintrans", argc, argv);
- *       ...
- *       json.report().metric("speedup", s); // optional extras
- *   }
+ * A bench run's exports: declares a JsonReport, times the whole run,
+ * enables host-span tracing for the scope's lifetime when `--trace` is
+ * given, and on destruction appends `total_ms` and writes the JSON
+ * document, the Chrome trace, the metrics dump and the Prometheus
+ * text, each only when its path flag was given.
  */
 class JsonScope
 {
   public:
-    JsonScope(std::string benchName, int argc, char **argv)
-        : report_(std::move(benchName)),
-          path_(jsonPathFromArgs(argc, argv)),
-          tracePath_(pathFromArgs(argc, argv, "--trace")),
-          metricsPath_(pathFromArgs(argc, argv, "--metrics")),
-          promPath_(pathFromArgs(argc, argv, "--prom")),
+    /** Opens once every flag is read: exits 2 on a flag in `flags`
+     *  that no read asked for. */
+    JsonScope(std::string benchName, const Flags &flags)
+        : report_(std::move(benchName)), paths_(flags.paths()),
           start_(std::chrono::steady_clock::now())
     {
-        if (!tracePath_.empty())
+        flags.done();
+        if (!paths_.trace.empty())
             obs::setTracingEnabled(true);
     }
 
     ~JsonScope()
     {
-        if (!tracePath_.empty()) {
-            if (obs::writeChromeTrace(tracePath_))
-                std::printf("  trace written to %s\n", tracePath_.c_str());
+        if (!paths_.trace.empty()) {
+            if (obs::writeChromeTrace(paths_.trace))
+                std::printf("  trace written to %s\n", paths_.trace.c_str());
         }
-        if (!metricsPath_.empty()) {
-            if (obs::writeMetrics(metricsPath_))
+        if (!paths_.metrics.empty()) {
+            if (obs::writeMetrics(paths_.metrics))
                 std::printf("  metrics written to %s\n",
-                            metricsPath_.c_str());
+                            paths_.metrics.c_str());
         }
-        if (!promPath_.empty()) {
-            if (obs::writePrometheus(promPath_))
+        if (!paths_.prom.empty()) {
+            if (obs::writePrometheus(paths_.prom))
                 std::printf("  prometheus text written to %s\n",
-                            promPath_.c_str());
+                            paths_.prom.c_str());
         }
-        if (path_.empty())
+        if (paths_.json.empty())
             return;
         const double totalMs =
             std::chrono::duration<double, std::milli>(
                 std::chrono::steady_clock::now() - start_)
                 .count();
         report_.metric("total_ms", totalMs);
-        report_.write(path_);
+        report_.write(paths_.json);
     }
 
     JsonScope(const JsonScope &) = delete;
@@ -235,12 +377,25 @@ class JsonScope
 
   private:
     JsonReport report_;
-    std::string path_;
-    std::string tracePath_;
-    std::string metricsPath_;
-    std::string promPath_;
+    Flags::Paths paths_;
     std::chrono::steady_clock::time_point start_;
 };
+
+/** The main() of a bench whose only flags are the output paths: reads
+ *  argv, opens the JsonScope and runs `body` on its report. A library
+ *  error (AnaheimError: a bad trace, infeasible parameters) is
+ *  reported as runGuardedMain does, instead of aborting. */
+inline int
+runBench(const std::string &name, int argc, char **argv,
+         int (*body)(JsonReport &))
+{
+    const std::string program = "bench_" + name;
+    return runGuardedMain(program.c_str(), [&] {
+        Flags flags(program, argc, argv);
+        JsonScope json(name, flags);
+        return body(json.report());
+    });
+}
 
 /** Record the load-bearing knobs of a resolved AnaheimConfig into a
  *  report (one `config.<key>` metric each), so result JSON states the
@@ -251,6 +406,128 @@ reportConfig(JsonReport &report, const AnaheimConfig &config)
     for (const auto &[key, value] : obs::configSummary(config))
         report.metric("config." + key, value);
 }
+
+/** Simulated milliseconds `result` spent in breakdown category `cat`
+ *  (0 when the run has none). */
+inline double
+categoryMs(const RunResult &result, const std::string &cat)
+{
+    const auto it = result.timeNsByCategory.find(cat);
+    return it == result.timeNsByCategory.end() ? 0.0 : it->second * 1e-6;
+}
+
+/** Whether `workload` overflows the device memory of `config`: both
+ *  CNNs exceed the RTX 4090's 24GB (§VII-B, Table V). */
+inline bool
+outOfMemory(const AnaheimConfig &config, const std::string &workload)
+{
+    return config.dram.capacityBytes < 30e9 &&
+           (workload == "ResNet20" || workload == "ResNet18-AESPA");
+}
+
+/** One table cell: a number (counts convert exactly below 2^53) or a
+ *  label such as a scenario name. Implicit, so a row is a braced list.
+ *  A cell with no number is no cell: its row is left out. */
+struct Value {
+    Value(double x) : number(x) {}
+    Value(uint64_t x) : number(static_cast<double>(x)) {}
+    Value(const char *text) : label(text) {}
+
+    double number = 0.0;
+    const char *label = nullptr;
+};
+
+using Row = std::vector<Value>;
+
+/** One column of a result table: its JSON row key and, when it is
+ *  shown on stdout, its header and the printf format of its cell (one
+ *  `%s` conversion for labels, one floating conversion for numbers,
+ *  which print value * `scale`). The header takes the cell's width and
+ *  alignment. */
+struct Column {
+    const char *key;
+    const char *head = nullptr;
+    const char *fmt = nullptr;
+    double scale = 1.0;
+};
+
+/** A bench's result table: prints each row on stdout and adds it to
+ *  the `--json` document's "rows" array. Construction prints the
+ *  header line. */
+class Table
+{
+  public:
+    Table(JsonReport &report, std::vector<Column> columns)
+        : report_(report), columns_(std::move(columns)),
+          totals_(columns_.size(), 0.0)
+    {
+        const char *sep = "";
+        for (const Column &column : columns_) {
+            if (column.head == nullptr)
+                continue;
+            const int width =
+                isLabel(column) ? std::snprintf(nullptr, 0, column.fmt, "")
+                                : std::snprintf(nullptr, 0, column.fmt, 0.0);
+            std::printf(column.fmt[1] == '-' ? "%s%-*s" : "%s%*s", sep,
+                        width, column.head);
+            sep = " ";
+        }
+        std::printf("\n");
+    }
+
+    /** One row: a value per column, in column order. */
+    void
+    row(const Row &values)
+    {
+        ANAHEIM_ASSERT(values.size() == columns_.size(), "row has ",
+                       values.size(), " values for ", columns_.size(),
+                       " columns");
+        report_.beginRow();
+        const char *sep = "";
+        for (size_t i = 0; i < values.size(); ++i) {
+            const Column &column = columns_[i];
+            const Value &value = values[i];
+            totals_[i] += value.number;
+            if (value.label != nullptr)
+                report_.rowMetric(column.key, value.label);
+            else
+                report_.rowMetric(column.key, value.number);
+            if (column.head == nullptr)
+                continue;
+            ANAHEIM_ASSERT(isLabel(column) == (value.label != nullptr),
+                           "column ", column.key, " has the wrong type");
+            std::printf("%s", sep);
+            if (value.label != nullptr)
+                std::printf(column.fmt, value.label);
+            else
+                std::printf(column.fmt, value.number * column.scale);
+            sep = " ";
+        }
+        std::printf("\n");
+    }
+
+    /** Sum of the numeric column `key` over the rows so far. */
+    double
+    total(const std::string &key) const
+    {
+        const auto column = std::find_if(
+            columns_.begin(), columns_.end(),
+            [&](const Column &c) { return key == c.key; });
+        ANAHEIM_ASSERT(column != columns_.end(), "no column ", key);
+        return totals_[column - columns_.begin()];
+    }
+
+  private:
+    static bool
+    isLabel(const Column &column)
+    {
+        return column.fmt[std::strspn(column.fmt, "%-.0123456789")] == 's';
+    }
+
+    JsonReport &report_;
+    std::vector<Column> columns_;
+    std::vector<double> totals_;
+};
 
 } // namespace anaheim::bench
 

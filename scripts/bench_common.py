@@ -1,10 +1,10 @@
 """Loads bench --json documents for the scripts that read them
-(validate_bench.py, perf_diff.py, golden_diff.py); stdlib only.
+(validate_bench.py, golden_diff.py); stdlib only.
 
 The bench documents are self-describing (bench name, schema_version,
 git_sha, build_type, threads header from obs::exportHeader):
-validate_bench.py picks its checks by the bench name, and perf_diff.py
-keys on the header when comparing two of them.
+validate_bench.py picks its checks by the bench name, and
+golden_diff.py drops the header fields a rerun may change.
 """
 
 import json

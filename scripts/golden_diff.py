@@ -2,12 +2,11 @@
 """Exact golden gate over two bench --json documents.
 
 Compares a fresh bench --json document with its committed golden copy
-(e.g. BENCH_fault_campaign.json) as parsed JSON. The bench outputs are
+(e.g. golden/fault_campaign.json) as parsed JSON. The bench outputs are
 simulated and deterministic, so every top-level key and every row must
 be equal. The only fields dropped first are the ones a run may change
 without any model change: git_sha, build_type, threads and total_ms.
-Key order does not matter; row order does. Unlike perf_diff.py, which
-gates direction-aware within a tolerance, any difference fails, and
+Key order does not matter; row order does. Any difference fails, and
 the report names every differing key and row.
 
 Usage:

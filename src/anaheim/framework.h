@@ -26,16 +26,6 @@
 
 namespace anaheim {
 
-struct FusionFlags {
-    /** PAccum/CAccum formation — applied by the trace builders. */
-    bool basicFuse = true;
-    /** GPU-side producer-consumer fusion of element-wise chains
-     *  (ModDown fusion of [38] and friends). */
-    bool extraFuse = true;
-    /** Automorphism fused into accumulation — applied by builders. */
-    bool autFuse = true;
-};
-
 /** Segment-group checkpointing of the live ciphertext footprint. A
  *  snapshot every `intervalSegments` trace segments lets detected
  *  corruption (uncorrectable ECC, scrub hits, checksum mismatches)
@@ -109,7 +99,10 @@ struct AnaheimConfig {
     DramConfig dram;
     PimConfig pim;
     bool pimEnabled = true;
-    FusionFlags fusion;
+    /** GPU-side producer-consumer fusion of element-wise chains
+     *  (ModDown fusion of [38] and friends). BasicFuse and AutFuse
+     *  are trace-builder options (TraceOptions). */
+    bool extraFuse = true;
     ResilienceConfig resilience;
 
     /** A100 80GB with near-bank PIM (Table III column 1). */

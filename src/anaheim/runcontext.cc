@@ -165,7 +165,7 @@ RunContext::fusesWithPrev(size_t i) const
     const bool elementWiseChain =
         kernelClass(op.type) == KernelClass::ElementWise &&
         kernelClass(prev.type) == KernelClass::ElementWise;
-    return elementWiseChain ? config_.fusion.extraFuse : true;
+    return elementWiseChain ? config_.extraFuse : true;
 }
 
 void

@@ -29,16 +29,6 @@ sampleErrorPoly(Rng &rng, const RnsBasis &basis, double sigma)
 
 } // namespace
 
-double
-EvalKey::sizeBytes(size_t wordBytes) const
-{
-    double total = 0.0;
-    for (const auto &poly : b)
-        total += static_cast<double>(poly.limbCount()) * poly.degree() *
-                 wordBytes;
-    return 2.0 * total; // a-part mirrors the b-part
-}
-
 KeyGenerator::KeyGenerator(const CkksContext &context, uint64_t seed)
     : context_(context), rng_(seed)
 {

@@ -41,9 +41,6 @@ struct EvalKey {
     std::vector<Polynomial> a;
 
     size_t dnum() const { return b.size(); }
-
-    /** Total size in bytes at word width `wordBytes` (paper: 4B words).*/
-    double sizeBytes(size_t wordBytes = 8) const;
 };
 
 /** Keys for a set of rotations plus conjugation, indexed by Galois

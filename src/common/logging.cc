@@ -75,24 +75,6 @@ logLevel()
     return static_cast<LogLevel>(gLevel.load(std::memory_order_relaxed));
 }
 
-void
-setLogLevel(LogLevel level)
-{
-    gLevel.store(static_cast<int>(level), std::memory_order_relaxed);
-}
-
-void
-setVerbose(bool verbose)
-{
-    setLogLevel(verbose ? LogLevel::Info : LogLevel::Warn);
-}
-
-bool
-verbose()
-{
-    return logLevel() >= LogLevel::Info;
-}
-
 namespace detail {
 
 void

@@ -37,9 +37,6 @@ enum class LogLevel {
 /** Current sink threshold. */
 LogLevel logLevel();
 
-/** Change the sink threshold at runtime (overrides the env default). */
-void setLogLevel(LogLevel level);
-
 namespace detail {
 
 /** Stream-compose a message from a variadic pack. */
@@ -60,11 +57,6 @@ void warnImpl(const std::string &msg);
 void informImpl(const std::string &msg);
 
 } // namespace detail
-
-/** Whether inform() messages are printed (compat shim: true iff the
- *  level is at least Info). */
-void setVerbose(bool verbose);
-bool verbose();
 
 } // namespace anaheim
 

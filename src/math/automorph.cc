@@ -98,13 +98,4 @@ evalAutomorphismTable(const NttTable &table, uint64_t k)
     });
 }
 
-void
-clearAutomorphismTables()
-{
-    TableCache &c = cache();
-    std::lock_guard<std::mutex> lock(c.mu);
-    c.map.clear();
-    c.order.clear();
-}
-
 } // namespace anaheim

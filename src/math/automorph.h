@@ -42,9 +42,6 @@ coeffAutomorphismTable(size_t n, uint64_t k);
 std::shared_ptr<const std::vector<uint64_t>>
 evalAutomorphismTable(const NttTable &table, uint64_t k);
 
-/** Drop every cached automorphism table (for sweeps and leak checks). */
-void clearAutomorphismTables();
-
 } // namespace anaheim
 
 #endif // ANAHEIM_MATH_AUTOMORPH_H

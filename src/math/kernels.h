@@ -144,21 +144,20 @@ bool cpuSupports(Backend b);
  * Returns false (and leaves dispatch untouched) if the backend is not
  * compiled in or the CPU cannot run it. Selecting Backend::Reference
  * forces every NttTable transform through the oracle kernels, exactly
- * like ANAHEIM_NTT_REFERENCE=1.
+ * like ANAHEIM_NTT_BACKEND=reference.
  */
 bool setBackend(Backend b);
 
 /** Drop any programmatic override and re-resolve from the environment
- *  (ANAHEIM_NTT_BACKEND / ANAHEIM_NTT_REFERENCE) and CPUID. */
+ *  (ANAHEIM_NTT_BACKEND) and CPUID. */
 void resetBackend();
 
 /** The backend dispatch currently resolves to (Reference when the
  *  oracle is forced). */
 Backend activeBackend();
 
-/** True when NTT dispatch must use the reference kernels: either
- *  ANAHEIM_NTT_REFERENCE is set (to anything but "0"), or
- *  ANAHEIM_NTT_BACKEND/setBackend selected "reference". */
+/** True when NTT dispatch must use the reference kernels, i.e.
+ *  ANAHEIM_NTT_BACKEND or setBackend selected "reference". */
 bool nttReferenceForced();
 
 /** Canonical lowercase name ("reference", "scalar", "avx2", "avx512"). */

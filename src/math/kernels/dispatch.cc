@@ -2,16 +2,15 @@
  * @file
  * Kernel-backend dispatch: resolves which KernelOps table the process
  * uses, from (in priority order) the programmatic override set by
- * setBackend(), the ANAHEIM_NTT_BACKEND / ANAHEIM_NTT_REFERENCE
- * environment variables, and CPUID. The resolution is cached; tests
- * flip it with setBackend()/resetBackend().
+ * setBackend(), the ANAHEIM_NTT_BACKEND environment variable, and
+ * CPUID. The resolution is cached; tests flip it with
+ * setBackend()/resetBackend().
  */
 
 #include "math/kernels.h"
 
 #include <atomic>
 #include <cstdlib>
-#include <string>
 
 #include "common/logging.h"
 #include "math/kernels/backends.h"
@@ -25,19 +24,8 @@ namespace {
 constexpr int kNoOverride = -1;
 std::atomic<int> gOverride{kNoOverride};
 
-bool
-envReferenceForced()
-{
-    static const bool forced = [] {
-        const char *env = std::getenv("ANAHEIM_NTT_REFERENCE");
-        return env != nullptr && env[0] != '\0' &&
-               std::string(env) != "0";
-    }();
-    return forced;
-}
-
-/** Resolve ANAHEIM_NTT_BACKEND + CPUID once; Reference when the oracle
- *  is forced by either env variable. */
+/** Resolve ANAHEIM_NTT_BACKEND + CPUID once; Reference when the
+ *  variable names the oracle. */
 Backend
 envResolvedBackend()
 {
@@ -57,8 +45,6 @@ envResolvedBackend()
                 return *parsed;
             }
         }
-        if (envReferenceForced())
-            return Backend::Reference;
 #ifdef ANAHEIM_HAVE_AVX512
         if (cpuSupports(Backend::Avx512))
             return Backend::Avx512;

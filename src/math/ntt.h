@@ -19,10 +19,10 @@
  *   prepared operand.
  * - The **reference kernels** (`forwardReference`/`inverseReference`):
  *   the original fully-reduced mulMod loops, kept compiled as the
- *   bitwise-identity oracle. Setting the `ANAHEIM_NTT_REFERENCE`
- *   environment variable (to anything but "0") forces every transform
- *   through them; they are also the automatic fallback for q >= 2^59,
- *   where the lazy < 4q invariant would approach the word boundary.
+ *   bitwise-identity oracle. Setting `ANAHEIM_NTT_BACKEND=reference`
+ *   forces every transform through them; they are also the automatic
+ *   fallback for q >= 2^59, where the lazy < 4q invariant would
+ *   approach the word boundary.
  *
  * Both paths produce bit-identical outputs in [0, q).
  */
@@ -92,7 +92,7 @@ class NttTable
 
     /** True when forward()/inverse() dispatch to the lazy kernels:
      *  requires q < kLazyModulusBound and the reference oracle not being
-     *  forced (ANAHEIM_NTT_REFERENCE / kernels::setBackend). Evaluated
+     *  forced (ANAHEIM_NTT_BACKEND / kernels::setBackend). Evaluated
      *  per call so programmatic backend overrides take effect on
      *  existing tables. */
     bool

@@ -128,20 +128,6 @@ Polynomial::mulScalarEq(const std::vector<uint64_t> &scalarPerLimb)
     return *this;
 }
 
-Polynomial &
-Polynomial::mulConstEq(uint64_t constant)
-{
-    const kernels::KernelOps &ops = kernels::active();
-    parallelFor(0, limbs_.size(), [&](size_t i) {
-        const uint64_t q = basis_.prime(i);
-        const ShoupMul prepared(constant % q, q);
-        auto &dst = limbs_[i];
-        ops.mulShoup(dst.data(), dst.data(), dst.size(),
-                     prepared.operand(), prepared.precon(), q);
-    });
-    return *this;
-}
-
 Polynomial
 Polynomial::automorphism(uint64_t k) const
 {

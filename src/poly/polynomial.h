@@ -45,9 +45,6 @@ class Polynomial
     std::vector<CoeffVector> &limbs() { return limbs_; }
     const std::vector<CoeffVector> &limbs() const { return limbs_; }
 
-    /** Override the domain tag without transforming (key import only). */
-    void setDomain(Domain domain) { domain_ = domain; }
-
     /** In-place NTT of every limb; no-op when already in Eval domain. */
     void toEval();
 
@@ -65,8 +62,6 @@ class Polynomial
     Polynomial &negate();
     /** Multiply every limb i by scalar mod prime(i). */
     Polynomial &mulScalarEq(const std::vector<uint64_t> &scalarPerLimb);
-    /** Multiply every limb by the same small integer constant. */
-    Polynomial &mulConstEq(uint64_t constant);
     /// @}
 
     friend Polynomial operator+(Polynomial lhs, const Polynomial &rhs)

@@ -60,17 +60,6 @@ syndromeOf(uint64_t codeword)
 
 } // namespace
 
-const char *
-eccOutcomeName(EccOutcome outcome)
-{
-    switch (outcome) {
-      case EccOutcome::Clean: return "Clean";
-      case EccOutcome::Corrected: return "Corrected";
-      case EccOutcome::Uncorrectable: return "Uncorrectable";
-    }
-    return "Unknown";
-}
-
 uint64_t
 SecDed3932::encode(uint32_t data)
 {

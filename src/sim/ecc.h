@@ -37,8 +37,6 @@ enum class EccOutcome {
     Uncorrectable, ///< double-bit error detected, data not trustworthy
 };
 
-const char *eccOutcomeName(EccOutcome outcome);
-
 struct EccDecodeResult {
     uint32_t data = 0; ///< best-effort decoded word
     EccOutcome outcome = EccOutcome::Clean;

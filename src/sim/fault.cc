@@ -195,14 +195,6 @@ FaultModel::samplePermanentBanks(size_t dieGroups,
     return failed;
 }
 
-double
-FaultModel::wordFaultProbability() const
-{
-    if (config_.ber <= 0.0)
-        return 0.0;
-    return 1.0 - std::pow(1.0 - config_.ber, SecDed3932::kCodeBits);
-}
-
 FaultEventCounts
 FaultModel::sampleEvents(size_t words, uint64_t streamId) const
 {

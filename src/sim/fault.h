@@ -192,10 +192,6 @@ class FaultModel
     std::vector<PermanentBankFault>
     samplePermanentBanks(size_t dieGroups, size_t banksPerGroup) const;
 
-    /** P(a 39-bit codeword has >= 1 flipped bit) at the configured
-     *  BER. */
-    double wordFaultProbability() const;
-
   private:
     uint64_t corruptAtRate(uint64_t codeword, double rate, size_t limb,
                            size_t word, uint64_t epoch,

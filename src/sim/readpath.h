@@ -73,7 +73,6 @@ class PimDataPath
     PimDataPath(const FaultConfig &faults, bool eccEnabled);
 
     bool eccEnabled() const { return ecc_; }
-    const FaultModel &faultModel() const { return model_; }
 
     /** Set the limb coordinate of subsequent accesses (the functional
      *  unit processes one limb at a time). */
@@ -123,10 +122,6 @@ class PimDataPath
     ReadPathCounters counters_;
     bool uncorrectableSeen_ = false;
 };
-
-/** The original read-only name; the class now covers the full
- *  datapath but existing read-path call sites stay valid. */
-using PimReadPath = PimDataPath;
 
 } // namespace anaheim
 

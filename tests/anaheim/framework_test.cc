@@ -208,9 +208,9 @@ TEST_F(FrameworkTest, ExtraFuseHelpsGpuOnlyRuns)
                                         noBasic);
     AnaheimConfig config = AnaheimConfig::a100NearBank();
     config.pimEnabled = false;
-    config.fusion.extraFuse = false;
+    config.extraFuse = false;
     const auto without = run(unfused, config);
-    config.fusion.extraFuse = true;
+    config.extraFuse = true;
     const auto with = run(unfused, config);
     EXPECT_LT(with.totalNs, without.totalNs);
 }

@@ -8,8 +8,9 @@
  * The matrix runs three ways in CI (see tests/CMakeLists.txt):
  *   - plain: runtime CPUID dispatch picks the widest backend;
  *   - ANAHEIM_NTT_BACKEND=scalar: env override pins the scalar lanes;
- *   - ANAHEIM_NTT_REFERENCE=1: the oracle itself is forced, so the
- *     "lazy" entry points must route through it and trivially agree.
+ *   - ANAHEIM_NTT_BACKEND=reference: the oracle itself is forced, so
+ *     the "lazy" entry points must route through it and trivially
+ *     agree.
  * The per-backend loops below additionally pin each compiled backend
  * programmatically via setBackend(), so one run of the plain binary
  * still covers scalar, AVX2, and AVX-512 wherever the host CPU allows.
@@ -104,7 +105,7 @@ TEST_F(KernelBackendMatrix, DispatchedEntryPointsMatchReference)
     // Whatever dispatch resolves to right now — CPUID best, an env
     // override, or the forced oracle — forward()/inverse() must equal
     // the reference bit for bit. This is the body the env-variant ctest
-    // entries (ANAHEIM_NTT_BACKEND=scalar, ANAHEIM_NTT_REFERENCE=1)
+    // entries (ANAHEIM_NTT_BACKEND=scalar and =reference)
     // exercise without any programmatic override.
     for (size_t n : {size_t{8}, size_t{256}, size_t{4096}}) {
         const uint64_t q = generateNttPrimes(n, 40, 1)[0];

@@ -146,9 +146,9 @@ TEST_P(NttTest, LazyKernelsMatchReferenceBitwise)
     // lazy-reduction kernels and the division-based reference kernels
     // produce bit-identical outputs, in both directions, including when
     // chained (forward then inverse on the lazy path).
-    // Under ANAHEIM_NTT_REFERENCE or ANAHEIM_NTT_BACKEND=reference the
-    // default dispatch goes to the oracle, but the lazy kernels
-    // themselves stay testable directly.
+    // Under ANAHEIM_NTT_BACKEND=reference the default dispatch goes to
+    // the oracle, but the lazy kernels themselves stay testable
+    // directly.
     const bool refForced = kernels::nttReferenceForced();
     for (uint64_t q : contextGradePrimes(n())) {
         const NttTable table(q, n());

@@ -251,7 +251,7 @@ TEST_F(ReadPathTest, SingleBitFlipIsCorrectedExactly)
         {0, operandWord(0, 17), uint64_t{1} << 12, FaultKind::Transient});
     faults.targets.push_back(
         {0, operandWord(1, 40), uint64_t{1} << 3, FaultKind::Transient});
-    PimReadPath path(faults, /*eccEnabled=*/true);
+    PimDataPath path(faults, /*eccEnabled=*/true);
     unit.attachReadPath(&path);
 
     EXPECT_EQ(unit.add(a, b), golden.add(a, b));
@@ -269,7 +269,7 @@ TEST_F(ReadPathTest, DoubleBitFlipIsDetectedUncorrectable)
     FaultConfig faults;
     faults.targets.push_back(
         {0, operandWord(0, 9), 0b101, FaultKind::Transient});
-    PimReadPath path(faults, /*eccEnabled=*/true);
+    PimDataPath path(faults, /*eccEnabled=*/true);
     unit.attachReadPath(&path);
 
     unit.move(a);
@@ -288,7 +288,7 @@ TEST_F(ReadPathTest, WithoutEccFaultsAreSilent)
     FaultConfig faults;
     faults.targets.push_back(
         {0, operandWord(0, 9), uint64_t{1} << 2, FaultKind::Transient});
-    PimReadPath path(faults, /*eccEnabled=*/false);
+    PimDataPath path(faults, /*eccEnabled=*/false);
     unit.attachReadPath(&path);
 
     const auto out = unit.move(a);
@@ -312,7 +312,7 @@ TEST_F(ReadPathTest, WriteBackSingleBitFlipIsCorrected)
     faults.targets.push_back(
         {0, siteWord(FaultSite::WriteBack, operandWord(0, 17)),
          uint64_t{1} << 7, FaultKind::Transient});
-    PimReadPath path(faults, /*eccEnabled=*/true);
+    PimDataPath path(faults, /*eccEnabled=*/true);
     unit.attachReadPath(&path);
 
     EXPECT_EQ(unit.add(a, b), golden.add(a, b));
@@ -332,7 +332,7 @@ TEST_F(ReadPathTest, WriteBackDoubleBitFlipIsUncorrectable)
     faults.targets.push_back(
         {0, siteWord(FaultSite::WriteBack, operandWord(0, 9)), 0b101,
          FaultKind::Transient});
-    PimReadPath path(faults, /*eccEnabled=*/true);
+    PimDataPath path(faults, /*eccEnabled=*/true);
     unit.attachReadPath(&path);
 
     unit.add(a, b);
@@ -354,7 +354,7 @@ TEST_F(ReadPathTest, LaneFaultIsSilentUntilAChecksumCatchesIt)
     faults.targets.push_back(
         {0, siteWord(FaultSite::MmacLane, 33), uint64_t{1} << 2,
          FaultKind::Transient});
-    PimReadPath path(faults, /*eccEnabled=*/true);
+    PimDataPath path(faults, /*eccEnabled=*/true);
     unit.attachReadPath(&path);
 
     const PimVector out = unit.mult(a, b);
@@ -385,7 +385,7 @@ TEST_F(ReadPathTest, StuckAtSiteFailsEveryReplayGeneration)
     FaultConfig faults;
     faults.targets.push_back(
         {0, operandWord(0, 9), 0b101, FaultKind::StuckAtOne});
-    PimReadPath path(faults, /*eccEnabled=*/true);
+    PimDataPath path(faults, /*eccEnabled=*/true);
     unit.attachReadPath(&path);
 
     for (uint64_t generation = 0; generation < 4; ++generation) {
@@ -409,7 +409,7 @@ TEST_F(ReadPathTest, TransientFaultsResampleAcrossReplayGenerations)
     FaultConfig faults;
     faults.ber = 1e-3;
     faults.seed = 4321;
-    PimReadPath path(faults, /*eccEnabled=*/true);
+    PimDataPath path(faults, /*eccEnabled=*/true);
     unit.attachReadPath(&path);
 
     std::vector<uint64_t> faultyPerGen;
@@ -435,7 +435,7 @@ TEST_F(ReadPathTest, EccKeepsOutputsExactUnderModerateBer)
     FaultConfig faults;
     faults.ber = 1e-4; // single-bit territory: ~32 upsets in 16k reads
     faults.seed = 1234;
-    PimReadPath path(faults, /*eccEnabled=*/true);
+    PimDataPath path(faults, /*eccEnabled=*/true);
     unit.attachReadPath(&path);
 
     const auto out = unit.mult(a, b);
@@ -453,7 +453,7 @@ TEST_F(ReadPathTest, DetachedPathIsBitwiseIdenticalGoldenPath)
     PimFunctionalUnit unit(kQ);
     FaultConfig faults;
     faults.ber = 1e-2;
-    PimReadPath path(faults, true);
+    PimDataPath path(faults, true);
     unit.attachReadPath(&path);
     unit.attachReadPath(nullptr); // detach again
 
