@@ -1,16 +1,26 @@
 /**
- * Google-benchmark microbenchmarks of the functional CKKS library —
- * the substrate everything else is validated against. Measures the
- * primitive costs (NTT, element-wise ops, keyswitching, rotation,
- * encode) at test-scale parameters on the host CPU.
+ * @file
+ * Host timings of the functional CKKS library — the substrate
+ * everything else is validated against: the forward NTT at N = 2^10,
+ * 2^12 and 2^14; HAdd, PMult, HMult, HRot, hoisted rotations {1, 8}
+ * and Encode at testParams(2^12, 8, 2); and the functional PIM PAccum
+ * over four 4096-element vectors. One row per operation: the mean time
+ * of one call in the fastest of 5 batches of 10 calls.
+ *
+ * Flags (parsed by bench::Flags, bench_util.h):
+ *   --smoke          one batch of one call per operation, for ctest
+ *   --json <path>    the rows; --trace/--metrics/--prom as every bench
  */
 
-#include <benchmark/benchmark.h>
+#include <complex>
+#include <cstdint>
+#include <functional>
+#include <vector>
 
+#include "bench_util.h"
 #include "ckks/encryptor.h"
 #include "ckks/evaluator.h"
 #include "common/rng.h"
-#include "common/status.h"
 #include "math/ntt.h"
 #include "math/primes.h"
 #include "pim/functional.h"
@@ -19,6 +29,7 @@ using namespace anaheim;
 
 namespace {
 
+/** Keys, one ciphertext and one plaintext at testParams(2^12, 8, 2). */
 struct Fixture {
     Fixture()
         : context(CkksParams::testParams(1 << 12, 8, 2)),
@@ -27,12 +38,11 @@ struct Fixture {
           keys(keygen.makeGaloisKeys({1, 8}))
     {
         Rng rng(47);
-        std::vector<std::complex<double>> msg(encoder.slots());
+        msg.resize(encoder.slots());
         for (auto &v : msg)
             v = {rng.uniformReal() - 0.5, rng.uniformReal() - 0.5};
-        ct = encryptor.encrypt(encoder.encode(msg, context.maxLevel()),
-                               keygen.secretKey());
         pt = encoder.encode(msg, context.maxLevel());
+        ct = encryptor.encrypt(pt, keygen.secretKey());
     }
 
     CkksContext context;
@@ -42,162 +52,97 @@ struct Fixture {
     CkksEvaluator evaluator;
     EvalKey relin;
     GaloisKeys keys;
+    std::vector<std::complex<double>> msg;
     Ciphertext ct;
     Plaintext pt;
 };
 
-Fixture &
-fixture()
+/** `count` uniform vectors of `length` residues mod q. */
+std::vector<PimVector>
+randomPimVectors(Rng &rng, uint64_t q, size_t count, size_t length)
 {
-    static Fixture instance;
-    return instance;
-}
-
-void
-BM_NttForward(benchmark::State &state)
-{
-    const size_t n = static_cast<size_t>(state.range(0));
-    const uint64_t q = generateNttPrimes(n, 50, 1)[0];
-    const NttTable table(q, n);
-    Rng rng(3);
-    auto data = sampleUniform(rng, n, q);
-    for (auto _ : state) {
-        table.forward(data.data());
-        benchmark::DoNotOptimize(data.data());
+    std::vector<PimVector> vectors(count, PimVector(length));
+    for (auto &vector : vectors) {
+        for (auto &value : vector)
+            value = static_cast<uint32_t>(rng.uniform(q));
     }
-    state.SetItemsProcessed(state.iterations() * n);
+    return vectors;
 }
-BENCHMARK(BM_NttForward)->Arg(1 << 10)->Arg(1 << 12)->Arg(1 << 14);
-
-void
-BM_HAdd(benchmark::State &state)
-{
-    auto &f = fixture();
-    for (auto _ : state) {
-        auto out = f.evaluator.add(f.ct, f.ct);
-        benchmark::DoNotOptimize(out.b.limb(0).data());
-    }
-}
-BENCHMARK(BM_HAdd);
-
-void
-BM_PMult(benchmark::State &state)
-{
-    auto &f = fixture();
-    for (auto _ : state) {
-        auto out = f.evaluator.mulPlain(f.ct, f.pt);
-        benchmark::DoNotOptimize(out.b.limb(0).data());
-    }
-}
-BENCHMARK(BM_PMult);
-
-void
-BM_HMult(benchmark::State &state)
-{
-    auto &f = fixture();
-    for (auto _ : state) {
-        auto out = f.evaluator.multiply(f.ct, f.ct, f.relin);
-        benchmark::DoNotOptimize(out.b.limb(0).data());
-    }
-}
-BENCHMARK(BM_HMult);
-
-void
-BM_HRot(benchmark::State &state)
-{
-    auto &f = fixture();
-    for (auto _ : state) {
-        auto out = f.evaluator.rotate(f.ct, 1, f.keys);
-        benchmark::DoNotOptimize(out.b.limb(0).data());
-    }
-}
-BENCHMARK(BM_HRot);
-
-void
-BM_HoistedRotations(benchmark::State &state)
-{
-    auto &f = fixture();
-    const std::vector<int> rotations = {1, 8};
-    for (auto _ : state) {
-        auto out = f.evaluator.rotateHoisted(f.ct, rotations, f.keys);
-        benchmark::DoNotOptimize(out.front().b.limb(0).data());
-    }
-}
-BENCHMARK(BM_HoistedRotations);
-
-void
-BM_Encode(benchmark::State &state)
-{
-    auto &f = fixture();
-    std::vector<std::complex<double>> msg(f.encoder.slots(), {0.5, 0.1});
-    for (auto _ : state) {
-        auto out = f.encoder.encode(msg, f.context.maxLevel());
-        benchmark::DoNotOptimize(out.poly.limb(0).data());
-    }
-}
-BENCHMARK(BM_Encode);
-
-void
-BM_PimFunctionalPAccum(benchmark::State &state)
-{
-    const uint64_t q = generateNttPrimes(1024, 28, 1)[0];
-    const PimFunctionalUnit unit(q);
-    Rng rng(31);
-    std::vector<PimVector> a(4), b(4), p(4);
-    for (int k = 0; k < 4; ++k) {
-        a[k].resize(4096);
-        b[k].resize(4096);
-        p[k].resize(4096);
-        for (size_t i = 0; i < 4096; ++i) {
-            a[k][i] = static_cast<uint32_t>(rng.uniform(q));
-            b[k][i] = static_cast<uint32_t>(rng.uniform(q));
-            p[k][i] = static_cast<uint32_t>(rng.uniform(q));
-        }
-    }
-    for (auto _ : state) {
-        auto out = unit.pAccum(a, b, p);
-        benchmark::DoNotOptimize(out.first.data());
-    }
-    state.SetItemsProcessed(state.iterations() * 4096 * 8);
-}
-BENCHMARK(BM_PimFunctionalPAccum);
 
 } // namespace
 
-// Custom main instead of BENCHMARK_MAIN(): the shared `--json <path>`
-// flag the other benches take is translated into google-benchmark's own
-// JSON reporter flags so the output lands in one machine-readable file.
 static int
 run(int argc, char **argv)
 {
-    std::vector<std::string> storage;
-    std::vector<char *> args;
-    for (int i = 0; i < argc; ++i) {
-        if (std::string(argv[i]) == "--json" && i + 1 < argc) {
-            storage.push_back("--benchmark_out=" + std::string(argv[i + 1]));
-            storage.push_back("--benchmark_out_format=json");
-            ++i;
-        } else {
-            args.push_back(argv[i]);
-        }
+    size_t batches = 5;
+    size_t calls = 10;
+    bench::Flags flags("bench_functional_ckks", argc, argv);
+    const bool smoke = flags.smoke();
+    if (smoke)
+        batches = calls = 1;
+    bench::JsonScope json("functional_ckks", flags);
+    json.report().metric("smoke", smoke ? "yes" : "no");
+    json.report().metric("batches", static_cast<double>(batches));
+    json.report().metric("calls_per_batch", static_cast<double>(calls));
+
+    bench::header("Functional CKKS library: host time per call");
+    bench::note("HE ops at testParams(2^12, 8, 2), NTT on a 50-bit "
+                "prime; fastest batch, mean per call");
+    bench::Table table(json.report(), {
+        {"op", "op", "%-18s"},
+        {"n", "N", "%6.0f"},
+        {"us_per_call", "us/call", "%10.2f"},
+    });
+    const auto timeRow = [&](const char *op, size_t n,
+                             const std::function<void()> &call) {
+        const double ns = bench::bestOfNs(batches, [&] {
+            for (size_t c = 0; c < calls; ++c)
+                call();
+        });
+        table.row({op, n, ns * 1e-3 / static_cast<double>(calls)});
+    };
+
+    for (const size_t n : {size_t{1} << 10, size_t{1} << 12,
+                           size_t{1} << 14}) {
+        const uint64_t q = generateNttPrimes(n, 50, 1)[0];
+        const NttTable ntt(q, n);
+        Rng rng(3);
+        CoeffVector data = sampleUniform(rng, n, q);
+        timeRow("NTT forward", n, [&] { ntt.forward(data.data()); });
     }
-    for (auto &flag : storage)
-        args.push_back(flag.data());
-    int count = static_cast<int>(args.size());
-    ::benchmark::Initialize(&count, args.data());
-    if (::benchmark::ReportUnrecognizedArguments(count, args.data()))
-        return 1;
-    ::benchmark::RunSpecifiedBenchmarks();
-    ::benchmark::Shutdown();
+
+    Fixture f;
+    const size_t n = f.context.degree();
+    Ciphertext out;
+    std::vector<Ciphertext> rotated;
+    Plaintext encoded;
+    timeRow("HAdd", n, [&] { out = f.evaluator.add(f.ct, f.ct); });
+    timeRow("PMult", n, [&] { out = f.evaluator.mulPlain(f.ct, f.pt); });
+    timeRow("HMult", n,
+            [&] { out = f.evaluator.multiply(f.ct, f.ct, f.relin); });
+    timeRow("HRot", n, [&] { out = f.evaluator.rotate(f.ct, 1, f.keys); });
+    timeRow("HRot hoisted {1,8}", n, [&] {
+        rotated = f.evaluator.rotateHoisted(f.ct, {1, 8}, f.keys);
+    });
+    timeRow("Encode", n, [&] {
+        encoded = f.encoder.encode(f.msg, f.context.maxLevel());
+    });
+
+    const uint64_t q = generateNttPrimes(1024, 28, 1)[0];
+    const PimFunctionalUnit unit(q);
+    Rng rng(31);
+    const auto a = randomPimVectors(rng, q, 4, 4096);
+    const auto b = randomPimVectors(rng, q, 4, 4096);
+    const auto p = randomPimVectors(rng, q, 4, 4096);
+    std::pair<PimVector, PimVector> accumulated;
+    timeRow("PIM PAccum", 4096,
+            [&] { accumulated = unit.pAccum(a, b, p); });
     return 0;
 }
 
 int
 main(int argc, char **argv)
 {
-    // Recoverable library errors (bad traces, infeasible
-    // parameters) surface as AnaheimError; report them
-    // cleanly instead of aborting.
     return runGuardedMain("bench_functional_ckks",
                           [&] { return run(argc, argv); });
 }

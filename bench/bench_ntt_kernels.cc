@@ -13,7 +13,6 @@
  * one such run, checked by scripts/validate_bench.py).
  */
 
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <functional>
@@ -29,25 +28,6 @@
 namespace anaheim {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-/** Best-of-3 wall time of fn(), in nanoseconds. */
-template <typename Fn>
-double
-bestNs(Fn &&fn)
-{
-    double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-        const auto start = Clock::now();
-        fn();
-        const double ns =
-            std::chrono::duration<double, std::nano>(Clock::now() - start)
-                .count();
-        best = std::min(best, ns);
-    }
-    return best;
-}
-
 struct KernelTiming {
     double nsPerTransform = 0.0;
     double nsPerButterfly = 0.0;
@@ -62,7 +42,7 @@ time_kernel(const std::function<void(uint64_t *)> &kernel,
     // residues, which are valid inputs again, so both paths execute the
     // identical instruction mix with no copy overhead in the loop.
     KernelTiming t;
-    const double ns = bestNs([&] {
+    const double ns = bench::bestOfNs(3, [&] {
         for (size_t r = 0; r < reps; ++r)
             kernel(data.data());
     });

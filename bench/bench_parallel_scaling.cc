@@ -10,7 +10,6 @@
  * on a single-core host all configurations legitimately report ~1x.
  */
 
-#include <chrono>
 #include <cstdio>
 #include <vector>
 
@@ -27,27 +26,12 @@
 namespace anaheim {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double
-msSince(Clock::time_point start)
-{
-    return std::chrono::duration<double, std::milli>(Clock::now() - start)
-        .count();
-}
-
 /** Best-of-3 wall time of fn(), in milliseconds. */
 template <typename Fn>
 double
 bestMs(Fn &&fn)
 {
-    double best = 1e300;
-    for (int rep = 0; rep < 3; ++rep) {
-        const auto start = Clock::now();
-        fn();
-        best = std::min(best, msSince(start));
-    }
-    return best;
+    return bench::bestOfNs(3, fn) * 1e-6;
 }
 
 Polynomial

@@ -1,11 +1,12 @@
 /**
  * @file
- * The harness of every bench but the google-benchmark one:
+ * The harness of every bench:
  *
  *   Flags      the one argv scan: the output paths, `--smoke` and
  *              `--name=value` flags, each value checked;
  *   Table      the row spec: each printed value is one column that
  *              lands on stdout and in the `--json` document's "rows";
+ *   bestOfNs   the host-timing benches' one timer (best of N runs);
  *   JsonScope  the run's exports, each written when its path is given:
  *              `--json` (the rows and metrics, after a self-describing
  *              header of schema version, git SHA, build type and
@@ -414,6 +415,22 @@ categoryMs(const RunResult &result, const std::string &cat)
 {
     const auto it = result.timeNsByCategory.find(cat);
     return it == result.timeNsByCategory.end() ? 0.0 : it->second * 1e-6;
+}
+
+/** Best-of-`runs` wall time of fn(), in nanoseconds. */
+template <typename Fn>
+double
+bestOfNs(size_t runs, Fn &&fn)
+{
+    double best = 1e300;
+    for (size_t run = 0; run < runs; ++run) {
+        const auto start = std::chrono::steady_clock::now();
+        fn();
+        best = std::min(best, std::chrono::duration<double, std::nano>(
+                                  std::chrono::steady_clock::now() - start)
+                                  .count());
+    }
+    return best;
 }
 
 /** Whether `workload` overflows the device memory of `config`: both

@@ -4,8 +4,10 @@
  * flow is static, every PIM kernel's operands can be pre-placed into
  * PolyGroups before execution. The planner walks a trace, sizes the
  * PolyGroup each PIM kernel needs under the column-partitioning layout,
- * and reports the peak per-bank row demand — the capacity check behind
- * the paper's OoM results (§VII-B).
+ * and checks the peak per-bank row demand against the banks' row
+ * budget: it is the one model of whether PIM operands fit. It sizes
+ * PIM operand rows only; the paper's device out-of-memory results
+ * (§VII-B) do not come from it (EXPERIMENTS.md, known deviations).
  */
 
 #ifndef ANAHEIM_ANAHEIM_PLANNER_H

@@ -32,7 +32,6 @@ makeBootWorkload(const TraceParams &params, double fftIter)
     OpSequence seq =
         buildBootstrap(params, fftIter, TraceLtAlgorithm::Hoisting);
     seq.name = "Boot";
-    seq.levelsEff = 11.0;
     return seq;
 }
 
@@ -70,7 +69,6 @@ makeHelrWorkload(const TraceParams &params)
         }
     }
     seq.append(boot);
-    seq.levelsEff = 10.0;
     return seq;
 }
 
@@ -97,7 +95,6 @@ makeSortWorkload(const TraceParams &params)
                 buildBootstrap(params, 3.5, TraceLtAlgorithm::Hoisting));
         }
     }
-    seq.levelsEff = 9.0;
     return seq;
 }
 
@@ -123,7 +120,6 @@ makeRnnWorkload(const TraceParams &params)
                 buildBootstrap(params, 3.5, TraceLtAlgorithm::Hoisting));
         }
     }
-    seq.levelsEff = 10.0;
     return seq;
 }
 
@@ -146,7 +142,6 @@ makeResNet20Workload(const TraceParams &params)
         seq.append(
             buildBootstrap(params, 3.5, TraceLtAlgorithm::Hoisting));
     }
-    seq.levelsEff = 8.0;
     return seq;
 }
 
@@ -172,7 +167,6 @@ makeResNet18AespaWorkload(const TraceParams &params)
         seq.append(
             buildBootstrap(params, 3.5, TraceLtAlgorithm::Hoisting));
     }
-    seq.levelsEff = 7.0;
     return seq;
 }
 
@@ -180,17 +174,17 @@ std::vector<std::pair<WorkloadInfo, OpSequence>>
 makeAllWorkloads(const TraceParams &params)
 {
     std::vector<std::pair<WorkloadInfo, OpSequence>> workloads;
-    workloads.emplace_back(WorkloadInfo{"Boot", 11.0},
+    workloads.emplace_back(WorkloadInfo{"Boot"},
                            makeBootWorkload(params));
-    workloads.emplace_back(WorkloadInfo{"HELR", 10.0},
+    workloads.emplace_back(WorkloadInfo{"HELR"},
                            makeHelrWorkload(params));
-    workloads.emplace_back(WorkloadInfo{"Sort", 9.0},
+    workloads.emplace_back(WorkloadInfo{"Sort"},
                            makeSortWorkload(params));
-    workloads.emplace_back(WorkloadInfo{"RNN", 10.0},
+    workloads.emplace_back(WorkloadInfo{"RNN"},
                            makeRnnWorkload(params));
-    workloads.emplace_back(WorkloadInfo{"ResNet20", 8.0},
+    workloads.emplace_back(WorkloadInfo{"ResNet20"},
                            makeResNet20Workload(params));
-    workloads.emplace_back(WorkloadInfo{"ResNet18-AESPA", 7.0},
+    workloads.emplace_back(WorkloadInfo{"ResNet18-AESPA"},
                            makeResNet18AespaWorkload(params));
     return workloads;
 }

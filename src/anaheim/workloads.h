@@ -19,8 +19,6 @@ namespace anaheim {
 
 struct WorkloadInfo {
     const char *name;
-    /** The paper's L_eff for the workload (§VII-A). */
-    double levelsEff;
 };
 
 /** Full-slot bootstrapping (L: 2 -> 54 -> 24, L_eff = 11). */

@@ -76,9 +76,9 @@ DftPlan::materialize(const std::vector<size_t> &stageLens, bool forward,
                      Complex scale) const
 {
     // Columns are independent (each propagates one unit vector through
-    // the stages into its own scratch buffer), so they parallelize with
-    // a per-column grain; the per-column arithmetic is exactly the
-    // serial sequence, so results are bitwise identical.
+    // the stages into its own scratch buffer), so they parallelize one
+    // column per task; the per-column arithmetic is exactly the serial
+    // sequence, so results are bitwise identical.
     std::vector<std::vector<Complex>> dense(
         slots_, std::vector<Complex>(slots_, 0.0));
     parallelFor(0, slots_, [&](size_t c) {

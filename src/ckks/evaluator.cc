@@ -127,16 +127,6 @@ CkksEvaluator::addPlain(const Ciphertext &x, const Plaintext &pt) const
 }
 
 Ciphertext
-CkksEvaluator::subPlain(const Ciphertext &x, const Plaintext &pt) const
-{
-    ANAHEIM_ASSERT(pt.level >= x.level, "plaintext level too low");
-    checkScalesMatch(x.scale, pt.scale);
-    Ciphertext out = x;
-    out.b -= pt.poly.firstLimbs(x.level);
-    return out;
-}
-
-Ciphertext
 CkksEvaluator::mulPlain(const Ciphertext &x, const Plaintext &pt) const
 {
     ANAHEIM_ASSERT(pt.level >= x.level, "plaintext level too low");

@@ -37,7 +37,6 @@ class CkksEvaluator
     Ciphertext sub(const Ciphertext &x, const Ciphertext &y) const;
     Ciphertext negate(const Ciphertext &x) const;
     Ciphertext addPlain(const Ciphertext &x, const Plaintext &pt) const;
-    Ciphertext subPlain(const Ciphertext &x, const Plaintext &pt) const;
     /// @}
 
     /** PMULT: plaintext-ciphertext multiplication; scale multiplies. */

@@ -10,7 +10,7 @@ namespace anaheim {
 
 namespace {
 
-/** Nonzero while the current thread is executing loop chunks; nested
+/** Nonzero while the current thread is executing loop indices; nested
  *  parallelFor calls detect this and run inline. */
 thread_local int tlsInLoop = 0;
 
@@ -58,31 +58,25 @@ ThreadPool::resize(size_t threads)
 }
 
 void
-ThreadPool::runChunks(Job &job)
+ThreadPool::runIndices(Job &job)
 {
     ++tlsInLoop;
     for (;;) {
-        const size_t idx = job.cursor.fetch_add(1,
-                                                std::memory_order_relaxed);
-        if (idx >= job.numChunks)
+        const size_t offset =
+            job.cursor.fetch_add(1, std::memory_order_relaxed);
+        if (offset >= job.count)
             break;
-        const size_t start = job.begin + idx * job.grain;
-        // end - start, not start + grain: the addition can wrap for
-        // ranges ending near SIZE_MAX.
-        const size_t stop =
-            job.end - start > job.grain ? start + job.grain : job.end;
         try {
-            for (size_t i = start; i < stop; ++i)
-                (*job.fn)(i);
+            (*job.fn)(job.begin + offset);
         } catch (...) {
             {
                 std::lock_guard<std::mutex> lock(job.errorMutex);
                 if (!job.error)
                     job.error = std::current_exception();
             }
-            // Skip remaining chunks; in-flight indices on other
+            // Skip the unclaimed indices; in-flight indices on other
             // threads finish normally.
-            job.cursor.store(job.numChunks, std::memory_order_relaxed);
+            job.cursor.store(job.count, std::memory_order_relaxed);
         }
     }
     --tlsInLoop;
@@ -106,7 +100,7 @@ ThreadPool::workerLoop()
         }
         if (!job)
             continue;
-        runChunks(*job);
+        runIndices(*job);
         if (job->pending.fetch_sub(1, std::memory_order_acq_rel) == 1) {
             // Last worker out signals completion under the lock so the
             // submitter cannot miss the notification.
@@ -117,17 +111,15 @@ ThreadPool::workerLoop()
 }
 
 void
-ThreadPool::parallelFor(size_t begin, size_t end, size_t grain,
+ThreadPool::parallelFor(size_t begin, size_t end,
                         const std::function<void(size_t)> &fn)
 {
     if (end <= begin)
         return;
-    if (grain == 0)
-        grain = 1;
     const size_t count = end - begin;
-    // Serial fallback: pool of one, a range that fits a single chunk, or
-    // a nested call from inside a running loop.
-    if (workers_.empty() || count <= grain || tlsInLoop > 0) {
+    // Serial fallback: pool of one, a single index, or a nested call
+    // from inside a running loop.
+    if (workers_.empty() || count == 1 || tlsInLoop > 0) {
         for (size_t i = begin; i < end; ++i)
             fn(i);
         return;
@@ -137,11 +129,7 @@ ThreadPool::parallelFor(size_t begin, size_t end, size_t grain,
     Job job;
     job.fn = &fn;
     job.begin = begin;
-    job.end = end;
-    job.grain = grain;
-    // count / grain rather than (count + grain - 1): the rounding-up
-    // addition overflows when count is near SIZE_MAX.
-    job.numChunks = count / grain + (count % grain != 0 ? 1 : 0);
+    job.count = count;
     job.cursor.store(0, std::memory_order_relaxed);
     job.pending.store(workers_.size(), std::memory_order_relaxed);
     {
@@ -151,8 +139,8 @@ ThreadPool::parallelFor(size_t begin, size_t end, size_t grain,
     }
     wake_.notify_all();
 
-    // The caller works too; chunks are claimed from the shared cursor.
-    runChunks(job);
+    // The caller works too; indices are claimed from the shared cursor.
+    runIndices(job);
 
     {
         std::unique_lock<std::mutex> lock(mutex_);
@@ -201,10 +189,10 @@ setParallelThreads(size_t threads)
 }
 
 void
-parallelFor(size_t begin, size_t end, size_t grain,
+parallelFor(size_t begin, size_t end,
             const std::function<void(size_t)> &fn)
 {
-    ThreadPool::global().parallelFor(begin, end, grain, fn);
+    ThreadPool::global().parallelFor(begin, end, fn);
 }
 
 } // namespace anaheim

@@ -10,9 +10,9 @@
  * (NTT per limb, BConv stages, ModUp/ModDown, homomorphic DFT columns)
  * dispatch onto via parallelFor().
  *
- * Determinism guarantee: parallelFor(begin, end, grain, fn) invokes
- * fn(i) exactly once for every i in [begin, end), each index on exactly
- * one thread, with no reordering of the work *within* an index. Callers
+ * Determinism guarantee: parallelFor(begin, end, fn) invokes fn(i)
+ * exactly once for every i in [begin, end), each index on exactly one
+ * thread, with no reordering of the work *within* an index. Callers
  * partition output by index (one limb / one column per index), so the
  * result is bitwise identical to the serial loop — there is no
  * floating-point reassociation and no accumulation order change. Every
@@ -40,7 +40,7 @@
 namespace anaheim {
 
 /**
- * Fixed-size pool of worker threads executing chunked index ranges.
+ * Fixed-size pool of worker threads executing index ranges.
  *
  * One parallel loop is active at a time (concurrent submissions from
  * different user threads serialize on an internal mutex). Nested
@@ -65,14 +65,14 @@ class ThreadPool
     size_t size() const { return workers_.size() + 1; }
 
     /**
-     * Run fn(i) for every i in [begin, end), distributing contiguous
-     * chunks of `grain` indices across the pool. The caller participates
-     * in the work and the call returns only when every index has run.
-     * The first exception thrown by fn is rethrown on the caller after
-     * the loop drains (remaining chunks are skipped, in-flight indices
-     * finish). grain == 0 is treated as 1.
+     * Run fn(i) for every i in [begin, end), each worker claiming the
+     * next unclaimed index (one limb or one column per task). The
+     * caller participates in the work and the call returns only when
+     * every index has run. The first exception thrown by fn is
+     * rethrown on the caller after the loop drains (unclaimed indices
+     * are skipped, in-flight indices finish).
      */
-    void parallelFor(size_t begin, size_t end, size_t grain,
+    void parallelFor(size_t begin, size_t end,
                      const std::function<void(size_t)> &fn);
 
     /**
@@ -89,13 +89,10 @@ class ThreadPool
     struct Job {
         const std::function<void(size_t)> *fn = nullptr;
         size_t begin = 0;
-        size_t end = 0;
-        size_t grain = 1;
-        /** Total chunks: ceil((end - begin) / grain). Workers claim
-         *  chunk *indices* rather than raw offsets so the claim counter
-         *  can never wrap past `end` and re-admit indices (an offset
-         *  cursor overflows for ranges ending near SIZE_MAX). */
-        size_t numChunks = 0;
+        /** end - begin. Workers claim offsets from 0 rather than raw
+         *  indices, so the claim counter stops near `count` and cannot
+         *  wrap past `end` for ranges ending near SIZE_MAX. */
+        size_t count = 0;
         std::atomic<size_t> cursor{0};
         std::atomic<size_t> pending{0};
         std::mutex errorMutex;
@@ -103,7 +100,7 @@ class ThreadPool
     };
 
     void workerLoop();
-    static void runChunks(Job &job);
+    static void runIndices(Job &job);
     void spawn(size_t threads);
     void shutdown();
 
@@ -135,16 +132,8 @@ size_t parallelThreadCount();
 void setParallelThreads(size_t threads);
 
 /** parallelFor on the global pool; see ThreadPool::parallelFor. */
-void parallelFor(size_t begin, size_t end, size_t grain,
+void parallelFor(size_t begin, size_t end,
                  const std::function<void(size_t)> &fn);
-
-/** Convenience overload with grain = 1 (one limb/column per task). */
-inline void
-parallelFor(size_t begin, size_t end,
-            const std::function<void(size_t)> &fn)
-{
-    parallelFor(begin, end, 1, fn);
-}
 
 } // namespace anaheim
 

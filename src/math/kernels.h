@@ -77,9 +77,8 @@ enum class Backend {
 struct KernelOps {
     const char *name;
     Backend backend;
-    size_t vectorWidth; ///< lanes per vector op (1 for scalar)
-    size_t minDegree;   ///< smallest n the transform kernels accept;
-                        ///< dispatch falls back to scalar below it
+    size_t minDegree; ///< smallest n the transform kernels accept;
+                      ///< dispatch falls back to scalar below it
 
     void (*nttForwardLazy)(const NttView &v, uint64_t *data);
     void (*nttInverseLazy)(const NttView &v, uint64_t *data);

@@ -771,7 +771,6 @@ struct Kernels {
         KernelOps k;
         k.name = name;
         k.backend = backend;
-        k.vectorWidth = W;
         k.minDegree = W == 1 ? 1 : 2 * W;
         k.nttForwardLazy = &forwardLazy;
         k.nttInverseLazy = &inverseLazy;

@@ -2,36 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdlib>
 
 #include "common/status.h"
 #include "obs/metrics.h"
 
 namespace anaheim::obs {
-
-namespace detail {
-namespace {
-
-bool
-initialSeriesEnabled()
-{
-    const char *env = std::getenv("ANAHEIM_TIMESERIES");
-    if (env == nullptr)
-        return true;
-    return !(env[0] == '0' && env[1] == '\0');
-}
-
-} // namespace
-
-std::atomic<bool> gSeriesEnabled{initialSeriesEnabled()};
-
-} // namespace detail
-
-void
-setSeriesSamplingEnabled(bool enabled)
-{
-    detail::gSeriesEnabled.store(enabled, std::memory_order_relaxed);
-}
 
 namespace {
 
@@ -143,8 +118,6 @@ TimeSeries::windowFor(double simNs)
 void
 TimeSeries::observe(double simNs, double value)
 {
-    if (!seriesSamplingEnabled())
-        return;
     if (!std::isfinite(value) || !std::isfinite(simNs) || simNs < 0.0) {
         droppedSamplesCounter().add();
         return;
@@ -171,8 +144,6 @@ TimeSeries::observe(double simNs, double value)
 void
 TimeSeries::advanceTo(double simNs)
 {
-    if (!seriesSamplingEnabled())
-        return;
     if (!std::isfinite(simNs) || simNs < 0.0)
         return;
     std::lock_guard<std::mutex> lock(mutex_);

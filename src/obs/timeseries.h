@@ -19,9 +19,9 @@
  *
  * Concurrency: updates and snapshots serialize on a per-series mutex —
  * series sit on scheduler-event granularity, not kernel hot paths.
- * The process-wide enable flag (`seriesSamplingEnabled()`) keeps the
- * disabled path at one relaxed atomic load and a branch, mirroring
- * OBS_SPAN.
+ * The emitter decides whether to sample: one that samples nothing
+ * creates no series (the serving scheduler samples only when
+ * `ServeTelemetryConfig::tickNs > 0`).
  *
  * Everything is a pure function of the observed (timestamp, value)
  * pairs: no wall clock, no randomness, so sampled serve runs stay
@@ -41,21 +41,6 @@
 #include <vector>
 
 namespace anaheim::obs {
-
-namespace detail {
-extern std::atomic<bool> gSeriesEnabled;
-} // namespace detail
-
-/** Whether time-series sampling is live (one relaxed load). */
-inline bool
-seriesSamplingEnabled()
-{
-    return detail::gSeriesEnabled.load(std::memory_order_relaxed);
-}
-
-/** Flip series recording at runtime (default: enabled; the cost sits
- *  on scheduler ticks, not kernel hot paths). */
-void setSeriesSamplingEnabled(bool enabled);
 
 /** Fixed log-bucket layout shared by every window: bucket 0 holds
  *  [0, 1), then 4 geometric sub-buckets per octave up to 2^40, then

@@ -11,13 +11,12 @@ ColumnPartitionLayout::ColumnPartitionLayout(const DramConfig &config,
                                              size_t banksPerGroup,
                                              size_t n, size_t columnGroups,
                                              std::vector<size_t> offlineBanks)
-    : chunksPerRow_(config.chunksPerRow()), columnGroups_(columnGroups),
-      offlineBanks_(std::move(offlineBanks))
+    : columnGroups_(columnGroups), offlineBanks_(std::move(offlineBanks))
 {
-    ANAHEIM_ASSERT(columnGroups >= 1 &&
-                       chunksPerRow_ % columnGroups == 0,
+    const size_t chunksPerRow = config.chunksPerRow();
+    ANAHEIM_ASSERT(columnGroups >= 1 && chunksPerRow % columnGroups == 0,
                    "column groups must divide the row");
-    chunksPerCg_ = chunksPerRow_ / columnGroups;
+    chunksPerCg_ = chunksPerRow / columnGroups;
     std::sort(offlineBanks_.begin(), offlineBanks_.end());
     offlineBanks_.erase(
         std::unique(offlineBanks_.begin(), offlineBanks_.end()),
@@ -42,42 +41,6 @@ ColumnPartitionLayout::ColumnPartitionLayout(const DramConfig &config,
     chunksPerBank_ = (totalChunks + healthyBanks_ - 1) / healthyBanks_;
     // A limb occupies one CG slice of rowsPerRg adjacent rows.
     rowsPerRg_ = (chunksPerBank_ + chunksPerCg_ - 1) / chunksPerCg_;
-    // Generous per-bank row budget (a real bank has 2^14+ rows; we only
-    // need relative occupancy).
-    rowCapacity_ = 16384;
-}
-
-PolyGroupDesc
-ColumnPartitionLayout::allocate(size_t polys, size_t limbs)
-{
-    ANAHEIM_CHECK(polys >= 1 && polys <= columnGroups_, InvalidArgument,
-                  "PolyGroup wider than the column groups: ", polys);
-    PolyGroupDesc desc;
-    desc.id = nextId_++;
-    desc.polys = polys;
-    desc.limbsPerBank = limbs;
-    desc.offlineBanks = offlineBanks_;
-    // Each limb takes one row group; different polynomials share the
-    // row group through different column groups.
-    for (size_t p = 0; p < polys; ++p) {
-        for (size_t limb = 0; limb < limbs; ++limb) {
-            LimbPlacement placement;
-            placement.rowGroupBase = nextRow_ + limb * rowsPerRg_;
-            placement.rowsPerGroup = rowsPerRg_;
-            placement.columnGroup = p;
-            placement.chunksPerCg = chunksPerCg_;
-            desc.placements.push_back(placement);
-        }
-    }
-    nextRow_ += limbs * rowsPerRg_;
-    if (nextRow_ > rowCapacity_) {
-        nextRow_ -= limbs * rowsPerRg_; // roll back the failed claim
-        --nextId_;
-        ANAHEIM_RAISE(ResourceExhausted,
-                      "PolyGroup allocation exceeds bank rows: need ",
-                      nextRow_ + limbs * rowsPerRg_, " of ", rowCapacity_);
-    }
-    return desc;
 }
 
 size_t

@@ -1,43 +1,28 @@
 /**
  * @file
- * Column-partitioning data layout and PolyGroup allocator (§VI-B).
+ * Column-partitioning data layout (§VI-B): the per-bank geometry of
+ * one limb.
  *
  * A die group holds L/S limbs of each polynomial; within a bank, each
  * limb occupies C chunks. Rows are split into column groups (CGs) of
  * 2/4/8 chunks; a limb wraps across the adjacent rows of a row group
  * (RG). A PolyGroup spans several RGs x CGs so that the polynomials an
  * element-wise op touches live in the same rows — which is what bounds
- * the ACT/PRE count per chunk-group iteration (Alg. 1).
+ * the ACT/PRE count per chunk-group iteration (Alg. 1). The kernel
+ * model prices from this geometry; PimMemoryPlanner
+ * (anaheim/planner.h) sizes each kernel's PolyGroups from it and checks
+ * that they fit the banks.
  */
 
 #ifndef ANAHEIM_PIM_LAYOUT_H
 #define ANAHEIM_PIM_LAYOUT_H
 
 #include <cstddef>
-#include <cstdint>
 #include <vector>
 
 #include "dram/timing.h"
 
 namespace anaheim {
-
-/** Physical placement of one limb of one polynomial within a bank. */
-struct LimbPlacement {
-    size_t rowGroupBase = 0; ///< first row of the row group
-    size_t rowsPerGroup = 0;
-    size_t columnGroup = 0;  ///< CG index within each row
-    size_t chunksPerCg = 0;  ///< chunks per row belonging to this CG
-};
-
-struct PolyGroupDesc {
-    size_t id = 0;
-    size_t polys = 0;
-    size_t limbsPerBank = 0;
-    std::vector<LimbPlacement> placements; ///< poly-major
-    /** Quarantined banks this group was allocated around (its chunks
-     *  are striped over the healthy banks only). */
-    std::vector<size_t> offlineBanks;
-};
 
 class ColumnPartitionLayout
 {
@@ -48,7 +33,7 @@ class ColumnPartitionLayout
      * @param n             Ring degree.
      * @param columnGroups  Row partition factor (4, 8 or 16).
      * @param offlineBanks  Quarantined bank indices (< banksPerGroup)
-     *                      to allocate around: each limb is striped
+     *                      to lay out around: each limb is striped
      *                      over the healthy banks only, so every
      *                      healthy bank absorbs
      *                      ceil(chunks / healthyBanks) chunks per limb.
@@ -74,19 +59,6 @@ class ColumnPartitionLayout
     }
 
     /**
-     * Allocate a PolyGroup of `polys` polynomials x `limbs` limbs.
-     * Throws AnaheimError(ResourceExhausted) when the bank capacity is
-     * exhausted (the allocator state is left unchanged, so a caller
-     * can catch and place the group elsewhere) and
-     * AnaheimError(InvalidArgument) when `polys` exceeds the CGs.
-     */
-    PolyGroupDesc allocate(size_t polys, size_t limbs);
-
-    /** Rows currently allocated in each bank. */
-    size_t rowsUsed() const { return nextRow_; }
-    size_t rowCapacity() const { return rowCapacity_; }
-
-    /**
      * Rows that must be activated per chunk-group iteration when
      * accessing `polysTouched` polynomials laid out in one PolyGroup
      * (column partitioning keeps this at one row group regardless of
@@ -96,16 +68,12 @@ class ColumnPartitionLayout
         const;
 
   private:
-    size_t chunksPerRow_;
     size_t columnGroups_;
     size_t chunksPerCg_;
     size_t chunksPerBank_;
     size_t rowsPerRg_;
-    size_t rowCapacity_;
     size_t healthyBanks_;
     std::vector<size_t> offlineBanks_;
-    size_t nextRow_ = 0;
-    size_t nextId_ = 0;
 };
 
 } // namespace anaheim

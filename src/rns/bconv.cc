@@ -92,11 +92,9 @@ BasisConverter::convert(
 std::vector<uint64_t>
 BasisConverter::convertScalar(const std::vector<uint64_t> &residues) const
 {
-    // Direct scalar path: same two stages as convert() against the
-    // precomputed tables, but without materializing per-limb vectors —
-    // key generation calls this in a loop, so the old
-    // one-element-vector round trip was ls + lt + 2 allocations per
-    // call. The result vector is the only allocation left.
+    // Direct scalar path: the same two stages as convert() against the
+    // precomputed tables, one coefficient at a time, so the tests can
+    // check the vector kernels against it.
     const size_t ls = source_.size();
     const size_t lt = target_.size();
     ANAHEIM_ASSERT(residues.size() == ls,

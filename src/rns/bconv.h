@@ -48,7 +48,8 @@ class BasisConverter
     std::vector<CoeffVector> convert(
         const std::vector<CoeffVector> &input) const;
 
-    /** Scalar conversion (used by tests and key generation). */
+    /** Conversion of one coefficient: the scalar reference the tests
+     *  check convert() against. */
     std::vector<uint64_t> convertScalar(
         const std::vector<uint64_t> &residues) const;
 

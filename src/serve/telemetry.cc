@@ -60,7 +60,7 @@ publishServeMetrics(const ServeStats &stats)
 ServeTelemetry::ServeTelemetry(const ServeConfig &serve,
                                const std::vector<ServeStreamResult> &streams)
     : tickNs_(serve.telemetry.tickNs), tracing_(obs::tracingEnabled()),
-      sampling_(tickNs_ > 0.0 && obs::seriesSamplingEnabled()),
+      sampling_(tickNs_ > 0.0),
       runIds_(streams.size(), 0),
       tenantDepth_(std::min(streams.size(), kMaxTenantSeries), 0)
 {

@@ -78,8 +78,8 @@ class ServeTelemetry
 
     const double tickNs_;
     const bool tracing_;
-    /** telemetry.tickNs > 0 and the process-wide sampling switch is
-     *  on; no series, evaluator or Alert lane exists otherwise. */
+    /** telemetry.tickNs > 0; no series, evaluator or Alert lane
+     *  exists otherwise. */
     const bool sampling_;
     /** Perfetto run id of each stream's track (0 without tracing). */
     std::vector<uint32_t> runIds_;

@@ -421,7 +421,6 @@ buildBootstrap(const TraceParams &params, double fftIter,
         current.level -= 1;
     }
 
-    seq.levelsEff = bootstrapLevelsEff(params, fftIter);
     return seq;
 }
 

@@ -104,8 +104,6 @@ struct OpSequence {
     std::string name;
     size_t n = 0;
     std::vector<KernelOp> ops;
-    /** Number of mults applicable after bootstrapping (T_boot,eff). */
-    double levelsEff = 1.0;
 
     void append(const OpSequence &other);
     double totalIntOps() const;

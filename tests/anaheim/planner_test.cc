@@ -3,6 +3,7 @@
 #include "anaheim/planner.h"
 #include "anaheim/workloads.h"
 #include "sim/health.h"
+#include "support/row_budget.h"
 
 namespace anaheim {
 namespace {
@@ -99,6 +100,30 @@ TEST(PimMemoryPlanner, FailureAwarePlanAllocatesAroundOfflineBanks)
     const auto samePlan = planOn(ResourceMap{5, 512, 8, {}});
     EXPECT_EQ(samePlan.peakRowsPerBank, healthyPlan.peakRowsPerBank);
     EXPECT_EQ(samePlan.pimKernels, healthyPlan.pimKernels);
+}
+
+TEST(PimMemoryPlanner, OperandRowsPastTheBankBudgetDoNotFit)
+{
+    // The reject path: 27,600 rows per bank fit the healthy A100's
+    // 30,517; one dead bank deepens every row group from 4 rows to 5,
+    // and the same operands need 34,500.
+    const OpSequence seq = test_support::nearRowBudgetHAdd();
+    const auto healthy = PimMemoryPlanner(DramConfig::hbm2A100(),
+                                          PimConfig::nearBankA100())
+                             .plan(seq);
+    EXPECT_EQ(healthy.peakRowsPerBank, 27600u);
+    EXPECT_LE(healthy.peakRowsPerBank, test_support::kA100RowBudget);
+    EXPECT_TRUE(healthy.fits);
+
+    const ResourceMap oneDeadBank{
+        5, 512, 8, {{FaultSiteId::Kind::Bank, 2, 17}}};
+    const auto degraded =
+        PimMemoryPlanner(DramConfig::hbm2A100(),
+                         PimConfig::nearBankA100().degraded(oneDeadBank))
+            .plan(seq);
+    EXPECT_EQ(degraded.peakRowsPerBank, 34500u);
+    EXPECT_GT(degraded.peakRowsPerBank, test_support::kA100RowBudget);
+    EXPECT_FALSE(degraded.fits);
 }
 
 } // namespace

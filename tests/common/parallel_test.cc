@@ -1,10 +1,11 @@
 /**
  * @file
  * Tests for the shared limb-parallel execution engine: pool mechanics
- * (reuse, exception propagation, grain edge cases, the ANAHEIM_THREADS=1
- * serial fallback) and the determinism property — parallel and serial
- * executions of the limb-partitioned hot paths (NTT, BConv, keyswitch)
- * must produce bitwise-identical results on random polynomials.
+ * (reuse, exception propagation, range edge cases, the
+ * ANAHEIM_THREADS=1 serial fallback) and the determinism property —
+ * parallel and serial executions of the limb-partitioned hot paths
+ * (NTT, BConv, keyswitch) must produce bitwise-identical results on
+ * random polynomials.
  */
 
 #include <gtest/gtest.h>
@@ -43,7 +44,7 @@ TEST(ParallelForTest, VisitsEveryIndexExactlyOnce)
     ThreadGuard guard;
     setParallelThreads(4);
     std::vector<std::atomic<int>> visits(1000);
-    parallelFor(0, visits.size(), 7, [&](size_t i) { ++visits[i]; });
+    parallelFor(0, visits.size(), [&](size_t i) { ++visits[i]; });
     for (size_t i = 0; i < visits.size(); ++i)
         EXPECT_EQ(visits[i].load(), 1) << "index " << i;
 }
@@ -55,40 +56,20 @@ TEST(ParallelForTest, PoolIsReusedAcrossCalls)
     const size_t widthBefore = parallelThreadCount();
     std::atomic<uint64_t> sum{0};
     for (int round = 0; round < 50; ++round)
-        parallelFor(0, 64, 1, [&](size_t i) { sum += i; });
+        parallelFor(0, 64, [&](size_t i) { sum += i; });
     EXPECT_EQ(sum.load(), 50u * (64u * 63u / 2));
     // Repeated loops run on the same pool; no teardown/respawn between.
     EXPECT_EQ(parallelThreadCount(), widthBefore);
 }
 
-TEST(ParallelForTest, GrainEdgeCases)
+TEST(ParallelForTest, EmptyAndInvertedRangesAreNoOps)
 {
     ThreadGuard guard;
     setParallelThreads(4);
-
-    // Empty and inverted ranges are no-ops.
     bool touched = false;
-    parallelFor(5, 5, 1, [&](size_t) { touched = true; });
-    parallelFor(7, 3, 1, [&](size_t) { touched = true; });
+    parallelFor(5, 5, [&](size_t) { touched = true; });
+    parallelFor(7, 3, [&](size_t) { touched = true; });
     EXPECT_FALSE(touched);
-
-    // grain == 0 is treated as 1.
-    std::vector<std::atomic<int>> a(17);
-    parallelFor(0, a.size(), 0, [&](size_t i) { ++a[i]; });
-    for (auto &v : a)
-        EXPECT_EQ(v.load(), 1);
-
-    // grain larger than the range runs the whole range (inline).
-    std::vector<std::atomic<int>> b(9);
-    parallelFor(0, b.size(), 100, [&](size_t i) { ++b[i]; });
-    for (auto &v : b)
-        EXPECT_EQ(v.load(), 1);
-
-    // Nonzero begin with a grain that does not divide the count.
-    std::vector<std::atomic<int>> c(23);
-    parallelFor(3, 23, 4, [&](size_t i) { ++c[i]; });
-    for (size_t i = 0; i < c.size(); ++i)
-        EXPECT_EQ(c[i].load(), i >= 3 ? 1 : 0) << "index " << i;
 }
 
 TEST(ParallelForTest, DegenerateRangesNeitherDeadlockNorSkip)
@@ -97,44 +78,33 @@ TEST(ParallelForTest, DegenerateRangesNeitherDeadlockNorSkip)
     setParallelThreads(4);
 
     // Range smaller than the thread count: every index exactly once,
-    // idle workers must not spin or claim phantom chunks.
+    // idle workers must not spin or claim phantom indices.
     std::vector<std::atomic<int>> tiny(2);
-    parallelFor(0, tiny.size(), 1, [&](size_t i) { ++tiny[i]; });
+    parallelFor(0, tiny.size(), [&](size_t i) { ++tiny[i]; });
     for (auto &v : tiny)
         EXPECT_EQ(v.load(), 1);
 
-    // A single-index range with a grain much larger than it.
+    // A single-index range at a nonzero begin.
     std::atomic<int> one{0};
-    parallelFor(41, 42, 64, [&](size_t i) {
+    parallelFor(41, 42, [&](size_t i) {
         EXPECT_EQ(i, 41u);
         ++one;
     });
     EXPECT_EQ(one.load(), 1);
-
-    // Chunk-count rounding: grains that leave a short tail (the shape
-    // vectorized kernels hand over when N is not a multiple of the
-    // vector width) must neither skip the tail nor run it twice.
-    for (size_t grain : {3, 5, 8, 13}) {
-        std::vector<std::atomic<int>> v(67); // prime: never divides
-        parallelFor(0, v.size(), grain, [&](size_t i) { ++v[i]; });
-        for (size_t i = 0; i < v.size(); ++i)
-            EXPECT_EQ(v[i].load(), 1) << "grain " << grain << " i " << i;
-    }
 }
 
 TEST(ParallelForTest, RangesNearSizeMaxDoNotWrapTheCursor)
 {
-    // Regression: the old implementation advanced a raw offset cursor
-    // with fetch_add(grain); for ranges ending near SIZE_MAX the adds
-    // wrapped past `end` and re-admitted bogus indices. The chunk-index
-    // cursor cannot wrap. (Found while auditing the vectorized tails.)
+    // Regression: an implementation that advanced a raw index cursor
+    // wrapped past `end` for ranges ending near SIZE_MAX and
+    // re-admitted bogus indices. The offset cursor cannot wrap.
     ThreadGuard guard;
     setParallelThreads(4);
     const size_t end = std::numeric_limits<size_t>::max();
     const size_t begin = end - 70;
     std::atomic<uint64_t> count{0};
     std::atomic<bool> outOfRange{false};
-    parallelFor(begin, end, 16, [&](size_t i) {
+    parallelFor(begin, end, [&](size_t i) {
         if (i < begin || i >= end)
             outOfRange = true;
         ++count;
@@ -148,7 +118,7 @@ TEST(ParallelForTest, ExceptionPropagatesToCaller)
     ThreadGuard guard;
     setParallelThreads(4);
     EXPECT_THROW(
-        parallelFor(0, 256, 1,
+        parallelFor(0, 256,
                     [](size_t i) {
                         if (i == 97)
                             throw std::runtime_error("boom at 97");
@@ -156,7 +126,7 @@ TEST(ParallelForTest, ExceptionPropagatesToCaller)
         std::runtime_error);
     // The pool survives a throwing loop and keeps working.
     std::atomic<int> count{0};
-    parallelFor(0, 32, 1, [&](size_t) { ++count; });
+    parallelFor(0, 32, [&](size_t) { ++count; });
     EXPECT_EQ(count.load(), 32);
 }
 
@@ -165,8 +135,8 @@ TEST(ParallelForTest, NestedCallsRunInline)
     ThreadGuard guard;
     setParallelThreads(4);
     std::vector<std::atomic<int>> visits(16 * 16);
-    parallelFor(0, 16, 1, [&](size_t outer) {
-        parallelFor(0, 16, 1, [&](size_t inner) {
+    parallelFor(0, 16, [&](size_t outer) {
+        parallelFor(0, 16, [&](size_t inner) {
             ++visits[outer * 16 + inner];
         });
     });
@@ -180,7 +150,7 @@ TEST(ParallelForTest, SingleThreadFallbackRunsOnCaller)
     setParallelThreads(1);
     EXPECT_EQ(parallelThreadCount(), 1u);
     const auto caller = std::this_thread::get_id();
-    parallelFor(0, 64, 1, [&](size_t) {
+    parallelFor(0, 64, [&](size_t) {
         EXPECT_EQ(std::this_thread::get_id(), caller);
     });
 }

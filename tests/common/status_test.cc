@@ -9,7 +9,6 @@
 
 #include "common/status.h"
 #include "math/primes.h"
-#include "pim/layout.h"
 #include "support/error_matchers.h"
 #include "trace/builders.h"
 #include "trace/validate.h"
@@ -74,18 +73,6 @@ TEST(ErrorPaths, PrimeGenerationExhaustionIsCatchable)
                          InvalidArgument, "bit width");
     // A feasible request still succeeds afterwards.
     EXPECT_EQ(generateNttPrimes(8, 30, 2).size(), 2u);
-}
-
-TEST(ErrorPaths, LayoutRejectionIsCatchable)
-{
-    ColumnPartitionLayout layout(DramConfig::hbm2A100(), 512, 1 << 16, 8);
-    EXPECT_ANAHEIM_ERROR(layout.allocate(9, 1), InvalidArgument,
-                         "wider than the column groups");
-    EXPECT_ANAHEIM_ERROR(layout.allocate(1, 1 << 20), ResourceExhausted,
-                         "exceeds bank rows");
-    // Rejections leave the allocator consistent for further use.
-    EXPECT_EQ(layout.rowsUsed(), 0u);
-    EXPECT_NO_THROW(layout.allocate(2, 4));
 }
 
 } // namespace

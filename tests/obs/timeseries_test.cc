@@ -2,8 +2,8 @@
  * @file
  * Time-series telemetry tests (DESIGN.md §17): log-bucket layout math,
  * window materialization over simulated time (idle gaps, ring
- * wrap-around, late drops), windowed quantiles, registry namespacing,
- * the burn-rate evaluator's fire/resolve edges, and the disabled path.
+ * wrap-around, late drops), windowed quantiles, registry namespacing
+ * and the burn-rate evaluator's fire/resolve edges.
  */
 
 #include <gtest/gtest.h>
@@ -198,23 +198,6 @@ TEST(TimeSeries, SubTickEventsShareOneWindow)
     const SeriesSnapshot snap = series.snapshot();
     ASSERT_EQ(snap.points.size(), 1u);
     EXPECT_EQ(snap.points[0].count, 50u);
-}
-
-TEST(TimeSeries, DisabledSamplingIsANoOp)
-{
-    Counter &dropped =
-        MetricsRegistry::global().counter("obs.dropped_samples");
-    const uint64_t droppedBefore = dropped.value();
-    setSeriesSamplingEnabled(false);
-    TimeSeries series("test.ts.disabled", 1000.0, 8);
-    series.observe(100.0, 1.0);
-    // Even a bad sample costs nothing on the disabled path.
-    series.observe(100.0, std::numeric_limits<double>::quiet_NaN());
-    setSeriesSamplingEnabled(true);
-    EXPECT_TRUE(series.snapshot().points.empty());
-    EXPECT_EQ(dropped.value(), droppedBefore);
-    series.observe(100.0, 1.0);
-    EXPECT_EQ(series.snapshot().points.size(), 1u);
 }
 
 TEST(TimeSeriesRegistryTest, FindOrCreateAndTickMismatch)

@@ -48,18 +48,6 @@ TEST(PimLayout, PaperExampleSixteenChunksPerBank)
     EXPECT_EQ(layout.rowsPerRowGroup(), 4u);      // 16 chunks / 4 per CG
 }
 
-TEST(PimLayout, PolyGroupSharesRowsAcrossPolys)
-{
-    ColumnPartitionLayout layout(DramConfig::hbm2A100(), 512, 1 << 16, 8);
-    const auto group = layout.allocate(2, 4);
-    ASSERT_EQ(group.placements.size(), 8u);
-    // x[i] and y[i] live in the same row group, different column groups.
-    const auto &x0 = group.placements[0];
-    const auto &y0 = group.placements[4];
-    EXPECT_EQ(x0.rowGroupBase, y0.rowGroupBase);
-    EXPECT_NE(x0.columnGroup, y0.columnGroup);
-}
-
 TEST(PimLayout, ActsPerIterationContrast)
 {
     ColumnPartitionLayout layout(DramConfig::hbm2A100(), 512, 1 << 16, 8);
@@ -71,19 +59,16 @@ TEST(PimLayout, OfflineBanksStripeOverTheHealthySubset)
 {
     // Quarantining two of the 512 banks leaves 8192 chunks over 510
     // healthy banks: ceil -> 17 chunks per bank (vs 16), and the
-    // allocation remembers the banks it routed around.
+    // layout remembers the banks it routes around.
     ColumnPartitionLayout layout(DramConfig::hbm2A100(), 512, 1 << 16, 8,
                                  {17, 3, 17}); // unsorted, duplicated
     EXPECT_EQ(layout.healthyBanks(), 510u);
     EXPECT_EQ(layout.offlineBanks(), (std::vector<size_t>{3, 17}));
     EXPECT_EQ(layout.chunksPerBankPerLimb(), 17u);
-    const auto group = layout.allocate(2, 4);
-    EXPECT_EQ(group.offlineBanks, (std::vector<size_t>{3, 17}));
     // The healthy-path layout is bit-identical to the original.
     ColumnPartitionLayout healthy(DramConfig::hbm2A100(), 512, 1 << 16,
                                   8);
     EXPECT_EQ(healthy.chunksPerBankPerLimb(), 16u);
-    EXPECT_TRUE(healthy.allocate(2, 4).offlineBanks.empty());
 }
 
 TEST(PimLayout, RejectsImpossibleQuarantineSets)

@@ -15,7 +15,6 @@
 #include "ckks/evaluator.h"
 #include "common/rng.h"
 #include "gpu/gpumodel.h"
-#include "pim/layout.h"
 
 namespace anaheim {
 namespace {
@@ -163,29 +162,6 @@ TEST(GpuProperties, RooflineMonotonicInCompute)
                              LibraryProfile::cheddar());
     const GpuModel strongModel(strong, LibraryProfile::cheddar());
     EXPECT_LT(strongModel.run(ntt).timeNs, weakModel.run(ntt).timeNs);
-}
-
-// ----------------------------------------------------------------- pim
-
-TEST(PimProperties, LayoutAllocationExhaustionIsRecoverable)
-{
-    ColumnPartitionLayout layout(DramConfig::hbm2A100(), 512, 1 << 16, 8);
-    EXPECT_ANAHEIM_ERROR(
-        for (int i = 0; i < 100000; ++i) layout.allocate(1, 64),
-        ResourceExhausted, "exceeds bank rows");
-    // The failed allocation left the allocator usable: capacity that
-    // was not claimed can still be handed out.
-    const size_t used = layout.rowsUsed();
-    EXPECT_LE(used, layout.rowCapacity());
-    EXPECT_NO_THROW(layout.allocate(
-        1, (layout.rowCapacity() - used) / layout.rowsPerRowGroup()));
-}
-
-TEST(PimProperties, PolyGroupWidthBoundedByColumnGroups)
-{
-    ColumnPartitionLayout layout(DramConfig::hbm2A100(), 512, 1 << 16, 8);
-    EXPECT_ANAHEIM_ERROR(layout.allocate(9, 1), InvalidArgument,
-                         "wider than the column groups");
 }
 
 // ----------------------------------------------------------- framework

@@ -3,7 +3,8 @@
  * SLO-machinery unit tests: the simulated-time token bucket must
  * refill/clamp deterministically, and the service estimator must price
  * traces fault-free, inflate PIM-heavy estimates on a degraded
- * geometry, and fall back to GPU-only pricing when PIM is offline.
+ * geometry, and fall back to GPU-only pricing when PIM is offline or
+ * the degraded plan no longer fits.
  */
 
 #include <gtest/gtest.h>
@@ -11,6 +12,7 @@
 #include "anaheim/framework.h"
 #include "serve/slo.h"
 #include "sim/health.h"
+#include "support/row_budget.h"
 #include "trace/builders.h"
 
 namespace anaheim {
@@ -114,6 +116,28 @@ TEST(ServiceEstimator, PimOfflineFallsBackToGpuPricing)
     gpuOnly.pimEnabled = false;
     EXPECT_EQ(estimator.estimateNs(0),
               AnaheimFramework(gpuOnly).execute(traces[0]).totalNs);
+}
+
+TEST(ServiceEstimator, DegradedPlanThatNoLongerFitsPricesGpuOnly)
+{
+    // One dead bank pushes this trace's PIM operands past the row
+    // budget (support/row_budget.h): execute() would redirect its PIM
+    // work to the GPU, so the estimate must be the GPU-only price.
+    const AnaheimConfig config = AnaheimConfig::a100NearBank();
+    const std::vector<OpSequence> traces = {
+        test_support::nearRowBudgetHAdd()};
+    serve::ServiceEstimator estimator(config, traces);
+    AnaheimConfig gpuOnly = config;
+    gpuOnly.pimEnabled = false;
+    const double gpuOnlyNs =
+        AnaheimFramework(gpuOnly).execute(traces[0]).totalNs;
+    EXPECT_NE(estimator.estimateNs(0), gpuOnlyNs);
+
+    const ResourceMap oneDeadBank{
+        config.pim.dieGroups, config.pim.banksPerDieGroup,
+        config.pim.lanes, {{FaultSiteId::Kind::Bank, 0, 17}}};
+    estimator.reprice(oneDeadBank, false);
+    EXPECT_EQ(estimator.estimateNs(0), gpuOnlyNs);
 }
 
 } // namespace

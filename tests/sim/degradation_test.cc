@@ -17,6 +17,7 @@
 #include "anaheim/framework.h"
 #include "common/parallel.h"
 #include "obs/metrics.h"
+#include "support/row_budget.h"
 #include "trace/builders.h"
 
 namespace anaheim {
@@ -251,6 +252,31 @@ TEST(Degradation, CapacityFloorSendsRemainingPimWorkToTheGpu)
     EXPECT_GT(res.gpuFallbacksCapacityFloor, 0u);
     EXPECT_EQ(res.unrecovered, 0u);
     EXPECT_LT(result.pimCapacityFraction, 0.9999);
+}
+
+TEST(Degradation, DegradedPlanThatNoLongerFitsSendsPimWorkToTheGpu)
+{
+    // The trace ends in a HADD whose operands fill 90% of each bank's
+    // rows (support/row_budget.h). Quarantining the dead bank deepens
+    // every row group from 4 rows to 5, so the re-planned trace no
+    // longer fits: the framework must take PIM offline instead of
+    // migrating, and the HADD runs on the GPU.
+    AnaheimConfig config = degradationConfig();
+    config.resilience.permanentBanks.push_back({2, 17});
+    OpSequence seq = hmultChain(2);
+    seq.append(test_support::nearRowBudgetHAdd());
+    const RunResult result = AnaheimFramework(config).execute(seq);
+    const ResilienceStats &res = result.resilience;
+
+    EXPECT_EQ(res.quarantinedBanks, 1u);
+    EXPECT_GT(result.pimCapacityFraction,
+              config.resilience.health.minCapacityFraction);
+    EXPECT_TRUE(result.pimOffline);
+    EXPECT_GT(res.gpuFallbacksCapacityFloor, 0u);
+    EXPECT_EQ(res.unrecovered, 0u);
+    // PIM offload was abandoned, so nothing migrated.
+    for (const GanttEntry &entry : result.timeline)
+        EXPECT_NE(entry.phase, "Migrate");
 }
 
 TEST(Degradation, PermanentLaneFaultIsCaughtByChecksumsAndQuarantined)
