@@ -3,6 +3,8 @@
  * squarings, refresh it with full CKKS bootstrapping (ModRaise ->
  * CoeffToSlot -> EvalMod -> SlotToCoeff), and keep computing — the
  * defining capability of *fully* homomorphic encryption (§II-C).
+ * Exits 1 when the final error passes its bound (about 75x the error
+ * these parameters give).
  *
  *   ./bootstrap_demo
  */
@@ -81,8 +83,14 @@ run()
     double worst = 0.0;
     for (size_t i = 0; i < out.size(); ++i)
         worst = std::max(worst, std::abs(out[i] - expect[i]));
-    std::printf("post-bootstrap square: max error %.3e at level %zu\n",
-                worst, ct.level);
+    constexpr double kMaxError = 1.5e-6;
+    std::printf("post-bootstrap square: max error %.3e (bound %.1e) at "
+                "level %zu\n",
+                worst, kMaxError, ct.level);
+    if (!(worst <= kMaxError)) {
+        std::printf("FAILED: error past its bound\n");
+        return 1;
+    }
     return 0;
 }
 

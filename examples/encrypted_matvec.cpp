@@ -3,7 +3,9 @@
  * the heart of bootstrapping and private DNN inference (§III-B), run
  * with all four algorithm variants (Base / Hoisting / MinKS / BSGS) and
  * cross-checked against the plain product. Also prints the evk-count
- * vs computation trade-off the paper analyzes.
+ * vs computation trade-off the paper analyzes. Exits 1 when an
+ * algorithm's error passes the bound (about 65x the worst error these
+ * parameters give, MinKS's).
  *
  *   ./encrypted_matvec
  */
@@ -44,8 +46,10 @@ run()
     const auto ct = encryptor.encrypt(
         encoder.encode(x, context.maxLevel()), keygen.secretKey());
 
-    std::printf("encrypted mat-vec, %zu slots, %zu diagonals\n",
-                encoder.slots(), matrix.diagonalCount());
+    constexpr double kMaxError = 5e-6;
+    std::printf("encrypted mat-vec, %zu slots, %zu diagonals, error "
+                "bound %.1e\n",
+                encoder.slots(), matrix.diagonalCount(), kMaxError);
     std::printf("%-14s %10s %10s %12s\n", "algorithm", "time", "evks",
                 "max error");
 
@@ -58,6 +62,7 @@ run()
         {"MinKS", LinTransAlgorithm::MinKS},
         {"BSGS-hoist", LinTransAlgorithm::BsgsHoisting},
     };
+    bool withinBound = true;
     for (const auto &entry : algorithms) {
         const auto rotations = LinearTransformer::requiredRotations(
             matrix, entry.algorithm);
@@ -77,6 +82,12 @@ run()
                 .count();
         std::printf("%-14s %8.1fms %10zu %12.3e\n", entry.name, ms,
                     rotations.size(), worst);
+        withinBound = withinBound && worst <= kMaxError;
+    }
+    if (!withinBound) {
+        std::printf("FAILED: an algorithm's error is past %.1e\n",
+                    kMaxError);
+        return 1;
     }
     std::printf("note: MinKS trades one evk for extra rotations — the\n"
                 "ASIC-vs-GPU algorithm choice discussed in the paper.\n");

@@ -1,7 +1,8 @@
 /**
  * Quickstart: the CKKS basics end to end — encode a complex vector,
  * encrypt it, compute homomorphically (add, multiply, rotate), decrypt
- * and check the error.
+ * and check the error. Exits 1 when an error passes its bound (about
+ * 70x the error these parameters give).
  *
  *   ./quickstart
  */
@@ -57,20 +58,26 @@ run()
     const auto rotated = evaluator.rotate(ctU, 3, galois);
 
     // Decrypt and verify.
-    auto check = [&](const char *label, const Ciphertext &ct,
+    bool withinBounds = true;
+    auto check = [&](const char *label, const Ciphertext &ct, double bound,
                      auto expectAt) {
         const auto out = encoder.decode(decryptor.decrypt(ct));
         double worst = 0.0;
         for (size_t i = 0; i < out.size(); ++i)
             worst = std::max(worst, std::abs(out[i] - expectAt(i)));
-        std::printf("  %-18s max error %.3e  (level %zu)\n", label, worst,
-                    ct.level);
+        std::printf("  %-18s max error %.3e (bound %.1e)  (level %zu)\n",
+                    label, worst, bound, ct.level);
+        withinBounds = withinBounds && worst <= bound;
     };
-    check("u + v", sum, [&](size_t i) { return u[i] + v[i]; });
-    check("u * v", prod, [&](size_t i) { return u[i] * v[i]; });
-    check("u <<< 3", rotated,
+    check("u + v", sum, 5e-8, [&](size_t i) { return u[i] + v[i]; });
+    check("u * v", prod, 2.5e-7, [&](size_t i) { return u[i] * v[i]; });
+    check("u <<< 3", rotated, 3e-6,
           [&](size_t i) { return u[(i + 3) % u.size()]; });
 
+    if (!withinBounds) {
+        std::printf("FAILED: an error is past its bound\n");
+        return 1;
+    }
     std::printf("done.\n");
     return 0;
 }

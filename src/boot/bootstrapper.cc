@@ -31,7 +31,7 @@ Bootstrapper::Bootstrapper(const CkksContext &context,
                            const BootstrapConfig &config)
     : context_(context), encoder_(encoder), evaluator_(evaluator),
       config_(config), transformer_(context, encoder, evaluator),
-      chebyshev_(evaluator, encoder, relinKey_)
+      chebyshev_(evaluator, relinKey_)
 {
     const size_t slots = encoder_.slots();
     const double q0 =

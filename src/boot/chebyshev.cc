@@ -87,50 +87,34 @@ ChebyshevEvaluator::linearCombination(const std::vector<double> &coeffs,
                                       const BabyTable &babies) const
 {
     // sum_k coeffs[k] T_k with the T_0 term folded in as a constant.
-    // Work at the deepest baby level so every PMULT result aligns.
+    // Work at the deepest baby level so every term aligns.
     size_t level = babies.at(1).level;
     for (const auto &[k, ct] : babies) {
         (void)k;
         level = std::min(level, ct.level);
     }
 
-    // Target scale every term lands on exactly: choosing each
-    // plaintext's scale per baby compensates that the babies carry
-    // slightly different rescale histories, so the additions below are
-    // exact and never trigger level-consuming scale adjustment.
-    const double nominal =
-        std::ldexp(1.0, evaluator_.context().params().logScale);
-    const double qDrop = static_cast<double>(
-        evaluator_.context().qBasis().prime(level - 1));
-
+    // Every term lands on the scale nominal * qDrop exactly: choosing
+    // each constant's scale per baby compensates that the babies carry
+    // slightly different rescale histories. The terms then accumulate
+    // as integer-scalar MACs, and the sum takes one rescale.
+    const CkksContext &context = evaluator_.context();
+    const double nominal = std::ldexp(1.0, context.params().logScale);
+    const double sumScale =
+        nominal * static_cast<double>(context.qBasis().prime(level - 1));
     Ciphertext acc;
-    bool first = true;
+    acc.level = level;
+    acc.scale = sumScale;
+    acc.b = Polynomial(context.levelBasis(level), Domain::Eval);
+    acc.a = Polynomial(context.levelBasis(level), Domain::Eval);
     for (size_t k = 1; k < coeffs.size(); ++k) {
         if (std::abs(coeffs[k]) < 1e-12)
             continue;
-        const Ciphertext baby =
-            evaluator_.dropToLevel(babies.at(k), level);
-        const double ptScale = nominal * qDrop / baby.scale;
-        const std::vector<std::complex<double>> constant(
-            encoder_.slots(), {coeffs[k], 0.0});
-        const Plaintext pt = encoder_.encode(constant, level, ptScale);
-        Ciphertext term =
-            evaluator_.rescale(evaluator_.mulPlain(baby, pt));
-        term.scale = nominal; // exact by construction of ptScale
-        if (first) {
-            acc = std::move(term);
-            first = false;
-        } else {
-            acc = evaluator_.add(acc, term);
-        }
+        const Ciphertext &baby = babies.at(k);
+        evaluator_.macConst(acc, baby, coeffs[k], sumScale / baby.scale);
     }
-    if (first) {
-        // Degenerate all-zero series: return an encryption-shaped zero.
-        Ciphertext zero = evaluator_.dropToLevel(babies.at(1), level);
-        zero = evaluator_.sub(zero, zero);
-        acc = evaluator_.rescale(
-            evaluator_.mulConst(zero, {1.0, 0.0}));
-    }
+    acc = evaluator_.rescale(acc);
+    acc.scale = nominal; // exact by construction of the constants' scales
     if (coeffs[0] != 0.0)
         acc = evaluator_.addConst(acc, {coeffs[0], 0.0});
     return acc;

@@ -6,7 +6,9 @@
  *
  * Evaluation uses the baby-step/giant-step Paterson–Stockmeyer recursion
  * over the Chebyshev basis (T_{m+i} = 2 T_m T_i - T_{m-i}), giving
- * multiplicative depth ~log2(degree).
+ * multiplicative depth ~log2(degree). Each leaf sum c_k T_k runs as
+ * integer-scalar MACs at the babies' common level and takes a single
+ * rescale (one per sum, not one per term).
  */
 
 #ifndef ANAHEIM_BOOT_CHEBYSHEV_H
@@ -34,8 +36,8 @@ class ChebyshevEvaluator
 {
   public:
     ChebyshevEvaluator(const CkksEvaluator &evaluator,
-                       const CkksEncoder &encoder, const EvalKey &relinKey)
-        : evaluator_(evaluator), encoder_(encoder), relinKey_(relinKey)
+                       const EvalKey &relinKey)
+        : evaluator_(evaluator), relinKey_(relinKey)
     {
     }
 
@@ -64,11 +66,11 @@ class ChebyshevEvaluator
                        const std::map<size_t, Ciphertext> &giants,
                        size_t babyBound) const;
 
+    /** sum_k coeffs[k] T_k: scalar MACs, then one rescale. */
     Ciphertext linearCombination(const std::vector<double> &coeffs,
                                  const BabyTable &babies) const;
 
     const CkksEvaluator &evaluator_;
-    const CkksEncoder &encoder_;
     const EvalKey &relinKey_;
 };
 

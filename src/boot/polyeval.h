@@ -31,8 +31,8 @@ class PolynomialEvaluator
 {
   public:
     PolynomialEvaluator(const CkksEvaluator &evaluator,
-                        const CkksEncoder &encoder, const EvalKey &relinKey)
-        : chebyshev_(evaluator, encoder, relinKey)
+                        const EvalKey &relinKey)
+        : chebyshev_(evaluator, relinKey)
     {
     }
 

@@ -22,6 +22,38 @@ checkScalesMatch(double a, double b)
                    "scale mismatch: ", a, " vs ", b);
 }
 
+/**
+ * A real constant at `scale` as residues of the first `level` primes:
+ * round(value * scale) mod q_i. In the Eval domain the constant
+ * polynomial is that residue at every point, so it multiplies or adds
+ * as a scalar without encoding a slot vector.
+ */
+std::vector<uint64_t>
+constantResidues(double value, double scale, const RnsBasis &basis,
+                 size_t level)
+{
+    const double scaled = value * scale;
+    ANAHEIM_ASSERT(std::abs(scaled) < 0x1p63, "constant ", value,
+                   " at scale ", scale, " overflows one word");
+    const int64_t rounded = std::llround(scaled);
+    std::vector<uint64_t> residues(level);
+    for (size_t i = 0; i < level; ++i)
+        residues[i] = fromSigned(rounded, basis.table(i).barrett());
+    return residues;
+}
+
+/** x times a real constant at `scale`, as integer scalars. */
+Ciphertext
+mulRealConst(const Ciphertext &x, double value, double scale)
+{
+    Ciphertext out = x;
+    const auto c = constantResidues(value, scale, x.b.basis(), x.level);
+    out.b.mulScalarEq(c);
+    out.a.mulScalarEq(c);
+    out.scale = x.scale * scale;
+    return out;
+}
+
 } // namespace
 
 Ciphertext
@@ -37,10 +69,7 @@ CkksEvaluator::adjustScaleTo(const Ciphertext &x, double targetScale) const
     const double needed =
         targetScale * static_cast<double>(qLast) / x.scale;
     ANAHEIM_ASSERT(needed >= 1.0, "scale adjustment would underflow");
-    const std::vector<std::complex<double>> one(encoder_.slots(),
-                                                {1.0, 0.0});
-    const Plaintext pt = encoder_.encode(one, x.level, needed);
-    return rescale(mulPlain(x, pt));
+    return rescale(mulRealConst(x, 1.0, needed));
 }
 
 void
@@ -60,14 +89,6 @@ CkksEvaluator::alignScales(Ciphertext &x, Ciphertext &y) const
     *adjust = adjustScaleTo(*adjust, other->scale);
 }
 
-void
-CkksEvaluator::matchLevels(Ciphertext &x, Ciphertext &y) const
-{
-    const size_t level = std::min(x.level, y.level);
-    x = dropToLevel(x, level);
-    y = dropToLevel(y, level);
-}
-
 Ciphertext
 CkksEvaluator::dropToLevel(const Ciphertext &x, size_t level) const
 {
@@ -84,27 +105,43 @@ CkksEvaluator::dropToLevel(const Ciphertext &x, size_t level) const
 }
 
 Ciphertext
+CkksEvaluator::addOrSub(const Ciphertext &x, const Ciphertext &y,
+                        bool subtract) const
+{
+    const Ciphertext *lhs = &x, *rhs = &y;
+    Ciphertext xAligned, yAligned;
+    if (std::abs(x.scale - y.scale) > kScaleTolerance * x.scale) {
+        // Rare: equalizing the scales costs a level and copies both.
+        xAligned = x;
+        yAligned = y;
+        alignScales(xAligned, yAligned);
+        checkScalesMatch(xAligned.scale, yAligned.scale);
+        lhs = &xAligned;
+        rhs = &yAligned;
+    }
+    // The output is the one copy: lhs at the common level. rhs is read
+    // in place; a higher rhs contributes its first limbs only.
+    Ciphertext out = dropToLevel(*lhs, std::min(lhs->level, rhs->level));
+    if (subtract) {
+        out.b -= rhs->b;
+        out.a -= rhs->a;
+    } else {
+        out.b += rhs->b;
+        out.a += rhs->a;
+    }
+    return out;
+}
+
+Ciphertext
 CkksEvaluator::add(const Ciphertext &x, const Ciphertext &y) const
 {
-    Ciphertext lhs = x, rhs = y;
-    alignScales(lhs, rhs);
-    matchLevels(lhs, rhs);
-    checkScalesMatch(lhs.scale, rhs.scale);
-    lhs.b += rhs.b;
-    lhs.a += rhs.a;
-    return lhs;
+    return addOrSub(x, y, false);
 }
 
 Ciphertext
 CkksEvaluator::sub(const Ciphertext &x, const Ciphertext &y) const
 {
-    Ciphertext lhs = x, rhs = y;
-    alignScales(lhs, rhs);
-    matchLevels(lhs, rhs);
-    checkScalesMatch(lhs.scale, rhs.scale);
-    lhs.b -= rhs.b;
-    lhs.a -= rhs.a;
-    return lhs;
+    return addOrSub(x, y, true);
 }
 
 Ciphertext
@@ -122,7 +159,7 @@ CkksEvaluator::addPlain(const Ciphertext &x, const Plaintext &pt) const
     ANAHEIM_ASSERT(pt.level >= x.level, "plaintext level too low");
     checkScalesMatch(x.scale, pt.scale);
     Ciphertext out = x;
-    out.b += pt.poly.firstLimbs(x.level);
+    out.b += pt.poly;
     return out;
 }
 
@@ -131,9 +168,8 @@ CkksEvaluator::mulPlain(const Ciphertext &x, const Plaintext &pt) const
 {
     ANAHEIM_ASSERT(pt.level >= x.level, "plaintext level too low");
     Ciphertext out = x;
-    const Polynomial p = pt.poly.firstLimbs(x.level);
-    out.b.mulEq(p);
-    out.a.mulEq(p);
+    out.b.mulEq(pt.poly);
+    out.a.mulEq(pt.poly);
     out.scale = x.scale * pt.scale;
     return out;
 }
@@ -142,9 +178,25 @@ Ciphertext
 CkksEvaluator::mulConst(const Ciphertext &x,
                         std::complex<double> value) const
 {
-    const std::vector<std::complex<double>> msg(encoder_.slots(), value);
-    const Plaintext pt = encoder_.encode(msg, x.level);
-    return mulPlain(x, pt);
+    const double scale = std::ldexp(1.0, context_.params().logScale);
+    if (value.imag() != 0.0) {
+        const std::vector<std::complex<double>> msg(encoder_.slots(),
+                                                    value);
+        return mulPlain(x, encoder_.encode(msg, x.level, scale));
+    }
+    return mulRealConst(x, value.real(), scale);
+}
+
+void
+CkksEvaluator::macConst(Ciphertext &acc, const Ciphertext &x,
+                        double value, double constScale) const
+{
+    ANAHEIM_ASSERT(x.level >= acc.level, "operand level too low");
+    checkScalesMatch(acc.scale, x.scale * constScale);
+    const auto c =
+        constantResidues(value, constScale, acc.b.basis(), acc.level);
+    acc.b.macScalarEq(x.b, c);
+    acc.a.macScalarEq(x.a, c);
 }
 
 Ciphertext
@@ -163,34 +215,42 @@ Ciphertext
 CkksEvaluator::addConst(const Ciphertext &x,
                         std::complex<double> value) const
 {
-    const std::vector<std::complex<double>> msg(encoder_.slots(), value);
-    const Plaintext pt = encoder_.encode(msg, x.level, x.scale);
-    return addPlain(x, pt);
+    if (value.imag() != 0.0) {
+        const std::vector<std::complex<double>> msg(encoder_.slots(),
+                                                    value);
+        return addPlain(x, encoder_.encode(msg, x.level, x.scale));
+    }
+    Ciphertext out = x;
+    out.b.addScalarEq(
+        constantResidues(value.real(), x.scale, x.b.basis(), x.level));
+    return out;
 }
 
 Ciphertext
 CkksEvaluator::multiply(const Ciphertext &x, const Ciphertext &y,
                         const EvalKey &relinKey) const
 {
-    Ciphertext lhs = x, rhs = y;
-    matchLevels(lhs, rhs);
-
-    // Tensor: (b1, a1) x (b2, a2) -> (b1*b2, b1*a2 + a1*b2, a1*a2).
-    Polynomial d0 = lhs.b;
-    d0.mulEq(rhs.b);
-    Polynomial d1 = lhs.b;
-    d1.mulEq(rhs.a);
-    d1.macEq(lhs.a, rhs.b);
-    Polynomial d2 = lhs.a;
-    d2.mulEq(rhs.a);
+    // Tensor: (b1, a1) x (b2, a2) -> (b1*b2, b1*a2 + a1*b2, a1*a2) at
+    // the common level. Each output starts as a copy of x's limbs up
+    // to that level; y is read in place.
+    const size_t level = std::min(x.level, y.level);
+    Polynomial d0 = x.b.firstLimbs(level);
+    d0.mulEq(y.b);
+    Polynomial d1 = x.b.firstLimbs(level);
+    d1.mulEq(y.a);
+    d1.macEq(x.a, y.b);
+    Polynomial d2 = x.a.firstLimbs(level);
+    d2.mulEq(y.a);
 
     // Relinearize the s^2 component back onto (1, s).
     auto [k0, k1] = switcher_.keySwitch(d2, relinKey);
+    d0 += k0;
+    d1 += k1;
     Ciphertext out;
-    out.b = d0 + k0;
-    out.a = d1 + k1;
-    out.level = lhs.level;
-    out.scale = lhs.scale * rhs.scale;
+    out.b = std::move(d0);
+    out.a = std::move(d1);
+    out.level = level;
+    out.scale = x.scale * y.scale;
     return out;
 }
 
@@ -211,22 +271,26 @@ CkksEvaluator::rescale(const Ciphertext &x) const
     out.level = level - 1;
     out.scale = x.scale / static_cast<double>(qLast);
 
+    // One buffer each for the last limb and its lift, reused by every
+    // limb of both polynomials.
+    CoeffVector last;
+    CoeffVector lifted(x.degree());
     for (const Polynomial *src : {&x.b, &x.a}) {
         // INTT the last limb once, then fold it into every lower limb.
-        CoeffVector last = src->limb(level - 1);
+        last = src->limb(level - 1);
         basis.table(level - 1).inverse(last);
 
         Polynomial dst(basis.slice(0, level - 1), Domain::Eval);
         for (size_t i = 0; i + 1 < level; ++i) {
             const uint64_t qi = basis.prime(i);
-            const ShoupMul qLastInv(invMod(qLast % qi, qi), qi);
+            const Barrett &br = basis.table(i).barrett();
+            const uint64_t qLastModQi = br.reduceWord(qLast);
+            const ShoupMul qLastInv(invMod(qLastModQi, qi), qi);
             // Centered lift of the last limb into q_i for lower noise.
-            std::vector<uint64_t> lifted(last.size());
             for (size_t c = 0; c < last.size(); ++c) {
                 const uint64_t v = last[c];
-                lifted[c] = v > qLast / 2
-                                ? subMod(v % qi, qLast % qi, qi)
-                                : v % qi;
+                const uint64_t r = br.reduceWord(v);
+                lifted[c] = v > qLast / 2 ? subMod(r, qLastModQi, qi) : r;
             }
             basis.table(i).forward(lifted);
             const auto &limb = src->limb(i);

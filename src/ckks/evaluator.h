@@ -30,8 +30,9 @@ class CkksEvaluator
     const CkksContext &context() const { return context_; }
     const KeySwitcher &keySwitcher() const { return switcher_; }
 
-    /** @name Additive ops (HADD family). Levels are aligned by dropping
-     *  limbs; scales must match. */
+    /** @name Additive ops (HADD family). The output sits at the lower
+     *  level: a higher operand's first limbs are read in place and only
+     *  the output is a copy. Scales must match. */
     /// @{
     Ciphertext add(const Ciphertext &x, const Ciphertext &y) const;
     Ciphertext sub(const Ciphertext &x, const Ciphertext &y) const;
@@ -42,14 +43,25 @@ class CkksEvaluator
     /** PMULT: plaintext-ciphertext multiplication; scale multiplies. */
     Ciphertext mulPlain(const Ciphertext &x, const Plaintext &pt) const;
 
-    /** Multiply by a scalar (encoded at the ciphertext's level). */
+    /** Multiply by a constant at scale 2^logScale. A real constant is
+     *  one integer scalar per limb; a complex one is encoded. */
     Ciphertext mulConst(const Ciphertext &x,
                         std::complex<double> value) const;
+
+    /**
+     * acc += value * x, with the real constant as the integer scalar
+     * round(value * constScale) per limb: no encoding and no rescale.
+     * x may sit above acc's level; acc.scale must equal
+     * x.scale * constScale.
+     */
+    void macConst(Ciphertext &acc, const Ciphertext &x, double value,
+                  double constScale) const;
 
     /** Multiply by a small integer without consuming scale. */
     Ciphertext mulInteger(const Ciphertext &x, int64_t value) const;
 
-    /** Add a scalar constant (encoded at the ciphertext's scale). */
+    /** Add a constant at the ciphertext's scale (a real one as an
+     *  integer scalar per limb, a complex one encoded). */
     Ciphertext addConst(const Ciphertext &x,
                         std::complex<double> value) const;
 
@@ -83,17 +95,19 @@ class CkksEvaluator
                                           const std::vector<int> &rotations,
                                           const GaloisKeys &keys) const;
 
-    /** Align two ciphertexts to a common level (drops limbs). */
-    void matchLevels(Ciphertext &x, Ciphertext &y) const;
-
     /**
      * Exactly retarget a ciphertext's scale by multiplying with the
-     * constant 1.0 encoded at the adjusting scale and rescaling.
-     * Consumes one level.
+     * constant 1.0 at the adjusting scale (an integer scalar) and
+     * rescaling. Consumes one level.
      */
     Ciphertext adjustScaleTo(const Ciphertext &x, double targetScale) const;
 
   private:
+    /** add or sub: copies only the output operand unless the scales
+     *  need equalizing. */
+    Ciphertext addOrSub(const Ciphertext &x, const Ciphertext &y,
+                        bool subtract) const;
+
     /** Equalize operand scales before addition (see adjustScaleTo). */
     void alignScales(Ciphertext &x, Ciphertext &y) const;
 

@@ -60,20 +60,6 @@ KeySwitcher::modUp(const Polynomial &a) const
     return result;
 }
 
-Polynomial
-KeySwitcher::restrictToExtended(const Polynomial &keyPoly,
-                                size_t level) const
-{
-    const size_t fullLevels = context_.maxLevel();
-    const RnsBasis extBasis = context_.extendedBasis(level);
-    Polynomial out(extBasis, Domain::Eval);
-    for (size_t i = 0; i < level; ++i)
-        out.limb(i) = keyPoly.limb(i);
-    for (size_t i = 0; i < context_.alpha(); ++i)
-        out.limb(level + i) = keyPoly.limb(fullLevels + i);
-    return out;
-}
-
 std::pair<Polynomial, Polynomial>
 KeySwitcher::keyMult(const std::vector<Polynomial> &digits,
                      const EvalKey &evk) const
@@ -83,14 +69,31 @@ KeySwitcher::keyMult(const std::vector<Polynomial> &digits,
     ANAHEIM_ASSERT(digits.size() <= evk.dnum(),
                    "more digits than evk provides");
     const size_t level = digits[0].limbCount() - context_.alpha();
+    const size_t fullLevels = context_.maxLevel();
     const RnsBasis extBasis = context_.extendedBasis(level);
+    for (const auto &digit : digits) {
+        ANAHEIM_ASSERT(digit.limbCount() == extBasis.size(),
+                       "digit limb count mismatch");
+    }
 
+    // The evk lives over the full Q || P. Extended limb i is Q limb i
+    // below `level` and P limb i - level above it, so the digits MAC
+    // straight against the key's limbs, one task per limb.
     Polynomial d0(extBasis, Domain::Eval);
     Polynomial d1(extBasis, Domain::Eval);
-    for (size_t j = 0; j < digits.size(); ++j) {
-        d0.macEq(digits[j], restrictToExtended(evk.b[j], level));
-        d1.macEq(digits[j], restrictToExtended(evk.a[j], level));
-    }
+    const kernels::KernelOps &ops = kernels::active();
+    parallelFor(0, extBasis.size(), [&](size_t i) {
+        const size_t keyLimb = i < level ? i : fullLevels + (i - level);
+        const Barrett &br = extBasis.table(i).barrett();
+        const size_t n = d0.limb(i).size();
+        for (size_t j = 0; j < digits.size(); ++j) {
+            const uint64_t *digit = digits[j].limb(i).data();
+            ops.macBarrett(d0.limb(i).data(), digit,
+                           evk.b[j].limb(keyLimb).data(), n, br);
+            ops.macBarrett(d1.limb(i).data(), digit,
+                           evk.a[j].limb(keyLimb).data(), n, br);
+        }
+    });
     return {std::move(d0), std::move(d1)};
 }
 

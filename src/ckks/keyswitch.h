@@ -33,7 +33,8 @@ class KeySwitcher
 
     /**
      * Element-wise accumulation sum_j digits[j] * evk_j over the
-     * extended basis; returns the (d0, d1) pair.
+     * extended basis Q_l || P, reading the evk's Q_l and P limbs in
+     * place; returns the (d0, d1) pair.
      */
     std::pair<Polynomial, Polynomial> keyMult(
         const std::vector<Polynomial> &digits, const EvalKey &evk) const;
@@ -44,10 +45,6 @@ class KeySwitcher
     /** Full keyswitch of `a` under `evk`: ModUp, KeyMult, ModDown. */
     std::pair<Polynomial, Polynomial> keySwitch(const Polynomial &a,
                                                 const EvalKey &evk) const;
-
-    /** Restrict an evk polynomial (over full QP) to Q_level || P. */
-    Polynomial restrictToExtended(const Polynomial &keyPoly,
-                                  size_t level) const;
 
   private:
     const CkksContext &context_;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <set>
 
 #include "common/logging.h"
@@ -24,19 +25,107 @@ preRotate(const std::vector<Complex> &diag, size_t shift)
     return out;
 }
 
+/** Diagonal index d as a signed rotation offset in (-slots/2, slots/2]. */
+int64_t
+signedOffset(size_t d, size_t slots)
+{
+    return d > slots / 2
+               ? static_cast<int64_t>(d) - static_cast<int64_t>(slots)
+               : static_cast<int64_t>(d);
+}
+
+/** floor(s / b) for b > 0. */
+int64_t
+floorDiv(int64_t s, int64_t b)
+{
+    return s >= 0 ? s / b : -((-s + b - 1) / b);
+}
+
+/** Rotation distance of a signed offset, in [0, slots). */
+int
+rotationOf(int64_t offset, size_t slots)
+{
+    const auto n = static_cast<int64_t>(slots);
+    return static_cast<int>((offset % n + n) % n);
+}
+
+/**
+ * The BSGS split of a matrix (see LinearTransformer::bsgsBabyCount):
+ * each signed offset s = giant + baby, with giant a multiple of the
+ * width and 0 <= baby < width.
+ */
+struct BsgsPlan {
+    int64_t width = 1;
+    /** Distinct nonzero baby offsets, ascending: the hoisted rotations. */
+    std::vector<int> babies;
+    /** Giant shift -> its (baby offset, diagonal) terms. */
+    std::map<int64_t,
+             std::vector<std::pair<int64_t, const std::vector<Complex> *>>>
+        groups;
+};
+
+BsgsPlan
+bsgsPlan(const DiagMatrix &matrix)
+{
+    const size_t slots = matrix.slots();
+    std::vector<int64_t> offsets;
+    for (const auto &[d, diag] : matrix.diagonals())
+        offsets.push_back(signedOffset(d, slots));
+    BsgsPlan plan;
+    if (offsets.empty())
+        return plan;
+
+    // Width search. Every width above max|s| splits alike (each offset
+    // its own baby, plus one giant if any offset is negative), so the
+    // search stops at max|s| + 1. Stamps mark the babies and giants
+    // seen at the current width, so each width costs one pass over
+    // the offsets.
+    const auto [lo, hi] = std::minmax_element(offsets.begin(), offsets.end());
+    const int64_t maxWidth = std::max(-*lo, *hi) + 1;
+    std::vector<int64_t> babySeen(maxWidth, 0);
+    std::vector<int64_t> giantSeen(*hi - *lo + 2, 0);
+    size_t bestCost = SIZE_MAX, bestGiants = SIZE_MAX;
+    for (int64_t b = 1; b <= maxWidth; ++b) {
+        const int64_t giantLo = floorDiv(*lo, b);
+        size_t babies = 0, giants = 0;
+        for (const int64_t s : offsets) {
+            const int64_t g = floorDiv(s, b);
+            const int64_t r = s - g * b;
+            if (r != 0 && babySeen[r] != b) {
+                babySeen[r] = b;
+                ++babies;
+            }
+            if (g != 0 && giantSeen[g - giantLo] != b) {
+                giantSeen[g - giantLo] = b;
+                ++giants;
+            }
+        }
+        const size_t cost = babies + giants;
+        if (cost < bestCost || (cost == bestCost && giants < bestGiants)) {
+            bestCost = cost;
+            bestGiants = giants;
+            plan.width = b;
+        }
+    }
+
+    std::set<int> babies;
+    for (const auto &[d, diag] : matrix.diagonals()) {
+        const int64_t s = signedOffset(d, slots);
+        const int64_t giant = floorDiv(s, plan.width) * plan.width;
+        plan.groups[giant].emplace_back(s - giant, &diag);
+        if (s != giant)
+            babies.insert(static_cast<int>(s - giant));
+    }
+    plan.babies.assign(babies.begin(), babies.end());
+    return plan;
+}
+
 } // namespace
 
 size_t
 LinearTransformer::bsgsBabyCount(const DiagMatrix &matrix)
 {
-    size_t maxDiag = 0;
-    for (const auto &[d, diag] : matrix.diagonals()) {
-        (void)diag;
-        maxDiag = std::max(maxDiag, d);
-    }
-    const auto span = static_cast<double>(maxDiag + 1);
-    size_t b = static_cast<size_t>(std::ceil(std::sqrt(span)));
-    return std::max<size_t>(b, 1);
+    return static_cast<size_t>(bsgsPlan(matrix).width);
 }
 
 std::vector<int>
@@ -60,13 +149,12 @@ LinearTransformer::requiredRotations(const DiagMatrix &matrix,
         }
         break;
       case LinTransAlgorithm::BsgsHoisting: {
-        const size_t b = bsgsBabyCount(matrix);
-        for (const auto &[d, diag] : matrix.diagonals()) {
-            (void)diag;
-            if (d % b != 0)
-                rotations.insert(static_cast<int>(d % b));
-            if (d / b != 0)
-                rotations.insert(static_cast<int>(d / b * b));
+        const BsgsPlan plan = bsgsPlan(matrix);
+        rotations.insert(plan.babies.begin(), plan.babies.end());
+        for (const auto &[giant, terms] : plan.groups) {
+            (void)terms;
+            if (giant != 0)
+                rotations.insert(rotationOf(giant, matrix.slots()));
         }
         break;
       }
@@ -211,60 +299,48 @@ Ciphertext
 LinearTransformer::applyBsgs(const Ciphertext &ct, const DiagMatrix &matrix,
                              const GaloisKeys &keys) const
 {
-    const size_t b = bsgsBabyCount(matrix);
+    const BsgsPlan plan = bsgsPlan(matrix);
     const double ptScale = std::ldexp(1.0, context_.params().logScale);
 
-    // Group diagonals by giant step g = d / b.
-    std::map<size_t, std::vector<std::pair<size_t, const std::vector<
-        Complex> *>>> giants;
-    std::set<int> babySteps;
-    for (const auto &[d, diag] : matrix.diagonals()) {
-        giants[d / b].emplace_back(d % b, &diag);
-        if (d % b != 0)
-            babySteps.insert(static_cast<int>(d % b));
-    }
-
     // Baby rotations computed with hoisting (one shared ModUp).
-    std::map<size_t, Ciphertext> babies;
-    babies.emplace(0, ct);
-    if (!babySteps.empty()) {
-        const std::vector<int> rotations(babySteps.begin(),
-                                         babySteps.end());
-        auto rotated = evaluator_.rotateHoisted(ct, rotations, keys);
-        for (size_t i = 0; i < rotations.size(); ++i) {
-            babies.emplace(static_cast<size_t>(rotations[i]),
-                           std::move(rotated[i]));
-        }
-    }
+    const std::vector<Ciphertext> babies =
+        plan.babies.empty()
+            ? std::vector<Ciphertext>{}
+            : evaluator_.rotateHoisted(ct, plan.babies, keys);
+    const auto babyFor = [&](int64_t baby) -> const Ciphertext & {
+        if (baby == 0)
+            return ct;
+        const auto it = std::lower_bound(plan.babies.begin(),
+                                         plan.babies.end(), baby);
+        return babies[static_cast<size_t>(it - plan.babies.begin())];
+    };
 
     Ciphertext acc;
-    bool first = true;
-    for (const auto &[g, terms] : giants) {
-        const size_t shift = g * b;
-        // Inner sum over baby steps, with diagonals pre-rotated by the
-        // giant shift (the p >> R preprocessing of §V-B).
+    for (const auto &[giant, terms] : plan.groups) {
+        // Inner sum over the group's babies, with diagonals pre-rotated
+        // by the giant shift (the p >> R preprocessing of §V-B), MACed
+        // into one accumulator.
+        const int shift = rotationOf(giant, matrix.slots());
         Ciphertext inner;
-        bool innerFirst = true;
+        inner.level = ct.level;
+        inner.scale = ct.scale * ptScale;
+        inner.b = Polynomial(ct.b.basis(), Domain::Eval);
+        inner.a = Polynomial(ct.a.basis(), Domain::Eval);
         for (const auto &[baby, diag] : terms) {
-            const auto pre = preRotate(*diag, shift);
-            const Plaintext pt =
-                encoder_.encode(pre, babies.at(baby).level, ptScale);
-            Ciphertext term = evaluator_.mulPlain(babies.at(baby), pt);
-            if (innerFirst) {
-                inner = std::move(term);
-                innerFirst = false;
-            } else {
-                inner = evaluator_.add(inner, term);
-            }
+            const Plaintext pt = encoder_.encode(
+                preRotate(*diag, static_cast<size_t>(shift)), ct.level,
+                ptScale);
+            const Ciphertext &rotated = babyFor(baby);
+            inner.b.macEq(rotated.b, pt.poly);
+            inner.a.macEq(rotated.a, pt.poly);
         }
-        if (shift != 0) {
-            inner = evaluator_.rotate(inner, static_cast<int>(shift), keys);
-        }
-        if (first) {
+        if (shift != 0)
+            inner = evaluator_.rotate(inner, shift, keys);
+        if (acc.level == 0) {
             acc = std::move(inner);
-            first = false;
         } else {
-            acc = evaluator_.add(acc, inner);
+            acc.b += inner.b;
+            acc.a += inner.a;
         }
     }
     return acc;

@@ -8,7 +8,12 @@
  *    PMULT and accumulation in the extended modulus PQ, one ModDown.
  *  - MinKS [32], [46]: iterated rotation by one, reusing a single evk.
  *  - BSGS hoisting: baby-step/giant-step with hoisted baby rotations,
- *    the variant bootstrapping uses (footnote 1 of the paper).
+ *    the variant bootstrapping uses (footnote 1 of the paper). Each
+ *    diagonal index is split as a signed offset (see bsgsBabyCount),
+ *    so a band around index 0 or a stride takes ~2 sqrt(K) rotations.
+ *    The babies share one ModUp; each giant group MACs its
+ *    pre-rotated diagonals into one accumulator and pays one full
+ *    keyswitch.
  *
  * Hoisting and MinKS are mutually exclusive (Fig. 1); both are provided
  * so their trade-off can be reproduced functionally and measured by the
@@ -50,7 +55,15 @@ class LinearTransformer
     static std::vector<int> requiredRotations(const DiagMatrix &matrix,
                                               LinTransAlgorithm algorithm);
 
-    /** Baby-step count used by the BSGS variant for this matrix. */
+    /**
+     * Baby-step width b of the BSGS variant for this matrix. Each
+     * diagonal index d is a signed offset s in (-slots/2, slots/2],
+     * written s = giant + baby with giant a multiple of b and
+     * 0 <= baby < b. b minimizes the distinct nonzero babies (hoisted
+     * rotations) plus the distinct nonzero giants (full keyswitches);
+     * on a tie it takes fewer giants. requiredRotations and apply read
+     * the same split, so the key list and the transform agree.
+     */
     static size_t bsgsBabyCount(const DiagMatrix &matrix);
 
   private:

@@ -157,6 +157,19 @@ class Barrett
     /** Reduce a full 128-bit value modulo q. */
     uint64_t reduce(unsigned __int128 x) const;
 
+    /**
+     * Reduce one 64-bit word modulo q. The high word of the ratio is
+     * floor(2^64 / q), so one high multiply undershoots floor(x / q)
+     * by at most one and one conditional subtraction finishes. No
+     * division.
+     */
+    uint64_t
+    reduceWord(uint64_t x) const
+    {
+        const uint64_t r = x - mulHi64(x, ratioHi_) * q_;
+        return r >= q_ ? r - q_ : r;
+    }
+
     /** a * b mod q using the precomputed constant. */
     uint64_t
     mulMod(uint64_t a, uint64_t b) const
@@ -200,6 +213,18 @@ fromSigned(int64_t a, uint64_t q)
     const int64_t r = a % static_cast<int64_t>(q);
     return r < 0 ? static_cast<uint64_t>(r + static_cast<int64_t>(q))
                  : static_cast<uint64_t>(r);
+}
+
+/** fromSigned through a prepared Barrett constant (no division): the
+ *  form per-coefficient loops use. */
+inline uint64_t
+fromSigned(int64_t a, const Barrett &br)
+{
+    // Negate in unsigned arithmetic so INT64_MIN stays defined.
+    const uint64_t magnitude = a < 0 ? 0 - static_cast<uint64_t>(a)
+                                     : static_cast<uint64_t>(a);
+    const uint64_t r = br.reduceWord(magnitude);
+    return a < 0 ? negMod(r, br.modulus()) : r;
 }
 
 } // namespace anaheim

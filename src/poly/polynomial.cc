@@ -37,7 +37,7 @@ Polynomial::toCoeff()
 void
 Polynomial::checkCompatible(const Polynomial &other) const
 {
-    ANAHEIM_ASSERT(limbs_.size() == other.limbs_.size(),
+    ANAHEIM_ASSERT(limbs_.size() <= other.limbs_.size(),
                    "limb count mismatch: ", limbs_.size(), " vs ",
                    other.limbs_.size());
     ANAHEIM_ASSERT(domain_ == other.domain_, "domain mismatch");
@@ -128,6 +128,38 @@ Polynomial::mulScalarEq(const std::vector<uint64_t> &scalarPerLimb)
     return *this;
 }
 
+Polynomial &
+Polynomial::macScalarEq(const Polynomial &a,
+                        const std::vector<uint64_t> &scalarPerLimb)
+{
+    checkCompatible(a);
+    ANAHEIM_ASSERT(scalarPerLimb.size() == limbs_.size(),
+                   "scalar vector size mismatch");
+    const kernels::KernelOps &ops = kernels::active();
+    parallelFor(0, limbs_.size(), [&](size_t i) {
+        const uint64_t q = basis_.prime(i);
+        const ShoupMul prepared(scalarPerLimb[i] % q, q);
+        auto &dst = limbs_[i];
+        ops.mulShoupAcc(dst.data(), a.limbs_[i].data(), dst.size(),
+                        prepared.operand(), prepared.precon(), q);
+    });
+    return *this;
+}
+
+Polynomial &
+Polynomial::addScalarEq(const std::vector<uint64_t> &scalarPerLimb)
+{
+    ANAHEIM_ASSERT(scalarPerLimb.size() == limbs_.size(),
+                   "scalar vector size mismatch");
+    parallelFor(0, limbs_.size(), [&](size_t i) {
+        const uint64_t q = basis_.prime(i);
+        const uint64_t c = scalarPerLimb[i] % q;
+        for (uint64_t &v : limbs_[i])
+            v = addMod(v, c, q);
+    });
+    return *this;
+}
+
 Polynomial
 Polynomial::automorphism(uint64_t k) const
 {
@@ -208,9 +240,9 @@ polynomialFromSigned(const RnsBasis &basis,
                    "coefficient count mismatch");
     Polynomial out(basis, Domain::Coeff);
     for (size_t i = 0; i < basis.size(); ++i) {
-        const uint64_t q = basis.prime(i);
+        const Barrett &br = basis.table(i).barrett();
         for (size_t c = 0; c < coeffs.size(); ++c)
-            out.limb(i)[c] = fromSigned(coeffs[c], q);
+            out.limb(i)[c] = fromSigned(coeffs[c], br);
     }
     return out;
 }

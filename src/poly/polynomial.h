@@ -51,8 +51,11 @@ class Polynomial
     /** In-place inverse NTT of every limb. */
     void toCoeff();
 
-    /** @name Element-wise modular arithmetic (in place, same basis and
-     *  domain required). */
+    /** @name Element-wise modular arithmetic (in place, same domain
+     *  required). An operand may carry more limbs than this polynomial
+     *  (the same chain at a higher level): its first limbCount() limbs
+     *  are read in place, as if truncated, and its primes must match
+     *  there. */
     /// @{
     Polynomial &operator+=(const Polynomial &other);
     Polynomial &operator-=(const Polynomial &other);
@@ -62,6 +65,12 @@ class Polynomial
     Polynomial &negate();
     /** Multiply every limb i by scalar mod prime(i). */
     Polynomial &mulScalarEq(const std::vector<uint64_t> &scalarPerLimb);
+    /** this += a * scalar, limb i by its own scalar mod prime(i). */
+    Polynomial &macScalarEq(const Polynomial &a,
+                            const std::vector<uint64_t> &scalarPerLimb);
+    /** Add scalar mod prime(i) to every residue of limb i; in the Eval
+     *  domain that adds the constant polynomial. */
+    Polynomial &addScalarEq(const std::vector<uint64_t> &scalarPerLimb);
     /// @}
 
     friend Polynomial operator+(Polynomial lhs, const Polynomial &rhs)

@@ -52,7 +52,7 @@ class ChebyshevHomTest : public ::testing::Test
           decryptor_(context_, keygen_.secretKey()),
           evaluator_(context_, encoder_),
           relin_(keygen_.makeRelinKey()),
-          cheby_(evaluator_, encoder_, relin_)
+          cheby_(evaluator_, relin_)
     {
     }
 

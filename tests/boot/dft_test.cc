@@ -1,9 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <set>
 
 #include "boot/dft.h"
 #include "common/rng.h"
+#include "lintrans/lintrans.h"
 
 namespace anaheim {
 namespace {
@@ -90,6 +92,35 @@ TEST(DftPlan, FactorsAreSparse)
         EXPECT_LE(factor.diagonalCount(), 7u); // 2 stages -> <= 2^3-1
         EXPECT_GE(factor.diagonalCount(), 2u);
     }
+}
+
+TEST(DftPlan, BootstrapFactorsNeedFewBsgsRotations)
+{
+    // The 1024-slot bootstrap plan: CoeffToSlot is a stride-32 factor
+    // (32 diagonals) then a band of offsets -31..31 (63 diagonals), and
+    // SlotToCoeff the reverse. Split over signed offsets, the band takes
+    // 7 babies + 7 giants and the stride 5 + 5, so the bootstrap needs
+    // 24 rotation keys (a split over non-negative indices took 62).
+    const DftPlan plan(1024, 2);
+    std::vector<DiagMatrix> factors = plan.coeffToSlotFactors({1.0, 0.0});
+    for (auto &factor : plan.slotToCoeffFactors({1.0, 0.0}))
+        factors.push_back(std::move(factor));
+    const std::vector<size_t> expectDiagonals = {32, 63, 63, 32};
+    const std::vector<size_t> expectWidths = {192, 8, 8, 192};
+    const std::vector<size_t> expectRotations = {10, 14, 14, 10};
+    std::set<int> keys;
+    ASSERT_EQ(factors.size(), 4u);
+    for (size_t f = 0; f < factors.size(); ++f) {
+        const auto rotations = LinearTransformer::requiredRotations(
+            factors[f], LinTransAlgorithm::BsgsHoisting);
+        EXPECT_EQ(factors[f].diagonalCount(), expectDiagonals[f]) << f;
+        EXPECT_EQ(LinearTransformer::bsgsBabyCount(factors[f]),
+                  expectWidths[f])
+            << f;
+        EXPECT_EQ(rotations.size(), expectRotations[f]) << f;
+        keys.insert(rotations.begin(), rotations.end());
+    }
+    EXPECT_EQ(keys.size(), 24u);
 }
 
 TEST(DftPlan, ExtraScaleIsAppliedOnce)

@@ -42,7 +42,7 @@ class PolyEvalTest : public ::testing::Test
           encryptor_(context_, 19),
           decryptor_(context_, keygen_.secretKey()),
           evaluator_(context_, encoder_), relin_(keygen_.makeRelinKey()),
-          polyEval_(evaluator_, encoder_, relin_)
+          polyEval_(evaluator_, relin_)
     {
     }
 

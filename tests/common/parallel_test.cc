@@ -4,8 +4,8 @@
  * (reuse, exception propagation, range edge cases, the
  * ANAHEIM_THREADS=1 serial fallback) and the determinism property —
  * parallel and serial executions of the limb-partitioned hot paths
- * (NTT, BConv, keyswitch) must produce bitwise-identical results on
- * random polynomials.
+ * (NTT, BConv, keyswitch, BSGS linear transform, Chebyshev sum) must
+ * produce bitwise-identical results on random inputs.
  */
 
 #include <gtest/gtest.h>
@@ -16,10 +16,13 @@
 #include <stdexcept>
 #include <vector>
 
+#include "boot/chebyshev.h"
+#include "ckks/encryptor.h"
 #include "ckks/keys.h"
 #include "ckks/keyswitch.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "lintrans/lintrans.h"
 #include "math/primes.h"
 #include "poly/polynomial.h"
 #include "rns/bconv.h"
@@ -283,6 +286,54 @@ TEST_F(ParallelDeterminismTest, KeySwitchMatchesSerial)
 
     EXPECT_TRUE(d0s == d0p);
     EXPECT_TRUE(d1s == d1p);
+}
+
+TEST_F(ParallelDeterminismTest, BsgsAndChebyshevMatchSerial)
+{
+    // Both accumulate in place (BSGS giant groups MAC into one
+    // accumulator; a Chebyshev sum MACs integer scalars before its one
+    // rescale), so both must not depend on the pool width. Compare the
+    // one-thread pool with the default pool (at least 4 wide, so a
+    // one-core host still runs the parallel path).
+    const CkksEncoder encoder(context_);
+    const CkksEvaluator evaluator(context_, encoder);
+    const LinearTransformer transformer(context_, encoder, evaluator);
+    KeyGenerator keygen(context_, 8);
+    CkksEncryptor encryptor(context_, 9);
+    const EvalKey relin = keygen.makeRelinKey();
+    const ChebyshevEvaluator chebyshev(evaluator, relin);
+
+    Rng rng(41);
+    const size_t slots = encoder.slots();
+    std::vector<std::complex<double>> msg(slots);
+    for (auto &v : msg)
+        v = {rng.uniformReal() - 0.5, 0.0};
+    const auto matrix = DiagMatrix::random(
+        slots, {slots - 2, slots - 1, 0, 1, 2, 16, 32}, rng);
+    const GaloisKeys keys = keygen.makeGaloisKeys(
+        LinearTransformer::requiredRotations(
+            matrix, LinTransAlgorithm::BsgsHoisting));
+    const Ciphertext ct = encryptor.encrypt(
+        encoder.encode(msg, context_.maxLevel()), keygen.secretKey());
+    const std::vector<double> series = {0.1, -0.4, 0.3, 0.05, -0.2, 0.15};
+
+    const auto run = [&] {
+        return std::vector<Ciphertext>{
+            transformer.apply(ct, matrix, keys,
+                              LinTransAlgorithm::BsgsHoisting),
+            chebyshev.evaluate(ct, series)};
+    };
+    setParallelThreads(1);
+    const auto serial = run();
+    setParallelThreads(std::max<size_t>(defaultThreadCount(), 4));
+    const auto parallel = run();
+
+    for (size_t i = 0; i < serial.size(); ++i) {
+        EXPECT_EQ(serial[i].level, parallel[i].level) << i;
+        EXPECT_EQ(serial[i].scale, parallel[i].scale) << i;
+        EXPECT_TRUE(serial[i].b == parallel[i].b) << i;
+        EXPECT_TRUE(serial[i].a == parallel[i].a) << i;
+    }
 }
 
 TEST(BConvValidationTest, RaggedInputIsRejected)

@@ -77,16 +77,18 @@ TEST_F(PimCkksIntegration, KeyMultOnPimMatchesKeySwitcher)
     const auto [d0, d1] = sw.keyMult(digits, evk);
 
     // Re-execute the accumulation limb-by-limb on the functional PIM
-    // unit and demand bit-exact agreement.
+    // unit and demand bit-exact agreement. The evk spans the full
+    // Q || P: extended limb `limb` reads its Q limb below `level` and
+    // its P limb above.
     const RnsBasis extBasis = context_.extendedBasis(level);
     for (size_t limb = 0; limb < extBasis.size(); ++limb) {
         const PimFunctionalUnit unit(extBasis.prime(limb));
+        const size_t keyLimb =
+            limb < level ? limb : context_.maxLevel() + (limb - level);
         std::vector<PimVector> aOps, bOps, pOps;
         for (size_t j = 0; j < digits.size(); ++j) {
-            const Polynomial keyB = sw.restrictToExtended(evk.b[j], level);
-            const Polynomial keyA = sw.restrictToExtended(evk.a[j], level);
-            aOps.push_back(toPim(keyB.limb(limb)));  // -> x = d0
-            bOps.push_back(toPim(keyA.limb(limb)));  // -> y = d1
+            aOps.push_back(toPim(evk.b[j].limb(keyLimb)));  // -> x = d0
+            bOps.push_back(toPim(evk.a[j].limb(keyLimb)));  // -> y = d1
             pOps.push_back(toPim(digits[j].limb(limb)));
         }
         const auto [x, y] = unit.pAccum(aOps, bOps, pOps);

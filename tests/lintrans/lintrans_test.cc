@@ -138,9 +138,22 @@ TEST_F(LinTransTest, MinKsMatchesPlainApply)
 TEST_F(LinTransTest, BsgsHoistingMatchesPlainApply)
 {
     Rng rng(67);
+    const size_t slots = encoder_.slots();
     const auto matrix = DiagMatrix::random(
-        encoder_.slots(), {0, 1, 2, 5, 9, 14, 20, 33}, rng);
+        slots, {0, 1, 2, 5, 9, 14, 20, 33}, rng);
     checkAlgorithm(matrix, LinTransAlgorithm::BsgsHoisting, 74, 1e-3);
+
+    // A band that wraps around index 0 (negative offsets -3..-1) and a
+    // strided set whose upper half is negative offsets: the shapes of
+    // the bootstrap's DFT factors, split over signed offsets.
+    const auto band = DiagMatrix::random(
+        slots, {slots - 3, slots - 2, slots - 1, 0, 1, 2, 3}, rng);
+    checkAlgorithm(band, LinTransAlgorithm::BsgsHoisting, 77, 1e-3);
+    std::vector<size_t> strided;
+    for (size_t d = 0; d <= 240; d += 16)
+        strided.push_back(d);
+    const auto stride = DiagMatrix::random(slots, strided, rng);
+    checkAlgorithm(stride, LinTransAlgorithm::BsgsHoisting, 78, 1e-3);
 }
 
 TEST_F(LinTransTest, AlgorithmsAgreeWithEachOther)

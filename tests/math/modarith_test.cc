@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "common/rng.h"
 #include "math/modarith.h"
 #include "math/primes.h"
@@ -231,6 +233,31 @@ TEST(Barrett, RandomizedCrossCheckAgainstInt128Modulo)
             EXPECT_EQ(barrett.reduce(x), static_cast<uint64_t>(x % q))
                 << "q=" << q;
         }
+    }
+}
+
+TEST(Barrett, WordReductionAndSignedLiftMatchDivision)
+{
+    // reduceWord and fromSigned(a, Barrett) replace per-coefficient
+    // divisions in rescale and polynomialFromSigned; both must equal
+    // the division-based forms on random and boundary words.
+    Rng rng(7);
+    std::vector<uint64_t> moduli = contextGradePrimes();
+    moduli.insert(moduli.end(), {3ULL, (1ULL << 62) - 57});
+    for (const uint64_t q : moduli) {
+        const Barrett barrett(q);
+        std::vector<uint64_t> words = {0, 1, q - 1, q, q + 1, 2 * q - 1,
+                                       2 * q, ~0ULL, ~0ULL - q};
+        for (int i = 0; i < 2000; ++i)
+            words.push_back(rng.next());
+        for (const uint64_t x : words) {
+            EXPECT_EQ(barrett.reduceWord(x), x % q) << "q=" << q;
+            const auto a = static_cast<int64_t>(x);
+            EXPECT_EQ(fromSigned(a, barrett), fromSigned(a, q))
+                << "q=" << q << " a=" << a;
+        }
+        EXPECT_EQ(fromSigned(std::numeric_limits<int64_t>::min(), barrett),
+                  fromSigned(std::numeric_limits<int64_t>::min(), q));
     }
 }
 

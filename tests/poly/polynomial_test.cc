@@ -117,6 +117,55 @@ TEST(Polynomial, ScalarMultPerLimb)
                              basis.prime(i)));
 }
 
+TEST(Polynomial, ScalarMacAndAddPerLimb)
+{
+    const auto basis = makeBasis(16, 2);
+    Rng rng(37);
+    const auto a = randomPoly(basis, rng);
+    auto acc = randomPoly(basis, rng);
+    const auto original = acc;
+    const std::vector<uint64_t> scalars = {7, basis.prime(1) - 2};
+    acc.macScalarEq(a, scalars);
+    auto shifted = original;
+    shifted.addScalarEq(scalars);
+    for (size_t i = 0; i < basis.size(); ++i) {
+        const uint64_t q = basis.prime(i);
+        for (size_t c = 0; c < basis.degree(); ++c) {
+            EXPECT_EQ(acc.limb(i)[c],
+                      addMod(original.limb(i)[c],
+                             mulMod(a.limb(i)[c], scalars[i], q), q));
+            EXPECT_EQ(shifted.limb(i)[c],
+                      addMod(original.limb(i)[c], scalars[i], q));
+        }
+    }
+}
+
+TEST(Polynomial, OperandWithMoreLimbsIsReadAsItsPrefix)
+{
+    // A higher-level operand of the same chain acts as its truncation,
+    // so level alignment needs no copy; a shorter operand is rejected.
+    const auto basis = makeBasis(16, 4);
+    Rng rng(38);
+    const auto high = randomPoly(basis, rng);
+    const auto low = randomPoly(basis.slice(0, 2), rng);
+    const auto prefix = high.firstLimbs(2);
+
+    auto sum = low;
+    sum += high;
+    EXPECT_EQ(sum, low + prefix);
+    auto prod = low;
+    prod.mulEq(high);
+    EXPECT_EQ(prod, mul(low, prefix));
+    auto mac = low;
+    mac.macEq(high, high);
+    auto macRef = low;
+    macRef.macEq(prefix, prefix);
+    EXPECT_EQ(mac, macRef);
+
+    auto tooHigh = high;
+    EXPECT_DEATH(tooHigh += low, "limb count mismatch");
+}
+
 class AutomorphismTest : public ::testing::TestWithParam<uint64_t>
 {
 };
