@@ -2,7 +2,9 @@
  * Ablation (§VI-B, §VI-D design-choice studies beyond the paper's
  * figures): how Anaheim's PIM execution scales with the die-group
  * count (limb-level parallelism), the banks-per-unit ratio of the
- * custom-HBM variant, and the column-group width of the data layout.
+ * custom-HBM variant, and column partitioning on or off per
+ * instruction. The column-group count is fixed at the paper's 8
+ * (PimConfig::kColumnGroups), so no width sweep runs.
  */
 
 #include <cstdio>

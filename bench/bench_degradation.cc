@@ -91,7 +91,8 @@ runTrial(double rate, uint64_t seed, const OpSequence &seq,
     const ResilienceStats &r = run.resilience;
     return {failed, r.quarantinedBanks, r.migrations, r.rollbacks,
             r.unrecovered == 0 ? 1.0 : 0.0, run.pimCapacityFraction,
-            base.totalNs / run.totalNs, run.pimOffline ? 1.0 : 0.0,
+            base.totalNs / run.totalNs,
+            run.pimOffline != PimOffline::Online ? 1.0 : 0.0,
             r.gpuFallbacksRetryExhausted, r.gpuFallbacksUncheckpointed,
             r.gpuFallbacksCapacityFloor};
 }

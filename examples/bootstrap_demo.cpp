@@ -1,10 +1,12 @@
 /**
- * Bootstrapping demo: exhaust a ciphertext's level budget with repeated
- * squarings, refresh it with full CKKS bootstrapping (ModRaise ->
- * CoeffToSlot -> EvalMod -> SlotToCoeff), and keep computing — the
- * defining capability of *fully* homomorphic encryption (§II-C).
- * Exits 1 when the final error passes its bound (about 75x the error
- * these parameters give).
+ * Bootstrapping demo: exhaust a ciphertext's level budget, refresh it
+ * with full CKKS bootstrapping (ModRaise -> CoeffToSlot -> EvalMod ->
+ * SlotToCoeff), and keep computing — the defining capability of *fully*
+ * homomorphic encryption (§II-C). The level budget burns on
+ * multiplications by 1.0, so the bootstrap's input keeps the message's
+ * amplitude and its error is measured against that amplitude. Exits 1
+ * when the bootstrap's or the final square's error passes its bound
+ * (each about 10x the error these parameters give).
  *
  *   ./bootstrap_demo
  */
@@ -46,22 +48,20 @@ run()
                 boot.evalModDepth(), boot.slotToCoeffDepth());
 
     // Message small relative to q0/Delta, per CKKS bootstrap practice.
+    constexpr double kAmplitude = 1.0 / 64.0;
     Rng rng(6);
     std::vector<Complex> msg(encoder.slots());
     for (auto &v : msg)
-        v = {(2.0 * rng.uniformReal() - 1.0) / 64.0, 0.0};
+        v = {(2.0 * rng.uniformReal() - 1.0) * kAmplitude, 0.0};
 
     auto ct = encryptor.encrypt(encoder.encode(msg, 3),
                                 keygen.secretKey());
     const auto relin = keygen.makeRelinKey();
 
-    // Burn the level budget.
-    auto expect = msg;
+    // Burn the level budget without shrinking the message.
     while (ct.level > 1) {
-        ct = evaluator.rescale(evaluator.square(ct, relin));
-        for (auto &v : expect)
-            v *= v;
-        std::printf("  squared; level now %zu\n", ct.level);
+        ct = evaluator.rescale(evaluator.mulConst(ct, 1.0));
+        std::printf("  multiplied by 1.0; level now %zu\n", ct.level);
     }
 
     std::printf("level exhausted — bootstrapping...\n");
@@ -74,20 +74,33 @@ run()
     std::printf("  bootstrap took %.1fs; level restored to %zu\n", bootS,
                 ct.level);
 
+    // Max error of `ct` against `expect`, relative to `scale`.
+    const auto relativeError = [&](const Ciphertext &x,
+                                   const std::vector<Complex> &expect,
+                                   double scale) {
+        const auto out = encoder.decode(decryptor.decrypt(x));
+        double worst = 0.0;
+        for (size_t i = 0; i < out.size(); ++i)
+            worst = std::max(worst, std::abs(out[i] - expect[i]));
+        return worst / scale;
+    };
+    constexpr double kMaxBootError = 5e-2;
+    const double bootError = relativeError(ct, msg, kAmplitude);
+    std::printf("bootstrap: max error %.3e of the amplitude (bound %.1e)\n",
+                bootError, kMaxBootError);
+
     // Keep computing on the refreshed ciphertext.
     ct = evaluator.rescale(evaluator.square(ct, relin));
-    for (auto &v : expect)
+    auto squared = msg;
+    for (auto &v : squared)
         v *= v;
-
-    const auto out = encoder.decode(decryptor.decrypt(ct));
-    double worst = 0.0;
-    for (size_t i = 0; i < out.size(); ++i)
-        worst = std::max(worst, std::abs(out[i] - expect[i]));
-    constexpr double kMaxError = 1.5e-6;
-    std::printf("post-bootstrap square: max error %.3e (bound %.1e) at "
-                "level %zu\n",
-                worst, kMaxError, ct.level);
-    if (!(worst <= kMaxError)) {
+    constexpr double kMaxSquareError = 5e-2;
+    const double squareError =
+        relativeError(ct, squared, kAmplitude * kAmplitude);
+    std::printf("post-bootstrap square: max error %.3e of the amplitude "
+                "squared (bound %.1e) at level %zu\n",
+                squareError, kMaxSquareError, ct.level);
+    if (!(bootError <= kMaxBootError && squareError <= kMaxSquareError)) {
         std::printf("FAILED: error past its bound\n");
         return 1;
     }

@@ -63,7 +63,8 @@ def diff(golden, current):
 
 def self_test():
     """Identity and volatile-only changes pass; a changed count, a
-    dropped key and a swapped row each fail, naming what moved."""
+    value moved only past its 10th significant digit, a dropped key
+    and a swapped row each fail, naming what moved."""
     golden = {
         "bench": "fault_campaign_smoke",
         "git_sha": "abc1234",
@@ -90,6 +91,14 @@ def self_test():
     counted["rows"][1]["rollbacks"] = 31
     lines = diff(golden, counted)
     assert lines == ["rows[1]: 'rollbacks' 32 -> 31"], lines
+
+    # The benches write the shortest text that round-trips, so a
+    # model change below the 10th significant digit still shows.
+    digits = copy.deepcopy(golden)
+    digits["rows"][0]["unrecovered_rate"] = 0.50000000001
+    lines = diff(golden, digits)
+    assert lines == [
+        "rows[0]: 'unrecovered_rate' 0.5 -> 0.50000000001"], lines
 
     dropped = copy.deepcopy(golden)
     del dropped["trials"]

@@ -201,12 +201,25 @@ struct ResilienceStats {
     /** gpuFallbacks split by cause; the three always sum to
      *  gpuFallbacks. retry_exhausted: ECC retries and rollback budget
      *  both spent. uncheckpointed: no checkpoint to replay from.
-     *  capacity_floor: quarantine pushed healthy-bank capacity under
-     *  ResilienceConfig::health.minCapacityFraction (or the degraded
-     *  plan no longer fits), so PIM offload was abandoned. */
+     *  capacity_floor: a PIM-eligible op ran on the GPU because PIM
+     *  was offline, for either RunResult::pimOffline cause. */
     uint64_t gpuFallbacksRetryExhausted = 0;
     uint64_t gpuFallbacksUncheckpointed = 0;
     uint64_t gpuFallbacksCapacityFloor = 0;
+};
+
+/** Whether PIM offload is still in use, and if not, what took it
+ *  offline. After either cause the run's remaining PIM-eligible ops
+ *  run on the GPU. */
+enum class PimOffline {
+    Online = 0,
+    /** Quarantine drove healthy-bank capacity under
+     *  ResilienceConfig::health.minCapacityFraction: the device's
+     *  verdict, shared by every trace on it. */
+    CapacityFloor = 1,
+    /** The degraded memory plan of this run's trace no longer fits the
+     *  banks: one trace's verdict. */
+    PlanNoLongerFits = 2,
 };
 
 struct RunResult {
@@ -221,9 +234,8 @@ struct RunResult {
     /** Healthy-bank fraction the run ended with (1.0 = no
      *  quarantine). */
     double pimCapacityFraction = 1.0;
-    /** True when quarantine drove capacity under the configured floor
-     *  and remaining PIM segments were redirected to the GPU. */
-    bool pimOffline = false;
+    /** Online, or what took PIM offline during the run. */
+    PimOffline pimOffline = PimOffline::Online;
     std::vector<GanttEntry> timeline;
 
     double totalSeconds() const { return totalNs * 1e-9; }

@@ -1,9 +1,5 @@
 #include "planner.h"
 
-#include <algorithm>
-
-#include "pim/layout.h"
-
 namespace anaheim {
 
 MemoryPlan
@@ -21,9 +17,7 @@ PimMemoryPlanner::plan(const OpSequence &seq) const
         // rows across (up to) the column-group count. Offline banks
         // deepen the row groups: the same chunks stripe over fewer
         // healthy banks.
-        ColumnPartitionLayout layout(dram_, pim_.banksPerDieGroup, op.n,
-                                     8, pim_.offlineBanks);
-        const size_t columnGroups = layout.columnGroups();
+        const size_t rowsPerRowGroup = pim_.rowsPerRowGroup(dram_, op.n);
         auto rowsFor = [&](const std::vector<Operand> &operands) {
             // Limbs per die group (each group holds its own share).
             size_t totalLimbs = 0;
@@ -31,10 +25,11 @@ PimMemoryPlanner::plan(const OpSequence &seq) const
                 totalLimbs += operand.limbs;
             const size_t limbsPerGroup =
                 (totalLimbs + pim_.dieGroups - 1) / pim_.dieGroups;
-            // PolyGroups pack polynomials columnGroups-wide.
+            // PolyGroups pack polynomials kColumnGroups-wide.
             const size_t packed =
-                (limbsPerGroup + columnGroups - 1) / columnGroups;
-            return packed * layout.rowsPerRowGroup();
+                (limbsPerGroup + PimConfig::kColumnGroups - 1) /
+                PimConfig::kColumnGroups;
+            return packed * rowsPerRowGroup;
         };
         const size_t rows = rowsFor(op.reads) + rowsFor(op.writes);
         if (rows > result.peakRowsPerBank) {

@@ -3,11 +3,12 @@
  * PIM memory planner (§V-C "Memory allocation"): because FHE's control
  * flow is static, every PIM kernel's operands can be pre-placed into
  * PolyGroups before execution. The planner walks a trace, sizes the
- * PolyGroup each PIM kernel needs under the column-partitioning layout,
- * and checks the peak per-bank row demand against the banks' row
- * budget: it is the one model of whether PIM operands fit. It sizes
- * PIM operand rows only; the paper's device out-of-memory results
- * (§VII-B) do not come from it (EXPERIMENTS.md, known deviations).
+ * PolyGroup each PIM kernel needs under the column-partitioning layout
+ * (PimConfig::rowsPerRowGroup, pim/kernelmodel.h), and checks the peak
+ * per-bank row demand against the banks' row budget: it is the one
+ * model of whether PIM operands fit. It sizes PIM operand rows only;
+ * the paper's device out-of-memory results (§VII-B) do not come from
+ * it (EXPERIMENTS.md, known deviations).
  */
 
 #ifndef ANAHEIM_ANAHEIM_PLANNER_H
@@ -37,6 +38,7 @@ class PimMemoryPlanner
     PimMemoryPlanner(const DramConfig &dram, const PimConfig &pim)
         : dram_(dram), pim_(pim)
     {
+        pim_.validate(dram_);
     }
 
     /** Plan a trace: per-kernel PolyGroup sizing and the peak demand.

@@ -372,15 +372,17 @@ RunContext::quarantineAndMigrate()
     // Control-plane cost: remap tables + lockstep re-fusing.
     chargePhase("Quarantine", "DRAM", 1.0e3, 0.0);
     const PimConfig degraded = config_.pim.degraded(health_->resources());
-    if (health_->belowCapacityFloor() ||
-        !PimMemoryPlanner(config_.dram, degraded).plan(seq_).fits) {
-        pimOffline_ = true;
-        degradedPim_ = nullptr;
+    if (health_->belowCapacityFloor()) {
+        pimOffline_ = PimOffline::CapacityFloor;
+    } else if (!PimMemoryPlanner(config_.dram, degraded).plan(seq_).fits) {
+        pimOffline_ = PimOffline::PlanNoLongerFits;
     } else {
         degradedPim_ = &fw_.degradedPimModel(degraded);
         // One pass over the live footprint into the new layout.
         chargeSnapshot("Migrate");
+        return;
     }
+    degradedPim_ = nullptr;
 }
 
 void
@@ -414,7 +416,8 @@ RunContext::nextOp() const
 bool
 RunContext::nextOnPim() const
 {
-    return i_ < seq_.ops.size() && onPimFlags_[i_] && !pimOffline_;
+    return i_ < seq_.ops.size() && onPimFlags_[i_] &&
+           pimOffline_ == PimOffline::Online;
 }
 
 bool
@@ -610,9 +613,9 @@ RunContext::stepPim(const KernelOp &op, bool suppressTransition)
 void
 RunContext::stepGpu(const KernelOp &op)
 {
-    // PIM-eligible ops arriving after the capacity floor tripped
+    // PIM-eligible ops arriving after PIM went offline (either cause)
     // are redirected here; each redirection is a counted fallback.
-    if (onPimFlags_[i_] && pimOffline_)
+    if (onPimFlags_[i_] && pimOffline_ != PimOffline::Online)
         countFallback(FallbackCause::CapacityFloor);
 
     const bool fused = fusesWithPrev(i_);
@@ -622,8 +625,8 @@ RunContext::stepGpu(const KernelOp &op)
     // Coherence write-backs (§V-C): a GPU kernel whose outputs feed
     // a PIM kernel must push them out of the L2 first.
     double writeBack = 0.0;
-    if (config_.pimEnabled && !pimOffline_ && i_ + 1 < seq_.ops.size() &&
-        onPimFlags_[i_ + 1]) {
+    if (config_.pimEnabled && pimOffline_ == PimOffline::Online &&
+        i_ + 1 < seq_.ops.size() && onPimFlags_[i_ + 1]) {
         for (const auto &operand : op.writes) {
             if (operand.kind == OperandKind::Intermediate)
                 writeBack += operand.limbs * limbBytes(op.n);
@@ -646,7 +649,7 @@ RunContext::step(bool suppressTransition)
     if (runMaintenance())
         return; // a recovery action rewound the trace
     const KernelOp &op = seq_.ops[i_];
-    if (onPimFlags_[i_] && !pimOffline_)
+    if (onPimFlags_[i_] && pimOffline_ == PimOffline::Online)
         stepPim(op, suppressTransition);
     else
         stepGpu(op);

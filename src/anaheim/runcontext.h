@@ -94,9 +94,9 @@ class RunContext
         return health_ ? health_->capacityFraction() : 1.0;
     }
 
-    /** True once the capacity floor tripped and remaining PIM
-     *  segments run on the GPU. */
-    bool pimOfflineNow() const { return pimOffline_; }
+    /** Online until quarantine takes PIM offline; then the cause, and
+     *  the remaining PIM segments run on the GPU. */
+    PimOffline pimOfflineNow() const { return pimOffline_; }
 
     /** The run's quarantine map, or nullptr when health monitoring is
      *  off. Valid only while the context is alive. */
@@ -179,7 +179,7 @@ class RunContext
     /** The framework's model of the quarantined geometry, or nullptr
      *  while the device is healthy. */
     const PimKernelModel *degradedPim_ = nullptr;
-    bool pimOffline_ = false;
+    PimOffline pimOffline_ = PimOffline::Online;
 
     uint64_t retryStreams_ = 1;
     uint64_t opStreams_ = 1;

@@ -1,5 +1,6 @@
 #include "export.h"
 
+#include <charconv>
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -87,9 +88,10 @@ jsonEscape(const std::string &value)
 std::string
 formatDouble(double value)
 {
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "%.10g", value);
-    return buf;
+    // The shortest text that parses back to the same double: every
+    // digit a golden gate compares, and "1e-07" stays "1e-07".
+    char buf[32];
+    return std::string(buf, std::to_chars(buf, buf + sizeof buf, value).ptr);
 }
 
 std::vector<std::pair<std::string, std::string>>

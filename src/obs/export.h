@@ -74,7 +74,8 @@ bool writePrometheus(
 /** JSON string escaping shared by the exporters. */
 std::string jsonEscape(const std::string &value);
 
-/** `%.10g` number formatting shared by the exporters and reports. */
+/** Number formatting shared by the exporters and reports: the
+ *  shortest decimal text that round-trips to the same double. */
 std::string formatDouble(double value);
 
 /** Self-describing header fields stamped into every export: schema

@@ -127,6 +127,20 @@ recordRunTimeline(uint32_t runId, const RunResult &result)
 
 namespace {
 
+const char *
+pimStatusName(PimOffline status)
+{
+    switch (status) {
+      case PimOffline::Online:
+        return "online";
+      case PimOffline::CapacityFloor:
+        return "offline (capacity floor)";
+      case PimOffline::PlanNoLongerFits:
+        return "offline (plan no longer fits)";
+    }
+    return "?";
+}
+
 /** The per-run gauge block under one namespace prefix ("run.last" or
  *  "run.<id>"). */
 void
@@ -143,7 +157,7 @@ publishRunGauges(const std::string &prefix, const RunResult &result,
     registry.gauge(prefix + ".pim_capacity_fraction")
         .set(result.pimCapacityFraction);
     registry.gauge(prefix + ".pim_offline")
-        .set(result.pimOffline ? 1.0 : 0.0);
+        .set(result.pimOffline != PimOffline::Online ? 1.0 : 0.0);
     // Per-run resilience bill as gauges (the resilience.* counters
     // aggregate across runs; these attribute the cost to one run —
     // in serving, to one tenant request).
@@ -271,9 +285,7 @@ printAvailability(const RunResult &result, std::FILE *out)
                  "  availability: %s (unrecovered events: %" PRIu64
                  ", pim %s)\n",
                  res.unrecovered == 0 ? "OK" : "DEGRADED",
-                 res.unrecovered,
-                 result.pimOffline ? "offline (capacity floor)"
-                                   : "online");
+                 res.unrecovered, pimStatusName(result.pimOffline));
     std::fprintf(out,
                  "  capacity: %.4f healthy-bank fraction "
                  "(%" PRIu64 " banks, %" PRIu64 " lanes quarantined, "

@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
+#include <vector>
 
 #include "common/logging.h"
+#include "common/status.h"
 #include "obs/metrics.h"
 
 namespace anaheim {
@@ -31,6 +33,45 @@ PimConfig::degraded(const ResourceMap &resources) const
         std::min(resources.maxQuarantinedLanesPerGroup(),
                  config.lanes > 0 ? config.lanes - 1 : size_t{0});
     return config;
+}
+
+void
+PimConfig::validate(const DramConfig &dram) const
+{
+    ANAHEIM_ASSERT(dram.chunksPerRow() % kColumnGroups == 0,
+                   "column groups must divide the row");
+    std::vector<bool> offline(banksPerDieGroup, false);
+    for (const size_t bank : offlineBanks) {
+        ANAHEIM_CHECK(bank < banksPerDieGroup, InvalidArgument,
+                      "offline bank ", bank, " outside the die group's ",
+                      banksPerDieGroup, " banks");
+        ANAHEIM_CHECK(!offline[bank], InvalidArgument, "offline bank ",
+                      bank, " listed twice");
+        offline[bank] = true;
+    }
+    ANAHEIM_CHECK(offlineBanks.size() < banksPerDieGroup,
+                  ResourceExhausted,
+                  "every bank of the die group is quarantined");
+}
+
+size_t
+PimConfig::chunksPerBank(const DramConfig &dram, size_t n) const
+{
+    const size_t limbChunks = 4 * n / dram.chunkBytes;
+    const size_t healthy = healthyBanksPerDieGroup();
+    ANAHEIM_ASSERT(limbChunks >= healthy,
+                   "fewer chunks than healthy banks in the die group");
+    // The ceil puts the remainder chunks on part of the banks; it is
+    // the exact quotient on every fault-free standard configuration.
+    return (limbChunks + healthy - 1) / healthy;
+}
+
+size_t
+PimConfig::rowsPerRowGroup(const DramConfig &dram, size_t n) const
+{
+    const size_t chunksPerColumnGroup = dram.chunksPerRow() / kColumnGroups;
+    return (chunksPerBank(dram, n) + chunksPerColumnGroup - 1) /
+           chunksPerColumnGroup;
 }
 
 PimConfig
@@ -88,16 +129,30 @@ chunkPeriodCycles(const DramTiming &timing, double clockGHz,
                     static_cast<int>(std::ceil(cadence / timing.tCkNs)));
 }
 
+/** One phase of a near-bank iteration: `polys` polynomials of G chunks
+ *  each per bank. Column partitioning keeps them in one row group, one
+ *  ACT; contiguous allocation opens one row per polynomial. */
+void
+streamPhase(BankEngine &bank, DramCommand command, size_t polys, size_t g,
+            bool columnPartition)
+{
+    const size_t acts = columnPartition ? 1 : std::max<size_t>(1, polys);
+    const size_t share = (polys * g + acts - 1) / acts;
+    for (size_t a = 0; a < acts; ++a) {
+        bank.activateRow();
+        for (size_t c = 0; c < share; ++c)
+            bank.issue(command);
+    }
+}
+
 } // namespace
 
 PimExecStats
-PimKernelModel::executeNearBank(const PimInstrProfile &profile,
-                                size_t limbs, size_t n) const
+PimKernelModel::executeProfile(const PimInstrProfile &profile,
+                               size_t limbs, size_t n) const
 {
     PimExecStats stats;
-    ColumnPartitionLayout layout(dram_, pim_.banksPerDieGroup, n, 8,
-                                 pim_.offlineBanks);
-    const size_t chunksPerBank = layout.chunksPerBankPerLimb();
+    const size_t chunksPerBank = pim_.chunksPerBank(dram_, n);
     size_t g = pim_.bufferEntries / profile.bufferRegions;
     if (g == 0) {
         stats.supported = false;
@@ -111,155 +166,84 @@ PimKernelModel::executeNearBank(const PimInstrProfile &profile,
     // share sequentially, all banks of the group in lockstep.
     const size_t limbBatches =
         (limbs + pim_.dieGroups - 1) / pim_.dieGroups;
-
     // Dead MMAC lanes stretch the per-chunk processing time: the
     // surviving lanes serialize the missing lanes' multiplies.
     const double laneFactor = static_cast<double>(pim_.lanes) /
                               static_cast<double>(pim_.healthyLanes());
-    DramTiming timing = dram_.timing;
-    timing.tCCD = chunkPeriodCycles(dram_.timing, pim_.clockGHz,
-                                    profile.mmacPerChunk * laneFactor);
-    BankEngine bank(timing);
+    const size_t streams =
+        profile.readsGroup0 + profile.readsGroup1 + profile.writes;
+    const bool nearBank = pim_.variant == PimVariant::NearBank;
+    // Chunks one bank streams: G per iteration near the bank, every
+    // chunk it holds through the logic-die unit.
+    const double chunksPerBankTotal = static_cast<double>(
+        streams * (nearBank ? g * iterations : chunksPerBank) *
+        limbBatches);
 
-    const size_t actsPerPhase =
-        layout.actsPerIteration(1, pim_.columnPartition);
-    for (size_t batch = 0; batch < limbBatches; ++batch) {
-        for (size_t iter = 0; iter < iterations; ++iter) {
-            // Phase 1: buffered operands (plaintexts / first sources).
-            if (profile.readsGroup0 > 0) {
-                const size_t acts =
-                    pim_.columnPartition
-                        ? actsPerPhase
-                        : std::max<size_t>(1, profile.readsGroup0);
-                for (size_t a = 0; a < acts; ++a) {
-                    bank.activateRow();
-                    const size_t share =
-                        (profile.readsGroup0 * g + acts - 1) / acts;
-                    for (size_t c = 0; c < share; ++c)
-                        bank.issue(DramCommand::Rd);
-                }
-            }
-            // Phase 2: streamed operands through the MMAC units.
-            {
-                const size_t acts =
-                    pim_.columnPartition
-                        ? actsPerPhase
-                        : std::max<size_t>(1, profile.readsGroup1);
-                for (size_t a = 0; a < acts; ++a) {
-                    bank.activateRow();
-                    const size_t share =
-                        (profile.readsGroup1 * g + acts - 1) / acts;
-                    for (size_t c = 0; c < share; ++c)
-                        bank.issue(DramCommand::Rd);
-                }
-            }
-            // Phase 3: write back the results.
-            {
-                const size_t acts =
-                    pim_.columnPartition
-                        ? actsPerPhase
-                        : std::max<size_t>(1, profile.writes);
-                for (size_t a = 0; a < acts; ++a) {
-                    bank.activateRow();
-                    const size_t share =
-                        (profile.writes * g + acts - 1) / acts;
-                    for (size_t c = 0; c < share; ++c)
-                        bank.issue(DramCommand::Wr);
-                }
+    double actEvents = 0.0;
+    double perBytePj = dram_.energy.nearBankPerBytePj;
+    if (nearBank) {
+        DramTiming timing = dram_.timing;
+        timing.tCCD = chunkPeriodCycles(dram_.timing, pim_.clockGHz,
+                                        profile.mmacPerChunk * laneFactor);
+        BankEngine bank(timing);
+        for (size_t batch = 0; batch < limbBatches; ++batch) {
+            for (size_t iter = 0; iter < iterations; ++iter) {
+                // Buffered operands (plaintexts / first sources), the
+                // operands streamed through the MMAC units, then the
+                // write-back of the results.
+                if (profile.readsGroup0 > 0)
+                    streamPhase(bank, DramCommand::Rd, profile.readsGroup0,
+                                g, pim_.columnPartition);
+                streamPhase(bank, DramCommand::Rd, profile.readsGroup1, g,
+                            pim_.columnPartition);
+                streamPhase(bank, DramCommand::Wr, profile.writes, g,
+                            pim_.columnPartition);
             }
         }
+        if (bank.rowOpen())
+            bank.issue(DramCommand::Pre);
+        stats.timeNs = bank.elapsedNs();
+        stats.commands = bank.counts();
+        actEvents = static_cast<double>(stats.commands.acts);
+    } else {
+        // The logic-die unit serves banksPerUnit banks: streaming is
+        // bound by the unit's MMAC rate (one chunk per pass), while
+        // ACT/PRE of one bank hides behind the streaming of the other
+        // banks. Residual exposure shrinks with both G and the
+        // banks-per-unit ratio.
+        const double chunkNs =
+            profile.mmacPerChunk * laneFactor / pim_.clockGHz;
+        const double streamNs = chunksPerBankTotal *
+                                static_cast<double>(pim_.banksPerUnit) *
+                                chunkNs;
+        const double actPreNs =
+            static_cast<double>(dram_.timing.tRP + dram_.timing.tRCD) *
+            dram_.timing.tCkNs;
+        actEvents = 3.0 * static_cast<double>(iterations) *
+                    static_cast<double>(limbBatches) *
+                    (pim_.columnPartition
+                         ? 1.0
+                         : static_cast<double>(streams) / 3.0);
+        const double exposedActNs =
+            actEvents * actPreNs / static_cast<double>(pim_.banksPerUnit);
+        stats.timeNs = streamNs + exposedActNs;
+        stats.commands.acts = static_cast<uint64_t>(actEvents);
+        stats.commands.pres = stats.commands.acts;
+        // Data crosses the die to the logic-die TSVs: global-I/O energy.
+        perBytePj = dram_.energy.nearBankPerBytePj +
+                    dram_.energy.globalIoPerBytePj;
     }
-    if (bank.rowOpen())
-        bank.issue(DramCommand::Pre);
-
-    stats.timeNs = bank.elapsedNs();
-    stats.commands = bank.counts();
 
     // Only the healthy banks still switch; quarantined ones idle.
     const double banks =
         static_cast<double>(pim_.healthyBanksPerDieGroup()) *
         pim_.dieGroups;
-    const double chunksPerBankTotal = static_cast<double>(
-        (profile.readsGroup0 + profile.readsGroup1 + profile.writes) * g *
-        iterations * limbBatches);
     stats.chunksMoved = chunksPerBankTotal * banks;
     const double bytesMoved = stats.chunksMoved * dram_.chunkBytes;
     const double mmacs = stats.chunksMoved * pim_.lanes *
                          profile.mmacPerChunk;
-    stats.energyPj =
-        static_cast<double>(stats.commands.acts) * banks *
-            dram_.energy.actPrePj +
-        bytesMoved * dram_.energy.nearBankPerBytePj +
-        mmacs * pim_.mmacEnergyPj;
-    return stats;
-}
-
-PimExecStats
-PimKernelModel::executeCustomHbm(const PimInstrProfile &profile,
-                                 size_t limbs, size_t n) const
-{
-    PimExecStats stats;
-    ColumnPartitionLayout layout(dram_, pim_.banksPerDieGroup, n, 8,
-                                 pim_.offlineBanks);
-    const size_t chunksPerBank = layout.chunksPerBankPerLimb();
-    size_t g = pim_.bufferEntries / profile.bufferRegions;
-    if (g == 0) {
-        stats.supported = false;
-        return stats;
-    }
-    // The chunk granularity cannot exceed the chunks a bank holds.
-    g = std::min(g, chunksPerBank);
-    stats.chunkGranularity = g;
-
-    const size_t limbBatches =
-        (limbs + pim_.dieGroups - 1) / pim_.dieGroups;
-    const double chunksPerBankTotal = static_cast<double>(
-        (profile.readsGroup0 + profile.readsGroup1 + profile.writes) *
-        chunksPerBank * limbBatches);
-
-    // The logic-die unit serves banksPerUnit banks: streaming is bound
-    // by the unit's MMAC rate (one chunk per pass), while ACT/PRE of
-    // one bank hides behind the streaming of the other banks. Residual
-    // exposure shrinks with both G and the banks-per-unit ratio. Dead
-    // lanes stretch the per-chunk pass like on the near-bank variant.
-    const double laneFactor = static_cast<double>(pim_.lanes) /
-                              static_cast<double>(pim_.healthyLanes());
-    const double chunkNs =
-        profile.mmacPerChunk * laneFactor / pim_.clockGHz;
-    const double streamNs =
-        chunksPerBankTotal * static_cast<double>(pim_.banksPerUnit) *
-        chunkNs;
-    const double actPreNs =
-        static_cast<double>(dram_.timing.tRP + dram_.timing.tRCD) *
-        dram_.timing.tCkNs;
-    const size_t iterations = (chunksPerBank + g - 1) / g;
-    const double phases = 3.0 * static_cast<double>(iterations) *
-                          static_cast<double>(limbBatches) *
-                          (pim_.columnPartition
-                               ? 1.0
-                               : static_cast<double>(
-                                     profile.readsGroup0 +
-                                     profile.readsGroup1 + profile.writes) /
-                                     3.0);
-    const double exposedActNs =
-        phases * actPreNs / static_cast<double>(pim_.banksPerUnit);
-    stats.timeNs = streamNs + exposedActNs;
-
-    const double banks =
-        static_cast<double>(pim_.healthyBanksPerDieGroup()) *
-        pim_.dieGroups;
-    stats.chunksMoved = chunksPerBankTotal * banks;
-    const double bytesMoved = stats.chunksMoved * dram_.chunkBytes;
-    const double mmacs = stats.chunksMoved * pim_.lanes *
-                         profile.mmacPerChunk;
-    stats.commands.acts = static_cast<uint64_t>(phases);
-    stats.commands.pres = stats.commands.acts;
-    // Data crosses the die to the logic-die TSVs: global-I/O energy.
-    stats.energyPj =
-        phases * banks * dram_.energy.actPrePj +
-        bytesMoved * (dram_.energy.nearBankPerBytePj +
-                      dram_.energy.globalIoPerBytePj) +
-        mmacs * pim_.mmacEnergyPj;
+    stats.energyPj = actEvents * banks * dram_.energy.actPrePj +
+                     bytesMoved * perBytePj + mmacs * pim_.mmacEnergyPj;
     return stats;
 }
 
@@ -345,19 +329,6 @@ PimKernelModel::price(const Shape &shape) const
     }
     return executeProfile(pimInstrProfile(shape.opcode, shape.fanIn),
                           shape.limbs, shape.n);
-}
-
-PimExecStats
-PimKernelModel::executeProfile(const PimInstrProfile &profile,
-                               size_t limbs, size_t n) const
-{
-    switch (pim_.variant) {
-      case PimVariant::NearBank:
-        return executeNearBank(profile, limbs, n);
-      case PimVariant::CustomHbm:
-        return executeCustomHbm(profile, limbs, n);
-    }
-    ANAHEIM_PANIC("unknown PIM variant");
 }
 
 PimExecStats

@@ -2,6 +2,16 @@
  * @file
  * Timing and energy model of Anaheim PIM kernels.
  *
+ * PimConfig is the one model of the device's geometry, the
+ * column-partitioning layout of §VI-B included: a degree-N limb stripes
+ * over a die group's healthy banks, and each row splits into
+ * PimConfig::kColumnGroups column groups (CGs). A limb wraps across
+ * the adjacent rows of a row group (RG); a PolyGroup spans several
+ * RGs x CGs, so the polynomials an element-wise op touches share rows,
+ * which bounds the ACT/PRE count per chunk-group iteration (Alg. 1).
+ * The kernel model prices from this geometry, and PimMemoryPlanner
+ * (anaheim/planner.h) sizes each kernel's PolyGroups from it.
+ *
  * Near-bank PIM (§VI-A) simulates the per-bank command stream of the
  * fused Alg.-1 execution through the dram BankEngine — all banks run in
  * lockstep during all-bank operation, so one bank's schedule is the
@@ -20,11 +30,11 @@
 
 #include <mutex>
 #include <unordered_map>
+#include <vector>
 
 #include "dram/bank.h"
 #include "dram/timing.h"
 #include "isa.h"
-#include "layout.h"
 #include "sim/health.h"
 
 namespace anaheim {
@@ -32,6 +42,9 @@ namespace anaheim {
 enum class PimVariant { NearBank, CustomHbm };
 
 struct PimConfig {
+    /** Column groups each DRAM row splits into (§VI-B). */
+    static constexpr size_t kColumnGroups = 8;
+
     PimVariant variant = PimVariant::NearBank;
     /** Data-buffer entries per PIM unit (B of §VI-A / Fig. 9). */
     size_t bufferEntries = 16;
@@ -57,7 +70,7 @@ struct PimConfig {
      * quarantine; empty/zero on a healthy device). Because all banks
      * of a die group run in lockstep, the device degrades to the
      * *worst* group: `offlineBanks` holds that group's quarantined
-     * bank indices — layouts stripe each limb over the remaining
+     * bank indices, each once — each limb stripes over the remaining
      * healthy banks (more chunks per bank, so longer lockstep
      * streams), and energy only charges the banks that still switch.
      */
@@ -67,16 +80,29 @@ struct PimConfig {
      *  lanes / healthyLanes(). */
     size_t quarantinedLanes = 0;
 
+    /** Rejects a quarantine set no layout exists for: InvalidArgument
+     *  for an offline bank outside the die group or listed twice,
+     *  ResourceExhausted when every bank is offline. PimKernelModel
+     *  and PimMemoryPlanner run it when built. */
+    void validate(const DramConfig &dram) const;
+
+    /** Banks of a die group still carrying data (at least one on a
+     *  validated config). */
     size_t healthyBanksPerDieGroup() const
     {
-        return banksPerDieGroup > offlineBanks.size()
-                   ? banksPerDieGroup - offlineBanks.size()
-                   : 1;
+        return banksPerDieGroup - offlineBanks.size();
     }
     size_t healthyLanes() const
     {
         return lanes > quarantinedLanes ? lanes - quarantinedLanes : 1;
     }
+    /** Chunks each healthy bank holds of one degree-n limb: the limb's
+     *  chunks spread over the healthy banks, rounded up (§VI-B's
+     *  example: 16 at n = 2^16 on 512 banks). */
+    size_t chunksPerBank(const DramConfig &dram, size_t n) const;
+    /** Adjacent rows one degree-n limb takes in its column-group
+     *  slice. */
+    size_t rowsPerRowGroup(const DramConfig &dram, size_t n) const;
 
     /** Config degraded by a quarantine set: the worst die group's
      *  offline banks (lockstep makes it the device bottleneck) and its
@@ -109,6 +135,7 @@ class PimKernelModel
     PimKernelModel(const DramConfig &dram, const PimConfig &pim)
         : dram_(dram), pim_(pim)
     {
+        pim_.validate(dram_);
     }
 
     const PimConfig &config() const { return pim_; }
@@ -144,12 +171,9 @@ class PimKernelModel
 
     /** The command-level price of one shape, chained pieces included. */
     PimExecStats price(const Shape &shape) const;
+    /** The price of one instruction piece on either variant. */
     PimExecStats executeProfile(const PimInstrProfile &profile,
                                 size_t limbs, size_t n) const;
-    PimExecStats executeNearBank(const PimInstrProfile &profile,
-                                 size_t limbs, size_t n) const;
-    PimExecStats executeCustomHbm(const PimInstrProfile &profile,
-                                  size_t limbs, size_t n) const;
 
     DramConfig dram_;
     PimConfig pim_;

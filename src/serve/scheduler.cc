@@ -393,12 +393,15 @@ ServeEngine::shedQueuedMisses()
  *  observed in ANY run shrinks the scheduler's device view — permanent
  *  damage is a device property shared by every tenant, so all queued
  *  work is re-priced on the degraded geometry and re-checked against
- *  its deadline. */
+ *  its deadline. Only the capacity floor takes the device's PIM
+ *  offline: a run whose own degraded plan no longer fits says nothing
+ *  about the other tenants' traces, and the re-pricing already prices
+ *  each trace that no longer fits GPU-only. */
 void
 ServeEngine::observeHealth(const RunContext &ctx)
 {
     const double cap = ctx.capacityFraction();
-    const bool offline = ctx.pimOfflineNow();
+    const bool offline = ctx.pimOfflineNow() == PimOffline::CapacityFloor;
     if (cap >= worstCapacity_ && (deviceOffline_ || !offline))
         return;
     worstCapacity_ = std::min(worstCapacity_, cap);

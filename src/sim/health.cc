@@ -53,15 +53,6 @@ ResourceMap::quarantinedLanesInGroup(size_t dieGroup) const
 }
 
 size_t
-ResourceMap::maxQuarantinedBanksPerGroup() const
-{
-    size_t worst = 0;
-    for (size_t g = 0; g < dieGroups; ++g)
-        worst = std::max(worst, quarantinedBanksInGroup(g));
-    return worst;
-}
-
-size_t
 ResourceMap::maxQuarantinedLanesPerGroup() const
 {
     size_t worst = 0;

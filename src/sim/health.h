@@ -85,8 +85,8 @@ struct ResourceMap {
     size_t quarantinedLanes() const;
     size_t quarantinedBanksInGroup(size_t dieGroup) const;
     size_t quarantinedLanesInGroup(size_t dieGroup) const;
-    /** Worst-case per-group quarantine (the lockstep bottleneck). */
-    size_t maxQuarantinedBanksPerGroup() const;
+    /** Worst-case per-group lane quarantine (the lockstep
+     *  bottleneck). */
     size_t maxQuarantinedLanesPerGroup() const;
     /** Offline bank indices of one die group, for the layout. */
     std::vector<size_t> offlineBanksInGroup(size_t dieGroup) const;

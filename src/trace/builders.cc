@@ -161,9 +161,8 @@ buildRescale(const TraceParams &params)
 }
 
 OpSequence
-buildHMult(const TraceParams &params, const TraceOptions &options)
+buildHMult(const TraceParams &params)
 {
-    (void)options;
     OpSequence seq;
     seq.name = "HMULT";
     seq.n = params.n;
@@ -181,9 +180,8 @@ buildHMult(const TraceParams &params, const TraceOptions &options)
 }
 
 OpSequence
-buildHRot(const TraceParams &params, const TraceOptions &options)
+buildHRot(const TraceParams &params)
 {
-    (void)options;
     OpSequence seq;
     seq.name = "HROT";
     seq.n = params.n;
@@ -234,7 +232,7 @@ buildLinearTransform(const TraceParams &params, size_t k,
         // K full HROT evaluations (MinKS differs only in reusing one
         // evk; on GPUs the evk streams from DRAM either way, §III-C).
         for (size_t i = 0; i < k; ++i)
-            seq.append(buildHRot(params, options));
+            seq.append(buildHRot(params));
         // PMULT of each rotated ciphertext and accumulation.
         if (options.basicFuse) {
             seq.ops.push_back(make(
@@ -408,7 +406,7 @@ buildBootstrap(const TraceParams &params, double fftIter,
         for (int step = 0; step < 16; ++step) {
             TraceParams em = current;
             em.level -= static_cast<size_t>(11.0 * step / 16.0);
-            seq.append(buildHMult(em, options));
+            seq.append(buildHMult(em));
         }
     }
     current.level -= 11;

@@ -52,10 +52,8 @@ struct TraceOptions {
 /// @{
 OpSequence buildHAdd(const TraceParams &params);
 OpSequence buildPMult(const TraceParams &params);
-OpSequence buildHMult(const TraceParams &params,
-                      const TraceOptions &options = {});
-OpSequence buildHRot(const TraceParams &params,
-                     const TraceOptions &options = {});
+OpSequence buildHMult(const TraceParams &params);
+OpSequence buildHRot(const TraceParams &params);
 OpSequence buildRescale(const TraceParams &params);
 /// @}
 

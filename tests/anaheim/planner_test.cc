@@ -3,6 +3,7 @@
 #include "anaheim/planner.h"
 #include "anaheim/workloads.h"
 #include "sim/health.h"
+#include "support/error_matchers.h"
 #include "support/row_budget.h"
 
 namespace anaheim {
@@ -124,6 +125,21 @@ TEST(PimMemoryPlanner, OperandRowsPastTheBankBudgetDoNotFit)
     EXPECT_EQ(degraded.peakRowsPerBank, 34500u);
     EXPECT_GT(degraded.peakRowsPerBank, test_support::kA100RowBudget);
     EXPECT_FALSE(degraded.fits);
+}
+
+TEST(PimMemoryPlanner, RejectsImpossibleQuarantineSets)
+{
+    // The planner runs the kernel model's check (PimConfig::validate)
+    // when built, so both see one healthy-bank count.
+    PimConfig twice = PimConfig::nearBankA100();
+    twice.offlineBanks = {17, 3, 17};
+    EXPECT_ANAHEIM_ERROR(PimMemoryPlanner(DramConfig::hbm2A100(), twice),
+                         InvalidArgument, "offline bank 17 listed twice");
+    PimConfig all = PimConfig::nearBankA100();
+    for (size_t b = 0; b < all.banksPerDieGroup; ++b)
+        all.offlineBanks.push_back(b);
+    EXPECT_ANAHEIM_ERROR(PimMemoryPlanner(DramConfig::hbm2A100(), all),
+                         ResourceExhausted, "quarantined");
 }
 
 } // namespace

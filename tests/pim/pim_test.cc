@@ -13,7 +13,6 @@
 #include "obs/metrics.h"
 #include "pim/functional.h"
 #include "pim/kernelmodel.h"
-#include "pim/layout.h"
 #include "support/error_matchers.h"
 
 namespace anaheim {
@@ -42,48 +41,48 @@ TEST(PimLayout, PaperExampleSixteenChunksPerBank)
 {
     // §VI-B example: N = 2^16 limb over a 512-bank die group -> 16
     // chunks (128 elements) per bank per limb.
-    ColumnPartitionLayout layout(DramConfig::hbm2A100(), 512, 1 << 16, 8);
-    EXPECT_EQ(layout.chunksPerBankPerLimb(), 16u);
-    EXPECT_EQ(layout.chunksPerColumnGroup(), 4u); // 32 chunks / 8 CGs
-    EXPECT_EQ(layout.rowsPerRowGroup(), 4u);      // 16 chunks / 4 per CG
-}
-
-TEST(PimLayout, ActsPerIterationContrast)
-{
-    ColumnPartitionLayout layout(DramConfig::hbm2A100(), 512, 1 << 16, 8);
-    EXPECT_EQ(layout.actsPerIteration(4, true), 1u);
-    EXPECT_EQ(layout.actsPerIteration(4, false), 4u);
+    const DramConfig dram = DramConfig::hbm2A100();
+    const PimConfig pim = PimConfig::nearBankA100();
+    EXPECT_EQ(pim.chunksPerBank(dram, 1 << 16), 16u);
+    // 32 chunks per row over 8 column groups leaves 4 per group, so the
+    // 16 chunks of a limb take a row group of 4 rows.
+    EXPECT_EQ(dram.chunksPerRow() / PimConfig::kColumnGroups, 4u);
+    EXPECT_EQ(pim.rowsPerRowGroup(dram, 1 << 16), 4u);
 }
 
 TEST(PimLayout, OfflineBanksStripeOverTheHealthySubset)
 {
     // Quarantining two of the 512 banks leaves 8192 chunks over 510
-    // healthy banks: ceil -> 17 chunks per bank (vs 16), and the
-    // layout remembers the banks it routes around.
-    ColumnPartitionLayout layout(DramConfig::hbm2A100(), 512, 1 << 16, 8,
-                                 {17, 3, 17}); // unsorted, duplicated
-    EXPECT_EQ(layout.healthyBanks(), 510u);
-    EXPECT_EQ(layout.offlineBanks(), (std::vector<size_t>{3, 17}));
-    EXPECT_EQ(layout.chunksPerBankPerLimb(), 17u);
-    // The healthy-path layout is bit-identical to the original.
-    ColumnPartitionLayout healthy(DramConfig::hbm2A100(), 512, 1 << 16,
-                                  8);
-    EXPECT_EQ(healthy.chunksPerBankPerLimb(), 16u);
+    // healthy banks: ceil -> 17 chunks per bank (vs 16).
+    const DramConfig dram = DramConfig::hbm2A100();
+    PimConfig pim = PimConfig::nearBankA100();
+    pim.offlineBanks = {17, 3}; // unsorted
+    EXPECT_EQ(pim.healthyBanksPerDieGroup(), 510u);
+    EXPECT_EQ(pim.chunksPerBank(dram, 1 << 16), 17u);
+    // The healthy device keeps the exact quotient.
+    EXPECT_EQ(PimConfig::nearBankA100().chunksPerBank(dram, 1 << 16), 16u);
 }
 
 TEST(PimLayout, RejectsImpossibleQuarantineSets)
 {
-    EXPECT_ANAHEIM_ERROR(
-        ColumnPartitionLayout(DramConfig::hbm2A100(), 512, 1 << 16, 8,
-                              {512}),
-        InvalidArgument, "offline bank");
+    // PimConfig::validate runs when a model is built (the planner's
+    // copy: planner_test.cc).
+    const DramConfig dram = DramConfig::hbm2A100();
+    const auto offline = [](std::vector<size_t> banks) {
+        PimConfig pim = PimConfig::nearBankA100();
+        pim.offlineBanks = std::move(banks);
+        return pim;
+    };
+    EXPECT_ANAHEIM_ERROR(PimKernelModel(dram, offline({512})),
+                         InvalidArgument, "offline bank 512 outside");
+    // A bank listed twice would count twice against the healthy banks.
+    EXPECT_ANAHEIM_ERROR(PimKernelModel(dram, offline({17, 3, 17})),
+                         InvalidArgument, "offline bank 17 listed twice");
     std::vector<size_t> all(512);
     for (size_t b = 0; b < all.size(); ++b)
         all[b] = b;
-    EXPECT_ANAHEIM_ERROR(
-        ColumnPartitionLayout(DramConfig::hbm2A100(), 512, 1 << 16, 8,
-                              all),
-        ResourceExhausted, "quarantined");
+    EXPECT_ANAHEIM_ERROR(PimKernelModel(dram, offline(all)),
+                         ResourceExhausted, "quarantined");
 }
 
 class PimFunctionalTest : public ::testing::Test
@@ -443,6 +442,117 @@ uint64_t
 counterValue(const char *name)
 {
     return obs::MetricsRegistry::global().counter(name).value();
+}
+
+/** Word-wise FNV-1a step. */
+uint64_t
+fnv(uint64_t hash, uint64_t word)
+{
+    return (hash ^ word) * 0x100000001b3ull;
+}
+
+/** FNV digest of every field of every price of priceTableShapes() on
+ *  `model`, doubles folded in as bit patterns. */
+uint64_t
+priceDigest(const PimKernelModel &model)
+{
+    const auto bits = [](double v) { return std::bit_cast<uint64_t>(v); };
+    uint64_t hash = 0xcbf29ce484222325ull;
+    for (const PriceShape &shape : priceTableShapes()) {
+        const PimExecStats s = priceOn(model, shape);
+        for (const uint64_t word :
+             {bits(s.timeNs), bits(s.energyPj), s.commands.acts,
+              s.commands.reads, s.commands.writes, s.commands.pres,
+              bits(s.chunksMoved), uint64_t{s.chunkGranularity},
+              uint64_t{s.supported}})
+            hash = fnv(hash, word);
+    }
+    return hash;
+}
+
+TEST(PimPriceTable, PricesMatchPinnedDigests)
+{
+    // Every price the model can give, pinned bit for bit: each device
+    // preset on its own DRAM x B x {healthy, 32 offline banks, 4
+    // quarantined lanes, no column partitioning}. The figure goldens
+    // see only the shapes the benches price; these digests see every
+    // opcode, chained fan-in, limb count and ring degree of
+    // priceTableShapes() on every degraded geometry.
+    struct Device {
+        const char *name;
+        DramConfig dram;
+        PimConfig pim;
+    };
+    const Device devices[] = {
+        {"A100 near-bank", DramConfig::hbm2A100(),
+         PimConfig::nearBankA100()},
+        {"A100 custom-HBM", DramConfig::hbm2A100(),
+         PimConfig::customHbmA100()},
+        {"RTX 4090 near-bank", DramConfig::gddr6xRtx4090(),
+         PimConfig::nearBankRtx4090()},
+    };
+    constexpr size_t kBuffers[] = {4, 8, 16, 32, 64};
+    const char *const geometries[] = {"healthy", "32 offline banks",
+                                      "4 quarantined lanes", "no CP"};
+    static constexpr uint64_t kDigests[3][5][4] = {
+        {
+            {0xb89897026a07aa7aull, 0xf9719dac631a77a4ull,
+             0xcc4a2455159e8783ull, 0xf385a37c5a8912ddull},
+            {0x06e3075f8a07c339ull, 0xdc0a2afb8ac29d0dull,
+             0x6c96ee76ddb9c432ull, 0x9527911a3134b7ceull},
+            {0x00e68fa5e66f9806ull, 0xadac12856cde245full,
+             0x457bf8d0d3b7a009ull, 0xd9be033c484623d2ull},
+            {0x6caf9e405203143eull, 0xf949f97dc2cecb4aull,
+             0xd21d347a4c4910eaull, 0x8ed7b4f34264b259ull},
+            {0xbc209ccb5b2ba700ull, 0xa240f7ee64ce0c21ull,
+             0x231a929e29545dbfull, 0x068d37ce3482f3a0ull},
+        },
+        {
+            {0x78a7427bca71cb6eull, 0xb66fa19e9daa8a09ull,
+             0xdd1ef259fb286a2dull, 0xe6beb22ad9ded68cull},
+            {0xc31a5277ed13f624ull, 0x8650378da7943bc2ull,
+             0x7321c6b2f523bbdfull, 0x72ae0a4786ef493full},
+            {0x5acf158475fc3e08ull, 0xb5f547939319a2ffull,
+             0xe114a6810b84a7d2ull, 0x4a33a43475f44f2dull},
+            {0xd01dbb44b940c215ull, 0xa04acb113e5aafa4ull,
+             0x4917f8d8692dfc04ull, 0xd667c1d1fa3c03c9ull},
+            {0x002fcb93751cd59cull, 0x0d2cd9a5777b75ddull,
+             0x2a643296774acd92ull, 0xf9ad6dbcd7fb4807ull},
+        },
+        {
+            {0x9d4072dd6233bfc8ull, 0x8d2d37e95604f09dull,
+             0x4e45c838497deea5ull, 0x475aadf85503bd1bull},
+            {0xcd5df06b2b20ee0cull, 0xa6ac534b80757cc1ull,
+             0xb97402ecbc1cca27ull, 0xb61fd4db9d9829cfull},
+            {0xbfd3bb5b71f0354cull, 0x40590dc71052fd82ull,
+             0xea0ffce695fdc959ull, 0xf6e54da54c839ac1ull},
+            {0xc13b284252a8bef2ull, 0xa60f6d797eb96feaull,
+             0x649e5cfe84396eedull, 0x899a43e63e81b28cull},
+            {0xef9c7468880b7153ull, 0x157272f1cf8af017ull,
+             0x83892e9ee376c583ull, 0x6db6cbfc18549b82ull},
+        },
+    };
+    for (size_t d = 0; d < 3; ++d) {
+        for (size_t b = 0; b < 5; ++b) {
+            for (size_t g = 0; g < 4; ++g) {
+                PimConfig config = devices[d].pim;
+                config.bufferEntries = kBuffers[b];
+                if (g == 1) {
+                    for (size_t bank = 0; bank < 32; ++bank)
+                        config.offlineBanks.push_back(bank);
+                } else if (g == 2) {
+                    config.quarantinedLanes = 4;
+                } else if (g == 3) {
+                    config.columnPartition = false;
+                }
+                const uint64_t digest =
+                    priceDigest(PimKernelModel(devices[d].dram, config));
+                EXPECT_EQ(digest, kDigests[d][b][g])
+                    << devices[d].name << " B=" << kBuffers[b] << " "
+                    << geometries[g] << ": 0x" << std::hex << digest;
+            }
+        }
+    }
 }
 
 TEST(PimPriceTable, WarmModelMatchesFreshModelsBitwise)

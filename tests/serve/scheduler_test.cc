@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <tuple>
@@ -21,11 +22,11 @@
 #include "anaheim/framework.h"
 #include "anaheim/runcontext.h"
 #include "common/parallel.h"
-#include "obs/export.h"
 #include "obs/metrics.h"
 #include "obs/timeseries.h"
 #include "obs/trace.h"
 #include "serve/scheduler.h"
+#include "support/row_budget.h"
 #include "trace/builders.h"
 
 namespace anaheim {
@@ -611,6 +612,60 @@ TEST(Serve, DegradationRepricesWithoutStallingTenants)
     EXPECT_GT(totalRetries, 0u);
 }
 
+TEST(Serve, OneTenantsOversizedTraceLeavesTheOthersOnPim)
+{
+    // Tenant A's trace ends in a HADD whose operands fill 90% of each
+    // bank's rows (support/row_budget.h); tenant B's trace is the same
+    // without it. Bank (2,17) is dead. A's first request quarantines
+    // it, and A's degraded plan no longer fits, so that run takes its
+    // own PIM offline; at 2559 of 2560 banks the device is far above
+    // its capacity floor. Each deadline sits midway between the
+    // tenant's PIM estimate and its GPU-only one, so B meets it only
+    // while the scheduler keeps B on the degraded PIM. A's later
+    // requests, priced GPU-only, are shed.
+    AnaheimConfig config = faultyDeviceConfig();
+    config.resilience.ber = 0.0; // the dead bank is the only fault
+
+    OpSequence chain = hmultTrace();
+    chain.append(hmultTrace());
+    OpSequence oversized = chain;
+    oversized.append(test_support::nearRowBudgetHAdd());
+    const std::vector<OpSequence> traces = {oversized, chain};
+
+    const AnaheimConfig clean = AnaheimConfig::a100NearBank();
+    AnaheimConfig gpuOnly = clean;
+    gpuOnly.pimEnabled = false;
+    AnaheimConfig degraded = clean;
+    degraded.pim = clean.pim.degraded(
+        ResourceMap{5, 512, 8, {{FaultSiteId::Kind::Bank, 2, 17}}});
+    const auto priceOn = [](const AnaheimConfig &device,
+                            const OpSequence &trace) {
+        return AnaheimFramework(device).execute(trace).totalNs;
+    };
+    ServeConfig serve;
+    serve.streams = 2;
+    serve.requestsPerStream = 12;
+    serve.offeredRps = 5.0;
+    serve.deadlineClassNs = {
+        (priceOn(clean, oversized) + priceOn(gpuOnly, oversized)) / 2.0,
+        (priceOn(degraded, chain) + priceOn(gpuOnly, chain)) / 2.0};
+    ASSERT_LT(priceOn(degraded, chain), serve.deadlineClassNs[1]);
+
+    const AnaheimFramework fw(config);
+    const auto result = serve::ServeScheduler(fw, serve).run(traces);
+    const serve::ServeRequest &first = result.streams[0].requests[0];
+    ASSERT_FALSE(first.rejected);
+    EXPECT_EQ(first.result.pimOffline, PimOffline::PlanNoLongerFits);
+    EXPECT_GT(first.result.pimCapacityFraction,
+              config.resilience.health.minCapacityFraction);
+    for (const serve::ServeRequest &req : result.streams[1].requests)
+        EXPECT_FALSE(req.rejected) << "tenant B request " << req.index;
+    for (size_t k = 1; k < serve.requestsPerStream; ++k)
+        EXPECT_EQ(result.streams[0].requests[k].cause,
+                  serve::RejectCause::DeadlineShed)
+            << "tenant A request " << k;
+}
+
 /** Word-wise FNV-1a step. */
 uint64_t
 fnv(uint64_t hash, uint64_t word)
@@ -890,11 +945,20 @@ fnvText(uint64_t hash, const std::string &text)
     return fnv(hash, text.size());
 }
 
+/** `value` at 10 significant digits. */
+std::string
+tenDigits(double value)
+{
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%.10g", value);
+    return buf;
+}
+
 /** FNV digest of what a traced, sampled serve run leaves in the
  *  observability layer: every window of its serve.run*.ts.* series,
  *  the alert counters, every simulated span in record order, and the
- *  run.* and serve.* metrics. Doubles go in as obs::formatDouble text,
- *  so the digest does not depend on the host libm's last bit. */
+ *  run.* and serve.* metrics. Doubles go in as 10-digit text, so the
+ *  digest does not depend on the host libm's last bit. */
 uint64_t
 telemetryDigest(const serve::ServeResult &result)
 {
@@ -913,7 +977,7 @@ telemetryDigest(const serve::ServeResult &result)
             hash = fnv(hash, p.count);
             for (const double v :
                  {p.startNs, p.sum, p.min, p.max, p.p50, p.p99})
-                hash = fnvText(hash, obs::formatDouble(v));
+                hash = fnvText(hash, tenDigits(v));
         }
     }
     const serve::ServeStats &st = result.stats;
@@ -923,8 +987,8 @@ telemetryDigest(const serve::ServeResult &result)
     for (const obs::SimSpan &span :
          obs::TraceCollector::global().simSpans()) {
         hash = fnv(fnvText(fnvText(hash, span.name), span.lane), span.run);
-        hash = fnvText(fnvText(hash, obs::formatDouble(span.startUs)),
-                       obs::formatDouble(span.durUs));
+        hash = fnvText(fnvText(hash, tenDigits(span.startUs)),
+                       tenDigits(span.durUs));
     }
     for (const obs::MetricsSnapshot::Entry &entry :
          obs::MetricsRegistry::global().snapshot().entries) {
@@ -934,7 +998,7 @@ telemetryDigest(const serve::ServeResult &result)
              entry.name.rfind("serve.", 0) == 0) &&
             entry.value != 0.0)
             hash = fnvText(fnvText(hash, entry.name),
-                           obs::formatDouble(entry.value));
+                           tenDigits(entry.value));
     }
     return hash;
 }

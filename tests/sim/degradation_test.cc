@@ -11,12 +11,15 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cstdio>
 #include <cstring>
+#include <string>
 #include <type_traits>
 
 #include "anaheim/framework.h"
 #include "common/parallel.h"
 #include "obs/metrics.h"
+#include "obs/report.h"
 #include "support/row_budget.h"
 #include "trace/builders.h"
 
@@ -50,6 +53,21 @@ degradationConfig()
     return config;
 }
 
+/** The first line obs::printAvailability writes for `result`. */
+std::string
+availabilityLine(const RunResult &result)
+{
+    std::FILE *out = std::tmpfile();
+    if (out == nullptr)
+        return "";
+    obs::printAvailability(result, out);
+    std::rewind(out);
+    char line[256] = {};
+    const bool read = std::fgets(line, sizeof line, out) != nullptr;
+    std::fclose(out);
+    return read ? line : "";
+}
+
 uint64_t
 fallbackCauseSum(const ResilienceStats &res)
 {
@@ -77,7 +95,7 @@ TEST(Degradation, SinglePermanentBankQuarantinesRemapsAndCompletes)
     EXPECT_EQ(res.migrations, 1u);
     EXPECT_EQ(res.gpuFallbacks, 0u);
     EXPECT_EQ(res.unrecovered, 0u);
-    EXPECT_FALSE(result.pimOffline);
+    EXPECT_EQ(result.pimOffline, PimOffline::Online);
     EXPECT_DOUBLE_EQ(result.pimCapacityFraction,
                      (5.0 * 512.0 - 1.0) / (5.0 * 512.0));
     // After the migration the failed bank is out of the datapath: the
@@ -247,7 +265,9 @@ TEST(Degradation, CapacityFloorSendsRemainingPimWorkToTheGpu)
         AnaheimFramework(config).execute(hmultChain(2));
     const ResilienceStats &res = result.resilience;
 
-    EXPECT_TRUE(result.pimOffline);
+    EXPECT_EQ(result.pimOffline, PimOffline::CapacityFloor);
+    EXPECT_NE(availabilityLine(result).find("pim offline (capacity floor)"),
+              std::string::npos);
     EXPECT_EQ(res.quarantinedBanks, 2u);
     EXPECT_GT(res.gpuFallbacksCapacityFloor, 0u);
     EXPECT_EQ(res.unrecovered, 0u);
@@ -260,7 +280,8 @@ TEST(Degradation, DegradedPlanThatNoLongerFitsSendsPimWorkToTheGpu)
     // rows (support/row_budget.h). Quarantining the dead bank deepens
     // every row group from 4 rows to 5, so the re-planned trace no
     // longer fits: the framework must take PIM offline instead of
-    // migrating, and the HADD runs on the GPU.
+    // migrating, and the HADD runs on the GPU. Its ops count under
+    // gpuFallbacksCapacityFloor, which counts either cause.
     AnaheimConfig config = degradationConfig();
     config.resilience.permanentBanks.push_back({2, 17});
     OpSequence seq = hmultChain(2);
@@ -269,9 +290,10 @@ TEST(Degradation, DegradedPlanThatNoLongerFitsSendsPimWorkToTheGpu)
     const ResilienceStats &res = result.resilience;
 
     EXPECT_EQ(res.quarantinedBanks, 1u);
-    EXPECT_GT(result.pimCapacityFraction,
-              config.resilience.health.minCapacityFraction);
-    EXPECT_TRUE(result.pimOffline);
+    EXPECT_EQ(result.pimOffline, PimOffline::PlanNoLongerFits);
+    EXPECT_NE(
+        availabilityLine(result).find("pim offline (plan no longer fits)"),
+        std::string::npos);
     EXPECT_GT(res.gpuFallbacksCapacityFloor, 0u);
     EXPECT_EQ(res.unrecovered, 0u);
     // PIM offload was abandoned, so nothing migrated.

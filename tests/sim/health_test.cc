@@ -122,7 +122,6 @@ TEST(ResourceMap, GroupQueriesAndWorstGroup)
     EXPECT_EQ(map.quarantinedBanksInGroup(0), 1u);
     EXPECT_EQ(map.quarantinedBanksInGroup(1), 0u);
     EXPECT_EQ(map.quarantinedBanksInGroup(2), 2u);
-    EXPECT_EQ(map.maxQuarantinedBanksPerGroup(), 2u);
     EXPECT_EQ(map.quarantinedLanesInGroup(1), 1u);
     EXPECT_EQ(map.maxQuarantinedLanesPerGroup(), 1u);
     EXPECT_EQ(map.offlineBanksInGroup(2),
