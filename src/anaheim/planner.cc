@@ -18,7 +18,7 @@ PimMemoryPlanner::plan(const OpSequence &seq) const
         // deepen the row groups: the same chunks stripe over fewer
         // healthy banks.
         const size_t rowsPerRowGroup = pim_.rowsPerRowGroup(dram_, op.n);
-        auto rowsFor = [&](const std::vector<Operand> &operands) {
+        auto rowsFor = [&](const auto &operands) {
             // Limbs per die group (each group holds its own share).
             size_t totalLimbs = 0;
             for (const auto &operand : operands)

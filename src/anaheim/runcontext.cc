@@ -18,7 +18,7 @@ pimWordsRead(const KernelOp &op)
     size_t limbs = 0;
     for (const auto &operand : op.reads)
         limbs += operand.limbs;
-    return std::max(limbs, op.limbs) * op.n;
+    return std::max<size_t>(limbs, op.limbs) * op.n;
 }
 
 /** Result words a PIM op pushes back through the write drivers. */
@@ -182,9 +182,10 @@ RunContext::refreshActiveFaults()
 }
 
 inline void
-RunContext::record(std::string phase, const char *device, KernelClass cls,
-                   BoundBy bound, const std::string &category,
-                   double durNs, double energyPj)
+RunContext::record(const std::string &phase, const char *device,
+                   KernelClass cls, BoundBy bound,
+                   const std::string &category, double durNs,
+                   double energyPj)
 {
     // Every timeline entry — GPU op, PIM op, PIM->GPU fallback,
     // maintenance phase — starts at the run clock, advances it, and
@@ -192,7 +193,7 @@ RunContext::record(std::string phase, const char *device, KernelClass cls,
     const double startNs = clock_;
     clock_ += durNs;
     result_.timeline.push_back(
-        {std::move(phase), device, cls, startNs, clock_, energyPj, bound});
+        {phase, device, cls, startNs, clock_, energyPj, bound});
     result_.timeNsByCategory[category] += durNs;
     result_.energyPj += energyPj;
 }
@@ -203,7 +204,8 @@ RunContext::chargePhase(const char *phase, const char *device,
 {
     // Maintenance phases get their own Gantt entries and breakdown
     // categories so recovery overhead is visible in the timeline.
-    record(phase, device, KernelClass::ElementWise, BoundBy::None, phase,
+    const std::string name(phase);
+    record(name, device, KernelClass::ElementWise, BoundBy::None, name,
            durNs, energyPj);
 }
 
@@ -227,7 +229,7 @@ RunContext::runGpu(const KernelOp &op, bool fused, double writeBackBytes,
     const GpuKernelStats stats =
         fw_.gpu_.run(op, fused, writeBackBytes, writesCached);
     const KernelClass cls = kernelClass(op.type);
-    record(op.phase, "GPU", cls,
+    record(tracePhaseName(op.phase), "GPU", cls,
            stats.memoryBound() ? BoundBy::Bandwidth : BoundBy::Compute,
            kernelClassName(cls), stats.timeNs, stats.energyPj);
     result_.gpuDramBytes += stats.traffic.total();
@@ -580,8 +582,8 @@ RunContext::stepPim(const KernelOp &op, bool suppressTransition)
 
     // Near-bank PIM time is internal-streaming limited by construction
     // (§VI-A all-bank lockstep).
-    record(op.phase, "PIM", kernelClass(op.type), BoundBy::Bandwidth, "PIM",
-           pimNs, pimEnergyPj);
+    record(tracePhaseName(op.phase), "PIM", kernelClass(op.type),
+           BoundBy::Bandwidth, "PIM", pimNs, pimEnergyPj);
     result_.pimInternalBytes += pimChunks * config_.dram.chunkBytes;
     prevWasPim_ = true;
 

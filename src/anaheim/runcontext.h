@@ -125,9 +125,9 @@ class RunContext
     const PimKernelModel &pimModel() const;
     bool fusesWithPrev(size_t i) const;
     void refreshActiveFaults();
-    void record(std::string phase, const char *device, KernelClass cls,
-                BoundBy bound, const std::string &category, double durNs,
-                double energyPj);
+    void record(const std::string &phase, const char *device,
+                KernelClass cls, BoundBy bound, const std::string &category,
+                double durNs, double energyPj);
     void chargePhase(const char *phase, const char *device, double durNs,
                      double energyPj);
     void chargeSnapshot(const char *phase);

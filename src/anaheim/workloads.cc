@@ -1,5 +1,7 @@
 #include "workloads.h"
 
+#include <algorithm>
+
 namespace anaheim {
 
 namespace {
@@ -16,12 +18,33 @@ appendMultChain(OpSequence &seq, TraceParams params, size_t count,
     }
 }
 
-/** Append `count` rotations. */
-void
-appendRotations(OpSequence &seq, const TraceParams &params, size_t count)
+/** The bootstrap Sort, RNN and the two CNNs refresh with. */
+OpSequence
+workloadBootstrap(const TraceParams &params)
 {
-    for (size_t i = 0; i < count; ++i)
-        seq.append(buildHRot(params));
+    return buildBootstrap(params, 3.5, TraceLtAlgorithm::Hoisting);
+}
+
+/** The level the workloads' own layers compute at. */
+TraceParams
+workLevel(const TraceParams &params)
+{
+    TraceParams work = params;
+    work.level = 24;
+    return work;
+}
+
+/** A workload that repeats one stage, cell or layer: the unit is built
+ *  once, bootstrap included, and its ops are copied `copies` times. */
+OpSequence
+repeated(const char *name, const TraceParams &params,
+         const OpSequence &unit, size_t copies)
+{
+    OpSequence seq;
+    seq.name = name;
+    seq.n = params.n;
+    seq.append(unit, copies);
+    return seq;
 }
 
 } // namespace
@@ -47,25 +70,26 @@ makeHelrWorkload(const TraceParams &params)
     seq.name = "HELR";
     seq.n = params.n;
 
-    TraceParams work = params;
-    work.level = 24;
+    const TraceParams work = workLevel(params);
     appendMultChain(seq, work, 6, 16);
-    appendRotations(seq, work, 8);
+    seq.append(buildHRot(work), 8);
 
     // Sparse-slot bootstrap: same ModSwitch chain, tiny transforms.
     OpSequence boot =
         buildBootstrap(params, 3.0, TraceLtAlgorithm::Hoisting);
-    // Shrink element-wise/plaintext work of the transforms to the
-    // 196-slot scale by dropping the MAC accumulations' fan-in.
+    // Shrink the rotation and accumulation work of the transforms to
+    // the 196-slot scale: every KeyMult and MAC op keeps a quarter of
+    // its limbs, on the op and on each of its operands.
+    const auto quarter = [](uint32_t limbs) {
+        return std::max<uint32_t>(1, limbs / 4);
+    };
     for (auto &op : boot.ops) {
-        if (op.phase == std::string("MAC") ||
-            op.phase == std::string("KeyMult")) {
-            // Keep one quarter of the rotation work.
-            op.limbs = std::max<size_t>(1, op.limbs / 4);
+        if (op.phase == TracePhase::Mac || op.phase == TracePhase::KeyMult) {
+            op.limbs = quarter(op.limbs);
             for (auto &operand : op.reads)
-                operand.limbs = std::max<size_t>(1, operand.limbs / 4);
+                operand.limbs = quarter(operand.limbs);
             for (auto &operand : op.writes)
-                operand.limbs = std::max<size_t>(1, operand.limbs / 4);
+                operand.limbs = quarter(operand.limbs);
         }
     }
     seq.append(boot);
@@ -79,23 +103,14 @@ makeSortWorkload(const TraceParams &params)
     // stages, each an approximate-comparison polynomial evaluation
     // (deep mult chains) plus data rearrangement rotations; the depth
     // forces frequent bootstrapping.
-    OpSequence seq;
-    seq.name = "Sort";
-    seq.n = params.n;
-
     const size_t stages = 50;  // paper: ~105; halved to bound trace size
     const size_t bootsPerStage = 3;
-    for (size_t s = 0; s < stages; ++s) {
-        TraceParams work = params;
-        work.level = 24;
-        appendMultChain(seq, work, 10, 14);
-        appendRotations(seq, work, 4);
-        for (size_t b = 0; b < bootsPerStage; ++b) {
-            seq.append(
-                buildBootstrap(params, 3.5, TraceLtAlgorithm::Hoisting));
-        }
-    }
-    return seq;
+    const TraceParams work = workLevel(params);
+    OpSequence stage;
+    appendMultChain(stage, work, 10, 14);
+    stage.append(buildHRot(work), 4); // data rearrangement
+    stage.append(workloadBootstrap(params), bootsPerStage);
+    return repeated("Sort", params, stage, stages);
 }
 
 OpSequence
@@ -104,23 +119,16 @@ makeRnnWorkload(const TraceParams &params)
     // 200 RNN-cell evaluations: per cell a 128-wide matrix-vector
     // product (diagonal linear transform), element-wise gating mults,
     // and periodic bootstrapping of the hidden state.
-    OpSequence seq;
-    seq.name = "RNN";
-    seq.n = params.n;
-
     const size_t cells = 100; // paper: 200; halved to bound trace size
-    for (size_t c = 0; c < cells; ++c) {
-        TraceParams work = params;
-        work.level = 24;
-        seq.append(buildLinearTransform(work, 16,
-                                        TraceLtAlgorithm::Hoisting));
-        appendMultChain(seq, work, 3, 14);
-        if (c % 2 == 1) {
-            seq.append(
-                buildBootstrap(params, 3.5, TraceLtAlgorithm::Hoisting));
-        }
-    }
-    return seq;
+    const TraceParams work = workLevel(params);
+    OpSequence cell =
+        buildLinearTransform(work, 16, TraceLtAlgorithm::Hoisting);
+    appendMultChain(cell, work, 3, 14);
+    // Every second cell ends in a bootstrap.
+    OpSequence pair;
+    pair.append(cell, 2);
+    pair.append(workloadBootstrap(params));
+    return repeated("RNN", params, pair, cells / 2);
 }
 
 OpSequence
@@ -128,21 +136,13 @@ makeResNet20Workload(const TraceParams &params)
 {
     // 20 convolutional layers as packed linear transforms [49], ReLU
     // approximations as mult chains, bootstrapping between blocks.
-    OpSequence seq;
-    seq.name = "ResNet20";
-    seq.n = params.n;
-
     const size_t layers = 20;
-    for (size_t layer = 0; layer < layers; ++layer) {
-        TraceParams work = params;
-        work.level = 24;
-        seq.append(buildLinearTransform(work, 9,
-                                        TraceLtAlgorithm::Hoisting));
-        appendMultChain(seq, work, 6, 14); // ReLU polynomial
-        seq.append(
-            buildBootstrap(params, 3.5, TraceLtAlgorithm::Hoisting));
-    }
-    return seq;
+    const TraceParams work = workLevel(params);
+    OpSequence layer =
+        buildLinearTransform(work, 9, TraceLtAlgorithm::Hoisting);
+    appendMultChain(layer, work, 6, 14); // ReLU polynomial
+    layer.append(workloadBootstrap(params));
+    return repeated("ResNet20", params, layer, layers);
 }
 
 OpSequence
@@ -151,23 +151,14 @@ makeResNet18AespaWorkload(const TraceParams &params)
     // ImageNet-scale inference with NeuJeans convolutions and AESPA's
     // quadratic activation: more data per layer (more full-slot
     // ciphertexts), shallower activation chains.
-    OpSequence seq;
-    seq.name = "ResNet18-AESPA";
-    seq.n = params.n;
-
     const size_t layers = 18;
-    for (size_t layer = 0; layer < layers; ++layer) {
-        TraceParams work = params;
-        work.level = 24;
-        seq.append(buildLinearTransform(work, 16,
-                                        TraceLtAlgorithm::Hoisting));
-        seq.append(buildLinearTransform(work, 16,
-                                        TraceLtAlgorithm::Hoisting));
-        appendMultChain(seq, work, 2, 14); // AESPA square activation
-        seq.append(
-            buildBootstrap(params, 3.5, TraceLtAlgorithm::Hoisting));
-    }
-    return seq;
+    const TraceParams work = workLevel(params);
+    OpSequence layer;
+    layer.append(buildLinearTransform(work, 16, TraceLtAlgorithm::Hoisting),
+                 2);
+    appendMultChain(layer, work, 2, 14); // AESPA square activation
+    layer.append(workloadBootstrap(params));
+    return repeated("ResNet18-AESPA", params, layer, layers);
 }
 
 std::vector<std::pair<WorkloadInfo, OpSequence>>

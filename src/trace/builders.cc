@@ -3,27 +3,291 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/logging.h"
-
 namespace anaheim {
 
 namespace {
 
+using Ops = std::vector<KernelOp>;
+
 KernelOp
-make(KernelType type, const char *phase, size_t n, size_t limbs,
-     size_t fanIn, std::vector<Operand> reads, std::vector<Operand> writes,
+make(KernelType type, TracePhase phase, size_t n, size_t limbs,
+     size_t fanIn, OperandList<3> reads, OperandList<1> writes,
      bool pimEligible)
 {
     KernelOp op;
     op.type = type;
     op.phase = phase;
-    op.n = n;
-    op.limbs = limbs;
-    op.fanIn = fanIn;
-    op.reads = std::move(reads);
-    op.writes = std::move(writes);
     op.pimEligible = pimEligible;
+    op.n = traceField(n);
+    op.limbs = traceField(limbs);
+    op.fanIn = traceField(fanIn);
+    op.reads = reads;
+    op.writes = writes;
     return op;
+}
+
+OpSequence
+named(const char *name, const TraceParams &params)
+{
+    OpSequence seq;
+    seq.name = name;
+    seq.n = params.n;
+    return seq;
+}
+
+// Each emit* appends one sub-trace to `ops`, so a whole bootstrap
+// builds into one vector.
+
+/** ModUp: per digit INTT -> BConv -> NTT (§II-B). */
+void
+emitModUp(Ops &ops, const TraceParams &params)
+{
+    const size_t l = params.level;
+    const size_t alpha = params.alpha;
+    const size_t ext = params.extended();
+    for (size_t j = 0; j < params.digits(); ++j) {
+        const size_t digitLimbs = std::min(alpha, l - j * alpha);
+        const size_t outLimbs = ext - digitLimbs;
+        ops.push_back(make(KernelType::Intt, TracePhase::ModUp, params.n,
+                           digitLimbs, 1,
+                           {{OperandKind::Working, digitLimbs}},
+                           {{OperandKind::Intermediate, digitLimbs}},
+                           false));
+        ops.push_back(make(KernelType::BConv, TracePhase::ModUp, params.n,
+                           outLimbs, digitLimbs,
+                           {{OperandKind::Intermediate, digitLimbs}},
+                           {{OperandKind::Intermediate, outLimbs}}, false));
+        ops.push_back(make(KernelType::Ntt, TracePhase::ModUp, params.n,
+                           outLimbs, 1,
+                           {{OperandKind::Intermediate, outLimbs}},
+                           {{OperandKind::Intermediate, outLimbs}}, false));
+    }
+}
+
+/** KeyMult: PAccum<D> over the extended modulus — the element-wise
+ *  block Anaheim offloads. */
+void
+emitKeyMult(Ops &ops, const TraceParams &params, TracePhase phase)
+{
+    const size_t ext = params.extended();
+    const size_t digits = params.digits();
+    ops.push_back(make(KernelType::EwPAccum, phase, params.n, ext, digits,
+                       {{OperandKind::Working, digits * ext},
+                        {OperandKind::Evk, 2 * digits * ext}},
+                       {{OperandKind::Intermediate, 2 * ext}}, true));
+}
+
+/** ModDown on both result polynomials. */
+void
+emitModDown(Ops &ops, const TraceParams &params)
+{
+    const size_t l = params.level;
+    const size_t alpha = params.alpha;
+    for (int poly = 0; poly < 2; ++poly) {
+        ops.push_back(make(KernelType::Intt, TracePhase::ModDown, params.n,
+                           alpha, 1, {{OperandKind::Intermediate, alpha}},
+                           {{OperandKind::Intermediate, alpha}}, false));
+        ops.push_back(make(KernelType::BConv, TracePhase::ModDown,
+                           params.n, l, alpha,
+                           {{OperandKind::Intermediate, alpha}},
+                           {{OperandKind::Intermediate, l}}, false));
+        ops.push_back(make(KernelType::Ntt, TracePhase::ModDown, params.n,
+                           l, 1, {{OperandKind::Intermediate, l}},
+                           {{OperandKind::Intermediate, l}}, false));
+        ops.push_back(make(KernelType::EwModDownEp, TracePhase::ModDown,
+                           params.n, l, 1,
+                           {{OperandKind::Intermediate, 2 * l}},
+                           {{OperandKind::Working, l}}, true));
+    }
+}
+
+void
+emitKeySwitch(Ops &ops, const TraceParams &params, TracePhase phase)
+{
+    emitModUp(ops, params);
+    emitKeyMult(ops, params, phase);
+    emitModDown(ops, params);
+}
+
+void
+emitRescale(Ops &ops, const TraceParams &params)
+{
+    const size_t l = params.level;
+    for (int poly = 0; poly < 2; ++poly) {
+        ops.push_back(make(KernelType::Intt, TracePhase::Rescale, params.n,
+                           1, 1, {{OperandKind::Working, 1}},
+                           {{OperandKind::Intermediate, 1}}, false));
+        ops.push_back(make(KernelType::Ntt, TracePhase::Rescale, params.n,
+                           l - 1, 1, {{OperandKind::Intermediate, l - 1}},
+                           {{OperandKind::Intermediate, l - 1}}, false));
+        ops.push_back(make(KernelType::EwModDownEp, TracePhase::Rescale,
+                           params.n, l - 1, 1,
+                           {{OperandKind::Working, l - 1},
+                            {OperandKind::Intermediate, l - 1}},
+                           {{OperandKind::Working, l - 1}}, true));
+    }
+}
+
+void
+emitHMult(Ops &ops, const TraceParams &params)
+{
+    const size_t l = params.level;
+    ops.push_back(make(KernelType::EwTensor, TracePhase::Tensor, params.n,
+                       l, 1, {{OperandKind::Working, 4 * l}},
+                       {{OperandKind::Intermediate, 3 * l}}, true));
+    emitKeySwitch(ops, params, TracePhase::KeyMult);
+    ops.push_back(make(KernelType::EwAdd, TracePhase::Relin, params.n,
+                       2 * l, 1, {{OperandKind::Working, 4 * l}},
+                       {{OperandKind::Working, 2 * l}}, true));
+    emitRescale(ops, params);
+}
+
+/** Fig. 1 (left): ModUp -> KeyMult -> MAC -> automorphism -> ModDown. */
+void
+emitHRot(Ops &ops, const TraceParams &params)
+{
+    const size_t l = params.level;
+    const size_t ext = params.extended();
+    emitModUp(ops, params);
+    emitKeyMult(ops, params, TracePhase::KeyMult);
+    ops.push_back(make(KernelType::EwCMac, TracePhase::Mac, params.n,
+                       2 * ext, 1,
+                       {{OperandKind::Intermediate, 2 * ext},
+                        {OperandKind::Working, 2 * l}},
+                       {{OperandKind::Intermediate, 2 * ext}}, true));
+    ops.push_back(make(KernelType::Automorphism, TracePhase::Automorphism,
+                       params.n, 2 * ext, 1,
+                       {{OperandKind::Intermediate, 2 * ext}},
+                       {{OperandKind::Intermediate, 2 * ext}}, false));
+    emitModDown(ops, params);
+}
+
+void
+emitLinearTransform(Ops &ops, const TraceParams &params, size_t k,
+                    TraceLtAlgorithm algorithm, const TraceOptions &options)
+{
+    const size_t l = params.level;
+    const size_t ext = params.extended();
+
+    switch (algorithm) {
+      case TraceLtAlgorithm::Base:
+      case TraceLtAlgorithm::MinKS: {
+        // K full HROT evaluations (MinKS differs only in reusing one
+        // evk; on GPUs the evk streams from DRAM either way, §III-C).
+        for (size_t i = 0; i < k; ++i)
+            emitHRot(ops, params);
+        // PMULT of each rotated ciphertext and accumulation.
+        if (options.basicFuse) {
+            ops.push_back(make(KernelType::EwPAccum, TracePhase::Mac,
+                               params.n, l, k,
+                               {{OperandKind::Working, 2 * k * l},
+                                {OperandKind::PlainConst, k * l}},
+                               {{OperandKind::Working, 2 * l}}, true));
+        } else {
+            for (size_t i = 0; i < k; ++i) {
+                ops.push_back(make(KernelType::EwPMult, TracePhase::Mac,
+                                   params.n, l, 1,
+                                   {{OperandKind::Working, 2 * l},
+                                    {OperandKind::PlainConst, l}},
+                                   {{OperandKind::Intermediate, 2 * l}},
+                                   true));
+                ops.push_back(make(KernelType::EwAdd, TracePhase::Mac,
+                                   params.n, 2 * l, 1,
+                                   {{OperandKind::Intermediate, 4 * l}},
+                                   {{OperandKind::Intermediate, 2 * l}},
+                                   true));
+            }
+        }
+        break;
+      }
+      case TraceLtAlgorithm::Hoisting: {
+        // Fig. 5: one ModUp; per-baby-rotation KeyMult; PMULT +
+        // accumulation in the extended modulus PQ; one ModDown;
+        // AutAccum. With the BSGS decomposition (footnote 1) only
+        // ~sqrt(K) baby rotations share the hoisted ModUp, while each
+        // of the ~sqrt(K) giant-step groups pays a full keyswitch
+        // after its inner accumulation. All K diagonal plaintexts
+        // stream regardless.
+        const size_t babies = std::min(
+            k, static_cast<size_t>(
+                   std::ceil(std::sqrt(static_cast<double>(k)))));
+        const size_t giants =
+            k <= babies ? 0 : (k + babies - 1) / babies - 1;
+        const size_t rotations = babies;
+        emitModUp(ops, params);
+        for (size_t i = 0; i < rotations; ++i)
+            emitKeyMult(ops, params, TracePhase::KeyMult);
+        // PMULT by the (pre-rotated, §V-B) plaintexts and accumulation,
+        // for both result polynomials plus the b-part. The fused kernel
+        // reads each rotated pair once (reused across the diagonals of
+        // its giant-step group) while all K plaintexts stream.
+        if (options.basicFuse) {
+            ops.push_back(make(KernelType::EwPAccum, TracePhase::Mac,
+                               params.n, ext, k,
+                               {{OperandKind::Intermediate,
+                                 2 * rotations * ext},
+                                {OperandKind::PlainConst, k * ext}},
+                               {{OperandKind::Intermediate, 2 * ext}},
+                               true));
+            ops.push_back(make(KernelType::EwPAccum, TracePhase::Mac,
+                               params.n, l, k,
+                               {{OperandKind::Working, 2 * l},
+                                {OperandKind::PlainConst, k * l}},
+                               {{OperandKind::Intermediate, 2 * l}}, true));
+        } else {
+            // Unfused, each PMAC reads its rotated pair, its plaintext
+            // and the running accumulator: the trace's 3-read ops.
+            for (size_t i = 0; i < k; ++i) {
+                ops.push_back(make(KernelType::EwPMac, TracePhase::Mac,
+                                   params.n, ext, 1,
+                                   {{OperandKind::Intermediate, 2 * ext},
+                                    {OperandKind::PlainConst, ext},
+                                    {OperandKind::Intermediate, 2 * ext}},
+                                   {{OperandKind::Intermediate, 2 * ext}},
+                                   true));
+                ops.push_back(make(KernelType::EwPMac, TracePhase::Mac,
+                                   params.n, l, 1,
+                                   {{OperandKind::Working, 2 * l},
+                                    {OperandKind::PlainConst, l},
+                                    {OperandKind::Intermediate, 2 * l}},
+                                   {{OperandKind::Intermediate, 2 * l}},
+                                   true));
+            }
+        }
+        // One hoisted ModDown for the baby accumulation.
+        emitModDown(ops, params);
+        // Giant-step rotations: one full keyswitch per remaining group.
+        for (size_t giant = 0; giant < giants; ++giant)
+            emitKeySwitch(ops, params, TracePhase::KeyMult);
+        // AutAccum: the relocated automorphisms fused with the final
+        // accumulation (§V-B). Without AutFuse, each automorphism is a
+        // separate kernel with its own DRAM round trip (2K reads + 2K
+        // writes extra).
+        if (options.autFuse) {
+            ops.push_back(make(KernelType::Automorphism,
+                               TracePhase::AutAccum, params.n, 2 * l, 1,
+                               {{OperandKind::Working, 2 * l},
+                                {OperandKind::Intermediate, 2 * l}},
+                               {{OperandKind::Working, 2 * l}}, false));
+        } else {
+            ops.push_back(make(KernelType::Automorphism,
+                               TracePhase::Automorphism, params.n, 2 * l,
+                               1, {{OperandKind::Working, 2 * l}},
+                               {{OperandKind::Intermediate, 2 * l}},
+                               false));
+            ops.push_back(make(KernelType::Automorphism,
+                               TracePhase::Automorphism, params.n, 2 * l,
+                               1, {{OperandKind::Intermediate, 2 * l}},
+                               {{OperandKind::Intermediate, 2 * l}},
+                               false));
+            ops.push_back(make(KernelType::EwAdd, TracePhase::Accum,
+                               params.n, 2 * l, 1,
+                               {{OperandKind::Intermediate, 4 * l}},
+                               {{OperandKind::Working, 2 * l}}, true));
+        }
+        break;
+      }
+    }
 }
 
 } // namespace
@@ -50,12 +314,10 @@ TraceParams::forDnum(size_t dnum)
 OpSequence
 buildHAdd(const TraceParams &params)
 {
-    OpSequence seq;
-    seq.name = "HADD";
-    seq.n = params.n;
+    OpSequence seq = named("HADD", params);
     const size_t l = params.level;
-    seq.ops.push_back(make(KernelType::EwAdd, "HADD", params.n, 2 * l, 1,
-                           {{OperandKind::Working, 4 * l}},
+    seq.ops.push_back(make(KernelType::EwAdd, TracePhase::HAdd, params.n,
+                           2 * l, 1, {{OperandKind::Working, 4 * l}},
                            {{OperandKind::Working, 2 * l}}, true));
     return seq;
 }
@@ -63,11 +325,10 @@ buildHAdd(const TraceParams &params)
 OpSequence
 buildPMult(const TraceParams &params)
 {
-    OpSequence seq;
-    seq.name = "PMULT";
-    seq.n = params.n;
+    OpSequence seq = named("PMULT", params);
     const size_t l = params.level;
-    seq.ops.push_back(make(KernelType::EwPMult, "PMULT", params.n, l, 1,
+    seq.ops.push_back(make(KernelType::EwPMult, TracePhase::PMult,
+                           params.n, l, 1,
                            {{OperandKind::Working, 2 * l},
                             {OperandKind::PlainConst, l}},
                            {{OperandKind::Working, 2 * l}}, true));
@@ -75,142 +336,34 @@ buildPMult(const TraceParams &params)
 }
 
 OpSequence
-buildKeySwitch(const TraceParams &params, const char *phase)
+buildKeySwitch(const TraceParams &params, TracePhase phase)
 {
-    OpSequence seq;
-    seq.name = "KeySwitch";
-    seq.n = params.n;
-    const size_t l = params.level;
-    const size_t alpha = params.alpha;
-    const size_t ext = params.extended();
-    const size_t digits = params.digits();
-
-    // ModUp: per digit INTT -> BConv -> NTT (§II-B).
-    for (size_t j = 0; j < digits; ++j) {
-        const size_t digitLimbs = std::min(alpha, l - j * alpha);
-        const size_t outLimbs = ext - digitLimbs;
-        seq.ops.push_back(make(KernelType::Intt, "ModUp", params.n,
-                               digitLimbs, 1,
-                               {{OperandKind::Working, digitLimbs}},
-                               {{OperandKind::Intermediate, digitLimbs}},
-                               false));
-        seq.ops.push_back(make(KernelType::BConv, "ModUp", params.n,
-                               outLimbs, digitLimbs,
-                               {{OperandKind::Intermediate, digitLimbs}},
-                               {{OperandKind::Intermediate, outLimbs}},
-                               false));
-        seq.ops.push_back(make(KernelType::Ntt, "ModUp", params.n,
-                               outLimbs, 1,
-                               {{OperandKind::Intermediate, outLimbs}},
-                               {{OperandKind::Intermediate, outLimbs}},
-                               false));
-    }
-
-    // KeyMult: PAccum<D> over the extended modulus — the element-wise
-    // block Anaheim offloads.
-    seq.ops.push_back(make(KernelType::EwPAccum, phase, params.n, ext,
-                           digits,
-                           {{OperandKind::Working, digits * ext},
-                            {OperandKind::Evk, 2 * digits * ext}},
-                           {{OperandKind::Intermediate, 2 * ext}}, true));
-
-    // ModDown on both result polynomials.
-    for (int poly = 0; poly < 2; ++poly) {
-        seq.ops.push_back(make(KernelType::Intt, "ModDown", params.n,
-                               alpha, 1,
-                               {{OperandKind::Intermediate, alpha}},
-                               {{OperandKind::Intermediate, alpha}},
-                               false));
-        seq.ops.push_back(make(KernelType::BConv, "ModDown", params.n, l,
-                               alpha,
-                               {{OperandKind::Intermediate, alpha}},
-                               {{OperandKind::Intermediate, l}}, false));
-        seq.ops.push_back(make(KernelType::Ntt, "ModDown", params.n, l, 1,
-                               {{OperandKind::Intermediate, l}},
-                               {{OperandKind::Intermediate, l}}, false));
-        seq.ops.push_back(make(KernelType::EwModDownEp, "ModDown",
-                               params.n, l, 1,
-                               {{OperandKind::Intermediate, 2 * l}},
-                               {{OperandKind::Working, l}}, true));
-    }
+    OpSequence seq = named("KeySwitch", params);
+    emitKeySwitch(seq.ops, params, phase);
     return seq;
 }
 
 OpSequence
 buildRescale(const TraceParams &params)
 {
-    OpSequence seq;
-    seq.name = "Rescale";
-    seq.n = params.n;
-    const size_t l = params.level;
-    for (int poly = 0; poly < 2; ++poly) {
-        seq.ops.push_back(make(KernelType::Intt, "Rescale", params.n, 1, 1,
-                               {{OperandKind::Working, 1}},
-                               {{OperandKind::Intermediate, 1}}, false));
-        seq.ops.push_back(make(KernelType::Ntt, "Rescale", params.n, l - 1,
-                               1, {{OperandKind::Intermediate, l - 1}},
-                               {{OperandKind::Intermediate, l - 1}},
-                               false));
-        seq.ops.push_back(make(KernelType::EwModDownEp, "Rescale",
-                               params.n, l - 1, 1,
-                               {{OperandKind::Working, l - 1},
-                                {OperandKind::Intermediate, l - 1}},
-                               {{OperandKind::Working, l - 1}}, true));
-    }
+    OpSequence seq = named("Rescale", params);
+    emitRescale(seq.ops, params);
     return seq;
 }
 
 OpSequence
 buildHMult(const TraceParams &params)
 {
-    OpSequence seq;
-    seq.name = "HMULT";
-    seq.n = params.n;
-    const size_t l = params.level;
-
-    seq.ops.push_back(make(KernelType::EwTensor, "Tensor", params.n, l, 1,
-                           {{OperandKind::Working, 4 * l}},
-                           {{OperandKind::Intermediate, 3 * l}}, true));
-    seq.append(buildKeySwitch(params, "KeyMult"));
-    seq.ops.push_back(make(KernelType::EwAdd, "Relin", params.n, 2 * l, 1,
-                           {{OperandKind::Working, 4 * l}},
-                           {{OperandKind::Working, 2 * l}}, true));
-    seq.append(buildRescale(params));
+    OpSequence seq = named("HMULT", params);
+    emitHMult(seq.ops, params);
     return seq;
 }
 
 OpSequence
 buildHRot(const TraceParams &params)
 {
-    OpSequence seq;
-    seq.name = "HROT";
-    seq.n = params.n;
-    const size_t l = params.level;
-    const size_t ext = params.extended();
-
-    // Fig. 1 (left): ModUp -> KeyMult -> MAC -> automorphism -> ModDown.
-    OpSequence ks = buildKeySwitch(params, "KeyMult");
-    // Insert MAC + automorphism between KeyMult and ModDown: find the
-    // first ModDown op in the keyswitch trace.
-    size_t insertAt = ks.ops.size();
-    for (size_t i = 0; i < ks.ops.size(); ++i) {
-        if (ks.ops[i].phase == std::string("ModDown")) {
-            insertAt = i;
-            break;
-        }
-    }
-    std::vector<KernelOp> tail(ks.ops.begin() + insertAt, ks.ops.end());
-    ks.ops.resize(insertAt);
-    ks.ops.push_back(make(KernelType::EwCMac, "MAC", params.n, 2 * ext, 1,
-                          {{OperandKind::Intermediate, 2 * ext},
-                           {OperandKind::Working, 2 * l}},
-                          {{OperandKind::Intermediate, 2 * ext}}, true));
-    ks.ops.push_back(make(KernelType::Automorphism, "Automorphism",
-                          params.n, 2 * ext, 1,
-                          {{OperandKind::Intermediate, 2 * ext}},
-                          {{OperandKind::Intermediate, 2 * ext}}, false));
-    ks.ops.insert(ks.ops.end(), tail.begin(), tail.end());
-    seq.append(ks);
+    OpSequence seq = named("HROT", params);
+    emitHRot(seq.ops, params);
     return seq;
 }
 
@@ -219,141 +372,8 @@ buildLinearTransform(const TraceParams &params, size_t k,
                      TraceLtAlgorithm algorithm,
                      const TraceOptions &options)
 {
-    OpSequence seq;
-    seq.name = "LinearTransform";
-    seq.n = params.n;
-    const size_t l = params.level;
-    const size_t ext = params.extended();
-    const size_t digits = params.digits();
-
-    switch (algorithm) {
-      case TraceLtAlgorithm::Base:
-      case TraceLtAlgorithm::MinKS: {
-        // K full HROT evaluations (MinKS differs only in reusing one
-        // evk; on GPUs the evk streams from DRAM either way, §III-C).
-        for (size_t i = 0; i < k; ++i)
-            seq.append(buildHRot(params));
-        // PMULT of each rotated ciphertext and accumulation.
-        if (options.basicFuse) {
-            seq.ops.push_back(make(
-                KernelType::EwPAccum, "MAC", params.n, l, k,
-                {{OperandKind::Working, 2 * k * l},
-                 {OperandKind::PlainConst, k * l}},
-                {{OperandKind::Working, 2 * l}}, true));
-        } else {
-            for (size_t i = 0; i < k; ++i) {
-                seq.ops.push_back(make(KernelType::EwPMult, "MAC",
-                                       params.n, l, 1,
-                                       {{OperandKind::Working, 2 * l},
-                                        {OperandKind::PlainConst, l}},
-                                       {{OperandKind::Intermediate, 2 * l}},
-                                       true));
-                seq.ops.push_back(make(KernelType::EwAdd, "MAC", params.n,
-                                       2 * l, 1,
-                                       {{OperandKind::Intermediate, 4 * l}},
-                                       {{OperandKind::Intermediate, 2 * l}},
-                                       true));
-            }
-        }
-        break;
-      }
-      case TraceLtAlgorithm::Hoisting: {
-        // Fig. 5: one ModUp; per-baby-rotation KeyMult; PMULT +
-        // accumulation in the extended modulus PQ; one ModDown;
-        // AutAccum. With the BSGS decomposition (footnote 1) only
-        // ~sqrt(K) baby rotations share the hoisted ModUp, while each
-        // of the ~sqrt(K) giant-step groups pays a full keyswitch
-        // after its inner accumulation. All K diagonal plaintexts
-        // stream regardless.
-        const size_t babies = std::min(
-            k, static_cast<size_t>(
-                   std::ceil(std::sqrt(static_cast<double>(k)))));
-        const size_t giants =
-            k <= babies ? 0 : (k + babies - 1) / babies - 1;
-        const size_t rotations = babies;
-        const OpSequence ks = buildKeySwitch(params, "KeyMult");
-        // ModUp part of the keyswitch trace (everything before KeyMult).
-        for (const auto &op : ks.ops) {
-            if (op.phase == std::string("ModUp"))
-                seq.ops.push_back(op);
-        }
-        for (size_t i = 0; i < rotations; ++i) {
-            seq.ops.push_back(make(
-                KernelType::EwPAccum, "KeyMult", params.n, ext, digits,
-                {{OperandKind::Working, digits * ext},
-                 {OperandKind::Evk, 2 * digits * ext}},
-                {{OperandKind::Intermediate, 2 * ext}}, true));
-        }
-        // PMULT by the (pre-rotated, §V-B) plaintexts and accumulation,
-        // for both result polynomials plus the b-part. The fused kernel
-        // reads each rotated pair once (reused across the diagonals of
-        // its giant-step group) while all K plaintexts stream.
-        if (options.basicFuse) {
-            seq.ops.push_back(make(
-                KernelType::EwPAccum, "MAC", params.n, ext, k,
-                {{OperandKind::Intermediate, 2 * rotations * ext},
-                 {OperandKind::PlainConst, k * ext}},
-                {{OperandKind::Intermediate, 2 * ext}}, true));
-            seq.ops.push_back(make(KernelType::EwPAccum, "MAC", params.n,
-                                   l, k,
-                                   {{OperandKind::Working, 2 * l},
-                                    {OperandKind::PlainConst, k * l}},
-                                   {{OperandKind::Intermediate, 2 * l}},
-                                   true));
-        } else {
-            for (size_t i = 0; i < k; ++i) {
-                seq.ops.push_back(make(
-                    KernelType::EwPMac, "MAC", params.n, ext, 1,
-                    {{OperandKind::Intermediate, 2 * ext},
-                     {OperandKind::PlainConst, ext},
-                     {OperandKind::Intermediate, 2 * ext}},
-                    {{OperandKind::Intermediate, 2 * ext}}, true));
-                seq.ops.push_back(make(
-                    KernelType::EwPMac, "MAC", params.n, l, 1,
-                    {{OperandKind::Working, 2 * l},
-                     {OperandKind::PlainConst, l},
-                     {OperandKind::Intermediate, 2 * l}},
-                    {{OperandKind::Intermediate, 2 * l}}, true));
-            }
-        }
-        // One hoisted ModDown for the baby accumulation.
-        for (const auto &op : ks.ops) {
-            if (op.phase == std::string("ModDown"))
-                seq.ops.push_back(op);
-        }
-        // Giant-step rotations: one full keyswitch per remaining group.
-        for (size_t giant = 0; giant < giants; ++giant)
-            seq.append(buildKeySwitch(params, "KeyMult"));
-        // AutAccum: the relocated automorphisms fused with the final
-        // accumulation (§V-B). Without AutFuse, each automorphism is a
-        // separate kernel with its own DRAM round trip (2K reads + 2K
-        // writes extra).
-        if (options.autFuse) {
-            seq.ops.push_back(make(KernelType::Automorphism, "AutAccum",
-                                   params.n, 2 * l, 1,
-                                   {{OperandKind::Working, 2 * l},
-                                    {OperandKind::Intermediate, 2 * l}},
-                                   {{OperandKind::Working, 2 * l}},
-                                   false));
-        } else {
-            seq.ops.push_back(make(KernelType::Automorphism,
-                                   "Automorphism", params.n, 2 * l, 1,
-                                   {{OperandKind::Working, 2 * l}},
-                                   {{OperandKind::Intermediate, 2 * l}},
-                                   false));
-            seq.ops.push_back(make(KernelType::Automorphism,
-                                   "Automorphism", params.n, 2 * l, 1,
-                                   {{OperandKind::Intermediate, 2 * l}},
-                                   {{OperandKind::Intermediate, 2 * l}},
-                                   false));
-            seq.ops.push_back(make(KernelType::EwAdd, "Accum", params.n,
-                                   2 * l, 1,
-                                   {{OperandKind::Intermediate, 4 * l}},
-                                   {{OperandKind::Working, 2 * l}}, true));
-        }
-        break;
-      }
-    }
+    OpSequence seq = named("LinearTransform", params);
+    emitLinearTransform(seq.ops, params, k, algorithm, options);
     return seq;
 }
 
@@ -373,16 +393,15 @@ OpSequence
 buildBootstrap(const TraceParams &params, double fftIter,
                TraceLtAlgorithm algorithm, const TraceOptions &options)
 {
-    OpSequence seq;
-    seq.name = "Bootstrap";
-    seq.n = params.n;
+    OpSequence seq = named("Bootstrap", params);
+    Ops &ops = seq.ops;
     const size_t slots = params.n / 2;
     const double logSlots = std::log2(static_cast<double>(slots));
 
     TraceParams current = params;
 
     // Sparse-secret encapsulation: one keyswitch at full level.
-    seq.append(buildKeySwitch(current, "KeyMult"));
+    emitKeySwitch(ops, current, TracePhase::KeyMult);
     current.level -= 1;
 
     // CoeffToSlot: ceil(fftIter) stages; per-stage diagonal count for a
@@ -392,13 +411,12 @@ buildBootstrap(const TraceParams &params, double fftIter,
         std::round(std::pow(2.0, logSlots / fftIter)));
     const size_t kStage = 2 * std::max<size_t>(radix, 2) - 1;
     for (size_t s = 0; s < stages; ++s) {
-        seq.append(
-            buildLinearTransform(current, kStage, algorithm, options));
-        seq.append(buildRescale(current));
+        emitLinearTransform(ops, current, kStage, algorithm, options);
+        emitRescale(ops, current);
         current.level -= 1;
     }
     // Conjugation split: one keyswitch.
-    seq.append(buildKeySwitch(current, "KeyMult"));
+    emitKeySwitch(ops, current, TracePhase::KeyMult);
 
     // EvalMod on both halves: ~16 HMULTs (Chebyshev babies + giants +
     // recursion + double-angle) spread over 11 levels.
@@ -406,16 +424,15 @@ buildBootstrap(const TraceParams &params, double fftIter,
         for (int step = 0; step < 16; ++step) {
             TraceParams em = current;
             em.level -= static_cast<size_t>(11.0 * step / 16.0);
-            seq.append(buildHMult(em));
+            emitHMult(ops, em);
         }
     }
     current.level -= 11;
 
     // SlotToCoeff stages.
     for (size_t s = 0; s < stages; ++s) {
-        seq.append(
-            buildLinearTransform(current, kStage, algorithm, options));
-        seq.append(buildRescale(current));
+        emitLinearTransform(ops, current, kStage, algorithm, options);
+        emitRescale(ops, current);
         current.level -= 1;
     }
 

@@ -61,7 +61,7 @@ OpSequence buildRescale(const TraceParams &params);
  * Keyswitching sub-trace: ModUp -> KeyMult -> ModDown on one
  * polynomial (the core of HMULT / HROT, Fig. 1 left).
  */
-OpSequence buildKeySwitch(const TraceParams &params, const char *phase);
+OpSequence buildKeySwitch(const TraceParams &params, TracePhase phase);
 
 /**
  * Linear transform with K rotations (Fig. 1 right / Fig. 5): the

@@ -1,8 +1,11 @@
 #include "kernel.h"
 
+#include <algorithm>
 #include <cmath>
+#include <iterator>
 
 #include "common/logging.h"
+#include "common/status.h"
 
 namespace anaheim {
 
@@ -60,6 +63,38 @@ kernelClassName(KernelClass cls)
     }
     return "?";
 }
+
+const std::string &
+tracePhaseName(TracePhase phase)
+{
+    static const std::string names[] = {
+        "",        "HADD",    "PMULT",  "ModUp", "KeyMult",
+        "ModDown", "Rescale", "Tensor", "Relin", "MAC",
+        "Automorphism",       "AutAccum",        "Accum",
+    };
+    static_assert(std::size(names) ==
+                  static_cast<size_t>(TracePhase::Accum) + 1);
+    return names[static_cast<size_t>(phase)];
+}
+
+namespace detail {
+
+void
+raiseTraceFieldOverflow(size_t value)
+{
+    ANAHEIM_RAISE(InvalidArgument, "trace field ", value,
+                  " does not fit in 32 bits");
+}
+
+void
+raiseOperandListFull(size_t capacity)
+{
+    ANAHEIM_RAISE(InvalidArgument, "a kernel op holds at most ", capacity,
+                  capacity == 1 ? " operand" : " operands",
+                  " on this side");
+}
+
+} // namespace detail
 
 namespace {
 
@@ -179,9 +214,15 @@ KernelOp::writeBytes() const
 }
 
 void
-OpSequence::append(const OpSequence &other)
+OpSequence::append(const OpSequence &other, size_t copies)
 {
-    ops.insert(ops.end(), other.ops.begin(), other.ops.end());
+    // Room for all copies at once, but never less than doubling, so a
+    // loop of appends still grows geometrically.
+    const size_t needed = ops.size() + copies * other.ops.size();
+    if (needed > ops.capacity())
+        ops.reserve(std::max(needed, 2 * ops.capacity()));
+    for (size_t c = 0; c < copies; ++c)
+        ops.insert(ops.end(), other.ops.begin(), other.ops.end());
 }
 
 double

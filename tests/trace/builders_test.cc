@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstdio>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "anaheim/workloads.h"
 #include "trace/builders.h"
 #include "trace/counting.h"
 
@@ -49,7 +57,7 @@ TEST(TraceBuilders, HAddIsPureElementWise)
 
 TEST(TraceBuilders, KeySwitchContainsAllThreePhases)
 {
-    const auto seq = buildKeySwitch(TraceParams{}, "KeyMult");
+    const auto seq = buildKeySwitch(TraceParams{}, TracePhase::KeyMult);
     EXPECT_GT(seq.countType(KernelType::Intt), 0u);
     EXPECT_GT(seq.countType(KernelType::Ntt), 0u);
     EXPECT_GT(seq.countType(KernelType::BConv), 0u);
@@ -83,7 +91,7 @@ TEST(TraceBuilders, HRotAutomorphismBetweenKeyMultAndModDown)
             autIdx = static_cast<int>(i);
         if (seq.ops[i].type == KernelType::EwPAccum && keyMultIdx < 0)
             keyMultIdx = static_cast<int>(i);
-        if (seq.ops[i].phase == std::string("ModDown") && modDownIdx < 0)
+        if (seq.ops[i].phase == TracePhase::ModDown && modDownIdx < 0)
             modDownIdx = static_cast<int>(i);
     }
     ASSERT_GE(autIdx, 0);
@@ -110,8 +118,8 @@ TEST(TraceBuilders, HoistingMovesElementWiseToExtendedModulus)
         TraceParams{}, 8, TraceLtAlgorithm::Hoisting);
     size_t maxMacLimbs = 0;
     for (const auto &op : hoisted.ops) {
-        if (op.phase == std::string("MAC"))
-            maxMacLimbs = std::max(maxMacLimbs, op.limbs);
+        if (op.phase == TracePhase::Mac)
+            maxMacLimbs = std::max<size_t>(maxMacLimbs, op.limbs);
     }
     EXPECT_EQ(maxMacLimbs, TraceParams{}.extended());
 }
@@ -198,6 +206,234 @@ TEST_P(DnumSweepTest, EvkSizeGrowsWithDnum)
 
 INSTANTIATE_TEST_SUITE_P(Dnums, DnumSweepTest,
                          ::testing::Values<size_t>(2, 3, 4, 6));
+
+// ---------------------------------------------------------------------
+// Pinned trace digests: the differential oracle for any change to the
+// trace record or the builders. Each digest covers every field of
+// every op, so a refactor that keeps them keeps every simulated output
+// built on these traces.
+
+/** FNV-1a over the bytes of each 64-bit word and of each text. */
+class Fnv1a
+{
+  public:
+    void
+    add(uint64_t word)
+    {
+        for (int byte = 0; byte < 8; ++byte)
+            mix(static_cast<unsigned char>(word >> (8 * byte)));
+    }
+
+    void
+    add(const std::string &text)
+    {
+        for (const char c : text)
+            mix(static_cast<unsigned char>(c));
+        mix(0);
+    }
+
+    uint64_t value() const { return hash_; }
+
+  private:
+    void
+    mix(unsigned char byte)
+    {
+        hash_ = (hash_ ^ byte) * 1099511628211ULL;
+    }
+
+    uint64_t hash_ = 14695981039346656037ULL;
+};
+
+/** Every field of every op, with the phase as its text, so the digests
+ *  hold whatever type the record stores the phase in. */
+uint64_t
+traceDigest(const OpSequence &seq)
+{
+    Fnv1a hash;
+    hash.add(seq.name);
+    hash.add(static_cast<uint64_t>(seq.n));
+    hash.add(static_cast<uint64_t>(seq.ops.size()));
+    for (const KernelOp &op : seq.ops) {
+        hash.add(static_cast<uint64_t>(op.type));
+        hash.add(tracePhaseName(op.phase));
+        hash.add(static_cast<uint64_t>(op.n));
+        hash.add(static_cast<uint64_t>(op.limbs));
+        hash.add(static_cast<uint64_t>(op.fanIn));
+        hash.add(static_cast<uint64_t>(op.pimEligible));
+        hash.add(static_cast<uint64_t>(op.reads.size()));
+        for (const Operand &operand : op.reads) {
+            hash.add(static_cast<uint64_t>(operand.kind));
+            hash.add(static_cast<uint64_t>(operand.limbs));
+        }
+        hash.add(static_cast<uint64_t>(op.writes.size()));
+        for (const Operand &operand : op.writes) {
+            hash.add(static_cast<uint64_t>(operand.kind));
+            hash.add(static_cast<uint64_t>(operand.limbs));
+        }
+    }
+    return hash.value();
+}
+
+/** fftIter as the labels print it: one decimal. */
+std::string
+fftLabel(double fftIter)
+{
+    char text[16];
+    std::snprintf(text, sizeof(text), "%.1f", fftIter);
+    return text;
+}
+
+/** The pinned sequences, each under a label naming its builder call. */
+std::vector<std::pair<std::string, OpSequence>>
+pinnedSequences()
+{
+    std::vector<std::pair<std::string, OpSequence>> seqs;
+    for (auto &[info, seq] : makeAllWorkloads())
+        seqs.emplace_back(std::string("workload/") + info.name,
+                          std::move(seq));
+    const struct {
+        const char *name;
+        TraceLtAlgorithm algorithm;
+    } algorithms[] = {{"Base", TraceLtAlgorithm::Base},
+                      {"Hoisting", TraceLtAlgorithm::Hoisting},
+                      {"MinKS", TraceLtAlgorithm::MinKS}};
+    const TraceParams params;
+    for (const double fftIter : {3.0, 3.5, 4.0, 5.0, 6.0}) {
+        for (const auto &algo : algorithms) {
+            seqs.emplace_back("boot/" + fftLabel(fftIter) + "/" +
+                                  algo.name,
+                              buildBootstrap(params, fftIter,
+                                             algo.algorithm));
+        }
+    }
+    for (const bool basicFuse : {false, true}) {
+        for (const bool autFuse : {false, true}) {
+            TraceOptions options;
+            options.basicFuse = basicFuse;
+            options.autFuse = autFuse;
+            seqs.emplace_back("boot/3.5/Hoisting/basic" +
+                                  std::to_string(basicFuse) + "/aut" +
+                                  std::to_string(autFuse),
+                              buildBootstrap(params, 3.5,
+                                             TraceLtAlgorithm::Hoisting,
+                                             options));
+        }
+    }
+    for (const size_t k : {8u, 9u, 16u}) {
+        for (const auto &algo : algorithms) {
+            for (const bool basicFuse : {false, true}) {
+                TraceOptions options;
+                options.basicFuse = basicFuse;
+                seqs.emplace_back("lt/" + std::to_string(k) + "/" +
+                                      algo.name + "/basic" +
+                                      std::to_string(basicFuse),
+                                  buildLinearTransform(params, k,
+                                                       algo.algorithm,
+                                                       options));
+            }
+        }
+    }
+    const std::pair<std::string, TraceParams> paramSets[] = {
+        {"default", TraceParams{}},
+        {"dnum2", TraceParams::forDnum(2)},
+        {"dnum3", TraceParams::forDnum(3)},
+        {"dnum4", TraceParams::forDnum(4)},
+        {"dnum6", TraceParams::forDnum(6)},
+    };
+    for (const auto &[label, p] : paramSets) {
+        seqs.emplace_back("HAdd/" + label, buildHAdd(p));
+        seqs.emplace_back("PMult/" + label, buildPMult(p));
+        seqs.emplace_back("HMult/" + label, buildHMult(p));
+        seqs.emplace_back("HRot/" + label, buildHRot(p));
+        seqs.emplace_back("Rescale/" + label, buildRescale(p));
+    }
+    return seqs;
+}
+
+TEST(TraceDigest, BuildersMatchPinnedDigests)
+{
+    const std::map<std::string, uint64_t> pinned = {
+        {"workload/Boot", 0x85eb8be4716128f7ULL},
+        {"workload/HELR", 0xca1369e0e05f22fbULL},
+        {"workload/Sort", 0x924c1f25371afd6fULL},
+        {"workload/RNN", 0x73118eda2918d67dULL},
+        {"workload/ResNet20", 0xf9219a6990e9e065ULL},
+        {"workload/ResNet18-AESPA", 0x10a8c9a7d1c61069ULL},
+        {"boot/3.0/Base", 0xe966f6c153d61bbdULL},
+        {"boot/3.0/Hoisting", 0xc394afc686893185ULL},
+        {"boot/3.0/MinKS", 0xe966f6c153d61bbdULL},
+        {"boot/3.5/Base", 0x6f263b31e547e9e5ULL},
+        {"boot/3.5/Hoisting", 0xbc3903589f91ac03ULL},
+        {"boot/3.5/MinKS", 0x6f263b31e547e9e5ULL},
+        {"boot/4.0/Base", 0xa98e2ba8462fe496ULL},
+        {"boot/4.0/Hoisting", 0x99da1850a6b5d410ULL},
+        {"boot/4.0/MinKS", 0xa98e2ba8462fe496ULL},
+        {"boot/5.0/Base", 0x857c4f01130c29aeULL},
+        {"boot/5.0/Hoisting", 0xea906990d689c4a8ULL},
+        {"boot/5.0/MinKS", 0x857c4f01130c29aeULL},
+        {"boot/6.0/Base", 0x789dd4087cabeab2ULL},
+        {"boot/6.0/Hoisting", 0x8c4552a3ca265a46ULL},
+        {"boot/6.0/MinKS", 0x789dd4087cabeab2ULL},
+        {"boot/3.5/Hoisting/basic0/aut0", 0xe53877fbb165a083ULL},
+        {"boot/3.5/Hoisting/basic0/aut1", 0x38f689f052435e63ULL},
+        {"boot/3.5/Hoisting/basic1/aut0", 0xfcaa484fc37b1e29ULL},
+        {"boot/3.5/Hoisting/basic1/aut1", 0xbc3903589f91ac03ULL},
+        {"lt/8/Base/basic0", 0xf6dbf395a95c45e5ULL},
+        {"lt/8/Base/basic1", 0x6a3112cda4c27735ULL},
+        {"lt/8/Hoisting/basic0", 0x122932540c305986ULL},
+        {"lt/8/Hoisting/basic1", 0xbd06c726ae697055ULL},
+        {"lt/8/MinKS/basic0", 0xf6dbf395a95c45e5ULL},
+        {"lt/8/MinKS/basic1", 0x6a3112cda4c27735ULL},
+        {"lt/9/Base/basic0", 0xaeb5d621c9432e3aULL},
+        {"lt/9/Base/basic1", 0x36e0055337165f29ULL},
+        {"lt/9/Hoisting/basic0", 0x1baa1a41b978f335ULL},
+        {"lt/9/Hoisting/basic1", 0xc1e99f2bf50e6027ULL},
+        {"lt/9/MinKS/basic0", 0xaeb5d621c9432e3aULL},
+        {"lt/9/MinKS/basic1", 0x36e0055337165f29ULL},
+        {"lt/16/Base/basic0", 0xa9b13b1aee2b1a72ULL},
+        {"lt/16/Base/basic1", 0x23bcee1f3358f427ULL},
+        {"lt/16/Hoisting/basic0", 0xc24253e6b1d7f4d4ULL},
+        {"lt/16/Hoisting/basic1", 0x98607442157f1558ULL},
+        {"lt/16/MinKS/basic0", 0xa9b13b1aee2b1a72ULL},
+        {"lt/16/MinKS/basic1", 0x23bcee1f3358f427ULL},
+        {"HAdd/default", 0x39c2102f18d3f65dULL},
+        {"PMult/default", 0xc9972e4875c9cee8ULL},
+        {"HMult/default", 0x25392f130354fab4ULL},
+        {"HRot/default", 0xed1ef4c5db84925aULL},
+        {"Rescale/default", 0xee45397f7c242b11ULL},
+        {"HAdd/dnum2", 0x1ab1033c896a20f1ULL},
+        {"PMult/dnum2", 0x65cbdb3c18710d48ULL},
+        {"HMult/dnum2", 0x50aead65147d5856ULL},
+        {"HRot/dnum2", 0x386af383026d0990ULL},
+        {"Rescale/dnum2", 0x9a10a6598680f6adULL},
+        {"HAdd/dnum3", 0x2290483f7fc47ec9ULL},
+        {"PMult/dnum3", 0xf2ea26fbd8cd07c8ULL},
+        {"HMult/dnum3", 0x3bb5dff8af4fb5b3ULL},
+        {"HRot/dnum3", 0x7a6e1c8463ce9cd9ULL},
+        {"Rescale/dnum3", 0x302182a27c9d6e35ULL},
+        {"HAdd/dnum4", 0x39c2102f18d3f65dULL},
+        {"PMult/dnum4", 0xc9972e4875c9cee8ULL},
+        {"HMult/dnum4", 0x25392f130354fab4ULL},
+        {"HRot/dnum4", 0xed1ef4c5db84925aULL},
+        {"Rescale/dnum4", 0xee45397f7c242b11ULL},
+        {"HAdd/dnum6", 0x57702eaf914be42dULL},
+        {"PMult/dnum6", 0x1db9c4d64c8f6568ULL},
+        {"HMult/dnum6", 0x292c8f859da4cddfULL},
+        {"HRot/dnum6", 0xa91a10108c173687ULL},
+        {"Rescale/dnum6", 0xb102c9665f564aa9ULL},
+    };
+    const auto seqs = pinnedSequences();
+    ASSERT_EQ(seqs.size(), pinned.size());
+    for (const auto &[label, seq] : seqs) {
+        const auto it = pinned.find(label);
+        ASSERT_NE(it, pinned.end()) << label;
+        char actual[32];
+        std::snprintf(actual, sizeof(actual), "0x%016llx",
+                      static_cast<unsigned long long>(traceDigest(seq)));
+        EXPECT_EQ(traceDigest(seq), it->second)
+            << label << " now digests to " << actual;
+    }
+}
 
 } // namespace
 } // namespace anaheim
