@@ -99,10 +99,6 @@ struct AnaheimConfig {
     DramConfig dram;
     PimConfig pim;
     bool pimEnabled = true;
-    /** GPU-side producer-consumer fusion of element-wise chains
-     *  (ModDown fusion of [38] and friends). BasicFuse and AutFuse
-     *  are trace-builder options (TraceOptions). */
-    bool extraFuse = true;
     ResilienceConfig resilience;
 
     /** A100 80GB with near-bank PIM (Table III column 1). */

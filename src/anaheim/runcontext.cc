@@ -148,9 +148,12 @@ RunContext::pimModel() const
 bool
 RunContext::fusesWithPrev(size_t i) const
 {
-    // ModSwitch chains (INTT -> BConv -> NTT) fuse unconditionally as
-    // in Cheddar/100x [38]; element-wise chains need the ExtraFuse flag
-    // (the +ExtraFuse arm of Fig. 10).
+    // A GPU op reads its GPU predecessor's intermediates from cache
+    // when both sit in one phase and they are not both element-wise:
+    // ModSwitch chains (INTT -> BConv -> NTT) fuse as in Cheddar/100x
+    // [38]. Element-wise chains are BasicFuse's: the trace builders
+    // fold them into one kernel (TraceOptions), so an unfused trace
+    // pays each link's DRAM round trip.
     if (i == 0 || onPimFlags_[i] || onPimFlags_[i - 1])
         return false;
     const KernelOp &op = seq_.ops[i];
@@ -162,10 +165,8 @@ RunContext::fusesWithPrev(size_t i) const
         readsIntermediate |= operand.kind == OperandKind::Intermediate;
     if (!readsIntermediate)
         return false;
-    const bool elementWiseChain =
-        kernelClass(op.type) == KernelClass::ElementWise &&
-        kernelClass(prev.type) == KernelClass::ElementWise;
-    return elementWiseChain ? config_.extraFuse : true;
+    return kernelClass(op.type) != KernelClass::ElementWise ||
+           kernelClass(prev.type) != KernelClass::ElementWise;
 }
 
 void

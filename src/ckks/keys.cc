@@ -101,18 +101,6 @@ KeyGenerator::makeGaloisKey(uint64_t galoisElt)
     return makeSwitchingKey(secret_.s.automorphism(galoisElt));
 }
 
-EvalKey
-KeyGenerator::makeRotationKey(int rotation)
-{
-    return makeGaloisKey(rotationGaloisElt(rotation, context_.degree()));
-}
-
-EvalKey
-KeyGenerator::makeConjugationKey()
-{
-    return makeGaloisKey(conjugationGaloisElt(context_.degree()));
-}
-
 GaloisKeys
 KeyGenerator::makeGaloisKeys(const std::vector<int> &rotations,
                              bool withConjugation)

@@ -62,12 +62,6 @@ class KeyGenerator
     /** Key for the Galois automorphism X -> X^k. */
     EvalKey makeGaloisKey(uint64_t galoisElt);
 
-    /** Key for cyclic slot rotation by r (k = 5^r mod 2N). */
-    EvalKey makeRotationKey(int rotation);
-
-    /** Key for slot conjugation (k = 2N - 1). */
-    EvalKey makeConjugationKey();
-
     /** Galois keys for all rotations in `rotations` (+ conjugation when
      *  requested). */
     GaloisKeys makeGaloisKeys(const std::vector<int> &rotations,

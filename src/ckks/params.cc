@@ -16,24 +16,6 @@ CkksParams::validate() const
     ANAHEIM_ASSERT(firstModulusBits <= 59, "prime width beyond 59 bits");
 }
 
-double
-CkksParams::maxLogPQ(size_t n)
-{
-    // Homomorphic-encryption-standard style bound, linear in N; anchored
-    // at the value the paper uses (log PQ < 1623 at N = 2^16) [19].
-    return 1623.0 * static_cast<double>(n) / 65536.0;
-}
-
-bool
-CkksParams::satisfies128BitSecurity() const
-{
-    const double logQ =
-        static_cast<double>(firstModulusBits) +
-        static_cast<double>(levels - 1) * logScale;
-    const double logP = static_cast<double>(alpha) * firstModulusBits;
-    return logQ + logP < maxLogPQ(n);
-}
-
 CkksParams
 CkksParams::testParams(size_t n, size_t levels, size_t alpha)
 {
@@ -44,21 +26,6 @@ CkksParams::testParams(size_t n, size_t levels, size_t alpha)
     params.logScale = 40;
     params.firstModulusBits = 52;
     params.validate();
-    return params;
-}
-
-CkksParams
-CkksParams::paperParams()
-{
-    CkksParams params;
-    params.n = size_t{1} << 16;
-    params.levels = 54;
-    params.alpha = 14;
-    // The paper stores 28-bit primes and reaches Delta = 2^48..2^55 via
-    // double-prime scaling [1]; for modeling purposes the logical scale
-    // is what matters.
-    params.logScale = 48;
-    params.firstModulusBits = 55;
     return params;
 }
 

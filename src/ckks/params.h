@@ -1,12 +1,11 @@
 /**
  * @file
- * CKKS parameter set (Table IV of the paper).
+ * CKKS parameter set of the functional library.
  *
- * The functional library accepts any ring degree and prime width; the
- * paper's hardware-model configuration (N = 2^16, 28-bit primes with
- * double-prime scaling, L <= 54, alpha <= 14, D = 4) is provided as a
- * named preset used by the trace/performance layers, while functional
- * tests default to small rings with wide primes for speed and precision.
+ * The library accepts any ring degree and prime width; its tests
+ * default to small rings with wide primes for speed and precision. The
+ * paper's hardware-model configuration (Table IV: N = 2^16, L = 54,
+ * alpha = 14, D = 4) lives with the trace builders, as `TraceParams`.
  */
 
 #ifndef ANAHEIM_CKKS_PARAMS_H
@@ -41,23 +40,9 @@ struct CkksParams {
     /** Abort (fatal) when the combination is internally inconsistent. */
     void validate() const;
 
-    /**
-     * Whether log2(PQ) respects the 128-bit-security bound for this N,
-     * following the lattice-estimate table the paper cites [19]: the
-     * paper's headline configuration keeps log PQ < 1623 at N = 2^16.
-     */
-    bool satisfies128BitSecurity() const;
-
-    /** Upper bound on log2(PQ) for 128-bit security at ring degree n. */
-    static double maxLogPQ(size_t n);
-
     /** Small functional-test parameters (fast on one CPU core). */
     static CkksParams testParams(size_t n = 1 << 10, size_t levels = 6,
                                  size_t alpha = 2);
-
-    /** The paper's default evaluation parameters (Table IV); used by the
-     *  analytical trace generators, not for functional execution. */
-    static CkksParams paperParams();
 
     /** Parameters sized for the functional bootstrapping test. */
     static CkksParams bootstrapParams(size_t n = 1 << 11);

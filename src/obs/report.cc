@@ -246,7 +246,6 @@ configSummary(const AnaheimConfig &config)
                     std::to_string(config.pim.bufferEntries));
     kv.emplace_back("pim_column_partition",
                     config.pim.columnPartition ? "true" : "false");
-    kv.emplace_back("fusion_extra", config.extraFuse ? "true" : "false");
     kv.emplace_back("ber", formatDouble(config.resilience.ber));
     kv.emplace_back("lane_ber", formatDouble(config.resilience.laneBer));
     kv.emplace_back("ecc_enabled",

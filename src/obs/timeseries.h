@@ -115,7 +115,8 @@ class TimeSeries
      *  values and negative timestamps are dropped (counted in
      *  `obs.dropped_samples`); observations older than the retained
      *  ring are dropped and counted in the snapshot's `droppedLate`.
-     *  No-op (one relaxed load) while sampling is disabled. */
+     *  There is no sampling switch here: a caller that samples
+     *  nothing builds no series (the serve layer at `tickNs = 0`). */
     void observe(double simNs, double value);
 
     /** Materialize every window up to (and containing) `simNs`, so

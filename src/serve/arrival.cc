@@ -11,14 +11,10 @@ std::vector<std::vector<double>>
 buildArrivals(const ServeConfig &serve)
 {
     ANAHEIM_ASSERT(serve.streams > 0, "serving needs at least 1 stream");
-    std::vector<std::vector<double>> arrivals(serve.streams);
-    for (auto &stream : arrivals)
-        stream.assign(serve.requestsPerStream, 0.0);
-    if (serve.arrival == ArrivalKind::Closed)
-        return arrivals;
-
     ANAHEIM_ASSERT(serve.offeredRps > 0.0,
                    "open-loop arrivals need a positive offered rate");
+    std::vector<std::vector<double>> arrivals(
+        serve.streams, std::vector<double>(serve.requestsPerStream));
     const double perStreamRps =
         serve.offeredRps / static_cast<double>(serve.streams);
     const double meanGapNs = 1e9 / perStreamRps;

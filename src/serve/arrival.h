@@ -4,9 +4,7 @@
  * stream gets a pre-generated, sorted list of request arrival times so
  * the offered load is a pure function of (ServeConfig) and never of the
  * schedule. Poisson arrivals draw exponential inter-arrival gaps from
- * the stream's own deterministic RNG stream; closed-loop streams carry
- * no timestamps (the scheduler releases the next request when the
- * previous one completes).
+ * the stream's own deterministic RNG stream.
  */
 
 #ifndef ANAHEIM_SERVE_ARRIVAL_H
@@ -21,14 +19,10 @@ namespace anaheim::serve {
 /**
  * Arrival timestamps (ns, ascending) for every stream:
  * `arrivals[s][k]` is when request k of stream s enters the system.
- *
- * OpenPoisson: stream s draws `requestsPerStream` exponential gaps at
- * rate `offeredRps / streams` from Rng(arrivalSeed mixed with s), so
- * the aggregate offered load is `offeredRps` and every stream's
- * schedule is independent of every other's.
- *
- * Closed: all timestamps are 0 — admission is completion-driven and
- * the scheduler stamps the real arrival at release time.
+ * Stream s draws `requestsPerStream` exponential gaps at rate
+ * `offeredRps / streams` from Rng(arrivalSeed mixed with s), so the
+ * aggregate offered load is `offeredRps` and every stream's schedule is
+ * independent of every other's.
  */
 std::vector<std::vector<double>> buildArrivals(const ServeConfig &serve);
 

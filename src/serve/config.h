@@ -16,13 +16,6 @@
 
 namespace anaheim {
 
-/** Arrival process the serving scheduler (src/serve) drives streams
- *  with. */
-enum class ArrivalKind {
-    Closed,      ///< next request starts when the previous completes
-    OpenPoisson, ///< open-loop Poisson arrivals at offeredRps
-};
-
 /** Streaming time-series telemetry for a serving run (DESIGN.md §17):
  *  the scheduler samples per-device and per-tenant series on a fixed
  *  simulated-time tick and feeds a fast/slow-window SLO burn-rate
@@ -40,9 +33,9 @@ struct ServeTelemetryConfig : obs::BurnRateConfig {
 struct ServeConfig {
     /** Concurrent client streams (tenants). */
     size_t streams = 8;
-    ArrivalKind arrival = ArrivalKind::OpenPoisson;
     /** Aggregate offered load across all streams, requests/second of
-     *  simulated time (split evenly per stream). */
+     *  simulated time (split evenly per stream); requests arrive
+     *  open-loop, as Poisson processes (serve/arrival.h). */
     double offeredRps = 100.0;
     /** Requests generated per stream before the arrival process
      *  stops; at most serve::kMaxRequestsPerStream. */

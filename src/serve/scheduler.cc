@@ -80,7 +80,7 @@ struct StreamState {
     size_t priority = 0;
     /** Relative deadline (<= 0 = deadline-free). */
     double deadlineRelNs = 0.0;
-    /** Open-loop arrival timestamps; unused entries for closed-loop. */
+    /** Arrival timestamps, ascending (buildArrivals). */
     std::vector<double> arrivals;
     /** Next request index not yet released into the queue. */
     size_t nextArrival = 0;
@@ -91,9 +91,6 @@ struct StreamState {
     bool activeStarted = false;
     /** Preempted between steps; its next dispatch pays the restore. */
     bool preempted = false;
-    /** Completion time of the stream's last finished request — the
-     *  release time of the next closed-loop request. */
-    double lastEndNs = 0.0;
     /** Per-tenant rate limiter (absent when rateLimitRps == 0). */
     std::optional<TokenBucket> bucket;
     /** On the engine's activation list. */
@@ -300,14 +297,11 @@ ServeEngine::wouldMissDeadline(size_t s, size_t k, double startNs) const
     return earliest > req.deadlineNs;
 }
 
-// Fill empty run slots from the queues; closed-loop streams release
-// their next request the moment the slot frees up. A rejected or shed
-// release immediately falls through to the next candidate, so one bad
-// request can never wedge its stream (pinned by
-// Serve.ClosedLoopRejectionReleasesNext). Only listed streams can have
-// work to do; they go in index order, because releases, sheds and
-// their telemetry samples and Perfetto spans are recorded in call
-// order.
+// Fill empty run slots from the queues. A request shed at activation
+// immediately falls through to the next one queued, so one bad request
+// never wedges its stream. Only listed streams can have work to do;
+// they go in index order, because sheds and their telemetry samples
+// and Perfetto spans are recorded in call order.
 void
 ServeEngine::activate()
 {
@@ -315,19 +309,7 @@ ServeEngine::activate()
     for (const size_t s : toActivate_) {
         StreamState &st = streams_[s];
         st.activationQueued = false;
-        while (!st.active) {
-            if (st.queue.empty()) {
-                // A closed-loop stream releases its next request the
-                // moment the slot is free — including when the
-                // previous release was rejected or shed, so one bad
-                // request never strands the rest of the stream.
-                if (serve_.arrival != ArrivalKind::Closed ||
-                    st.nextArrival >= serve_.requestsPerStream)
-                    break;
-                const size_t k = st.nextArrival++;
-                release(s, k, std::max(now_, st.lastEndNs));
-                continue;
-            }
+        while (!st.active && !st.queue.empty()) {
             const size_t k = st.queue.front();
             st.queue.pop_front();
             recorder_->dequeued(s);
@@ -445,7 +427,6 @@ ServeEngine::stepStream(size_t s, double startNs, bool suppressTransition)
         req.result = st.active->finish();
         st.active.reset();
         st.preempted = false; // nothing left to restore
-        st.lastEndNs = end;
         ++stats.completed;
         req.deadlineMet = end <= req.deadlineNs;
         if (req.deadlineMet)
@@ -552,8 +533,7 @@ ServeEngine::run()
     std::vector<size_t> priorities(streams_.size());
     for (size_t s = 0; s < streams_.size(); ++s) {
         priorities[s] = streams_[s].priority;
-        if (serve_.arrival == ArrivalKind::OpenPoisson &&
-            !streams_[s].arrivals.empty())
+        if (!streams_[s].arrivals.empty())
             arrivals_.emplace(streams_[s].arrivals.front(), s);
         queueActivation(s);
     }

@@ -50,8 +50,8 @@ enum class RejectCause {
 struct ServeRequest {
     size_t stream = 0;
     size_t index = 0;
-    /** When the request entered the system (open-loop: generated
-     *  arrival; closed-loop: release time). */
+    /** When the request entered the system: its generated arrival
+     *  (serve/arrival.h). */
     double arrivalNs = 0.0;
     /** First simulated instant the request held a device. */
     double startNs = 0.0;

@@ -4,9 +4,10 @@
  * functions, linear transforms and bootstrapping at the paper's
  * parameters (Fig. 1 and Fig. 5 flows).
  *
- * Builders are purely analytical — they enumerate the same kernels the
- * functional library executes (cross-checked by tests), but at N = 2^16
- * scale where functional execution would be wasteful.
+ * Builders are purely analytical — they enumerate the kernels the
+ * functional library executes, at N = 2^16 scale where functional
+ * execution would be wasteful. No test yet compares their kernel counts
+ * with the library's; that cross-check is open work (ROADMAP item 7).
  */
 
 #ifndef ANAHEIM_TRACE_BUILDERS_H

@@ -50,25 +50,15 @@ validateTrace(const OpSequence &seq)
     return issues;
 }
 
-Status
-checkTraceStatus(const OpSequence &seq)
-{
-    const auto issues = validateTrace(seq);
-    if (issues.empty())
-        return Status::okStatus();
-    return Status(ErrorCode::InvalidArgument,
-                  detail::composeMessage(
-                      "invalid trace '", seq.name, "': op ",
-                      issues[0].opIndex, ": ", issues[0].description,
-                      " (", issues.size(), " issue(s) total)"));
-}
-
 void
 checkTrace(const OpSequence &seq)
 {
-    const Status status = checkTraceStatus(seq);
-    if (!status.ok())
-        throw AnaheimError(status.code(), status.message());
+    const auto issues = validateTrace(seq);
+    if (!issues.empty())
+        ANAHEIM_RAISE(InvalidArgument, "invalid trace '", seq.name,
+                      "': op ", issues[0].opIndex, ": ",
+                      issues[0].description, " (", issues.size(),
+                      " issue(s) total)");
 }
 
 } // namespace anaheim

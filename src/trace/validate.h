@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/status.h"
 #include "kernel.h"
 
 namespace anaheim {
@@ -26,12 +25,9 @@ struct TraceIssue {
 /** Collect every structural problem in the sequence (empty == valid).*/
 std::vector<TraceIssue> validateTrace(const OpSequence &seq);
 
-/** Status form: Ok when the trace is valid, InvalidArgument naming the
- *  first problem (and the total count) otherwise. */
-Status checkTraceStatus(const OpSequence &seq);
-
-/** Throw AnaheimError(InvalidArgument) on the first problem; use at
- *  trace-construction time. Callers may catch and recover. */
+/** Throw AnaheimError(InvalidArgument) naming the first problem (and
+ *  the total count); use at trace-construction time. Callers may catch
+ *  and recover. */
 void checkTrace(const OpSequence &seq);
 
 } // namespace anaheim

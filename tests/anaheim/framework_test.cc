@@ -199,20 +199,23 @@ TEST_F(FrameworkTest, EdpImprovesWithPim)
     }
 }
 
-TEST_F(FrameworkTest, ExtraFuseHelpsGpuOnlyRuns)
+TEST_F(FrameworkTest, ModSwitchChainsFuseOnTheGpu)
 {
-    TraceOptions noBasic;
-    noBasic.basicFuse = false;
-    const auto unfused = buildBootstrap(TraceParams{}, 3.5,
-                                        TraceLtAlgorithm::Hoisting,
-                                        noBasic);
+    // A GPU op reads its same-phase predecessor's intermediates from
+    // cache unless both are element-wise (RunContext::fusesWithPrev),
+    // so HRot's INTT -> BConv -> NTT chains skip their DRAM round
+    // trips. Alternating two phases breaks every chain.
     AnaheimConfig config = AnaheimConfig::a100NearBank();
     config.pimEnabled = false;
-    config.extraFuse = false;
-    const auto without = run(unfused, config);
-    config.extraFuse = true;
-    const auto with = run(unfused, config);
-    EXPECT_LT(with.totalNs, without.totalNs);
+    const OpSequence hrot = buildHRot(TraceParams{});
+    OpSequence unchained = hrot;
+    for (size_t i = 0; i < unchained.ops.size(); ++i)
+        unchained.ops[i].phase =
+            i % 2 == 0 ? TracePhase::ModUp : TracePhase::ModDown;
+    const auto fused = run(hrot, config);
+    const auto unfused = run(unchained, config);
+    EXPECT_LT(fused.gpuDramBytes, unfused.gpuDramBytes);
+    EXPECT_LT(fused.totalNs, unfused.totalNs);
 }
 
 TEST(CanonicalTimeline, MatchesStableSortOnShuffledTies)

@@ -17,21 +17,6 @@ TEST(CkksParams, DnumMatchesDefinition)
     EXPECT_EQ(params.dnum(), 1u);
 }
 
-TEST(CkksParams, PaperParamsMatchTableIV)
-{
-    const auto params = CkksParams::paperParams();
-    EXPECT_EQ(params.n, size_t{1} << 16);
-    EXPECT_EQ(params.levels, 54u);
-    EXPECT_EQ(params.alpha, 14u);
-    EXPECT_EQ(params.dnum(), 4u); // D = 4, the paper's default
-}
-
-TEST(CkksParams, SecurityBoundAnchoredAtPaperValue)
-{
-    EXPECT_NEAR(CkksParams::maxLogPQ(1 << 16), 1623.0, 1e-9);
-    EXPECT_NEAR(CkksParams::maxLogPQ(1 << 15), 1623.0 / 2, 1e-9);
-}
-
 TEST(CkksParams, TestParamsAreSmallAndValid)
 {
     const auto params = CkksParams::testParams();

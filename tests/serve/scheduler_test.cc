@@ -417,39 +417,6 @@ TEST(Serve, DeadlineSheddingDropsGuaranteedMisses)
     }
 }
 
-TEST(Serve, ClosedLoopRejectionReleasesNext)
-{
-    // A rate-limited closed-loop stream must keep draining: each
-    // rejection immediately releases the stream's next request, so
-    // every request resolves (the pre-fix scheduler stranded the
-    // remainder of the stream and under-reported totals).
-    const AnaheimFramework fw(AnaheimConfig::a100NearBank());
-    const auto traces = mixedTraces();
-    ServeConfig serve;
-    serve.streams = 2;
-    serve.requestsPerStream = 5;
-    serve.arrival = ArrivalKind::Closed;
-    serve.rateLimitRps = 1000.0; // slower than the service rate
-    serve.rateLimitBurst = 1.0;
-    const auto result = serve::ServeScheduler(fw, serve).run(traces);
-
-    EXPECT_EQ(result.stats.completed + result.stats.rejected,
-              static_cast<uint64_t>(serve.streams) *
-                  serve.requestsPerStream);
-    EXPECT_GT(result.stats.rejectedRateLimited, 0u);
-    // The bucket starts full, so every stream serves at least one.
-    for (const auto &stream : result.streams) {
-        uint64_t done = 0;
-        for (const auto &req : stream.requests) {
-            done += !req.rejected;
-            // Resolved one way or the other — nothing stranded.
-            EXPECT_TRUE(req.rejected || req.endNs > 0.0);
-        }
-        EXPECT_GE(done, 1u);
-    }
-    expectCausePartition(result, serve);
-}
-
 TEST(Serve, PreemptionLeavesRunResultsIdentical)
 {
     // Preemption changes WHO waits, never WHAT any run computes: the
@@ -762,59 +729,38 @@ TEST(Serve, DispatchOrderMatchesPinnedDigests)
     // stream for each decision, so any faster way of finding the next
     // candidate, its batch followers, the next arrival or the slots to
     // refill must keep that dispatch order exactly. Matrix bits:
-    // preemption, overlap, batching, closed loop, 3 priority classes,
-    // SLO stack, chaos device.
-    static constexpr uint64_t kMatrix[128] = {
+    // preemption, overlap, batching, 3 priority classes, SLO stack,
+    // chaos device.
+    static constexpr uint64_t kMatrix[64] = {
         0x5ec94b7cf0f588d2ull, 0x5ec94b7cf0f588d2ull, 0x884f6fb98da69d22ull,
         0x884f6fb98da69d22ull, 0x826902918f732373ull, 0x826902918f732373ull,
-        0xd14dff08db0aefcdull, 0xd14dff08db0aefcdull, 0xb392c406b791d276ull,
-        0xb392c406b791d276ull, 0x1ee9fdf37d0f9c76ull, 0x1ee9fdf37d0f9c76ull,
-        0x5aa5ee0f89a21b2ull, 0x5aa5ee0f89a21b2ull, 0x7e75756e55e6ccf5ull,
-        0x7e75756e55e6ccf5ull, 0x89f34965b969342ull, 0x4bffb9776aa3fcd0ull,
-        0x5f7bcb369ac94fdaull, 0x7f2894ef49032af0ull, 0x1262d0639180ed37ull,
-        0x96cba4b5de2fcab8ull, 0x4b858542039458c3ull, 0xc438c34f0665c6beull,
-        0x6213847b888bdf76ull, 0x6213847b888bdf76ull, 0xf79634604794f946ull,
-        0xdfb44400238155baull, 0x6d355279897eaa8aull, 0x395117d6a5ba7c7ull,
-        0x10e1773491b699b9ull, 0xfa0d10005eefb3a7ull, 0xa7ee5b45def12f5dull,
-        0xa7ee5b45def12f5dull, 0x99bb1f33281cb0f3ull, 0x99bb1f33281cb0f3ull,
-        0x806046746bd31752ull, 0x806046746bd31752ull, 0xf98719add4a08340ull,
-        0xf98719add4a08340ull, 0xc29858ebccf24e9eull, 0xc29858ebccf24e9eull,
-        0x929025247445b278ull, 0x929025247445b278ull, 0x9491ddd9e4e2874bull,
-        0x9491ddd9e4e2874bull, 0x6a1d87d51d32b8e5ull, 0x6a1d87d51d32b8e5ull,
+        0xd14dff08db0aefcdull, 0xd14dff08db0aefcdull, 0x89f34965b969342ull,
+        0x4bffb9776aa3fcd0ull, 0x5f7bcb369ac94fdaull, 0x7f2894ef49032af0ull,
+        0x1262d0639180ed37ull, 0x96cba4b5de2fcab8ull, 0x4b858542039458c3ull,
+        0xc438c34f0665c6beull, 0xa7ee5b45def12f5dull, 0xa7ee5b45def12f5dull,
+        0x99bb1f33281cb0f3ull, 0x99bb1f33281cb0f3ull, 0x806046746bd31752ull,
+        0x806046746bd31752ull, 0xf98719add4a08340ull, 0xf98719add4a08340ull,
         0x22a78cf71ee359b2ull, 0x348ddb923b3349faull, 0xcb16ff9be945de24ull,
         0x959c0e16d3488fdcull, 0x8359244579614b93ull, 0x597bc54336633357ull,
-        0xd9f95af47e4569fcull, 0x48ac6e0a415e0e5full, 0x645e4727a093a0a6ull,
-        0x645e4727a093a0a6ull, 0x2f71df55e29910ccull, 0xc6673e9b93e67e4aull,
-        0xb2df7196340a421bull, 0xa0df2a865fcc2af1ull, 0x7abb619cdcc769f9ull,
-        0x7dd41b0f0180e7f8ull, 0x20497db16b430c53ull, 0x20497db16b430c53ull,
-        0x10f7c52727ce7517ull, 0x10f7c52727ce7517ull, 0x2909314778e21f86ull,
-        0x2909314778e21f86ull, 0x65cff72de02b68d7ull, 0x65cff72de02b68d7ull,
-        0xbdbc92cb2db342dfull, 0xbdbc92cb2db342dfull, 0xc2f63cfa31225027ull,
-        0xc2f63cfa31225027ull, 0x184c410d154760e0ull, 0x184c410d154760e0ull,
-        0x1905892e782b30d2ull, 0x1905892e782b30d2ull, 0x62e6b85a8e94074bull,
-        0x62e6b85a8e94074bull, 0x4939181158cb8a33ull, 0xee32646f0b8f6d23ull,
-        0x80ef07aca7aa70b4ull, 0x80ef07aca7aa70b4ull, 0xdc1226ae519f167eull,
-        0xd8e16f96689d2fdeull, 0x59d3bf644a09d17full, 0x59d3bf644a09d17full,
-        0xd9dc85ed32a21d43ull, 0xd6d0b08344148b3ull, 0x7057f63f5f986650ull,
-        0x7057f63f5f986650ull, 0x73327d42a856e4e6ull, 0x507398533132633full,
+        0xd9f95af47e4569fcull, 0x48ac6e0a415e0e5full, 0x20497db16b430c53ull,
+        0x20497db16b430c53ull, 0x10f7c52727ce7517ull, 0x10f7c52727ce7517ull,
+        0x2909314778e21f86ull, 0x2909314778e21f86ull, 0x65cff72de02b68d7ull,
+        0x65cff72de02b68d7ull, 0x62e6b85a8e94074bull, 0x62e6b85a8e94074bull,
+        0x4939181158cb8a33ull, 0xee32646f0b8f6d23ull, 0x80ef07aca7aa70b4ull,
+        0x80ef07aca7aa70b4ull, 0xdc1226ae519f167eull, 0xd8e16f96689d2fdeull,
         0xc0090dc3b9c827b7ull, 0xc0090dc3b9c827b7ull, 0xb33d301d3ba0abb9ull,
         0xb33d301d3ba0abb9ull, 0xcf09c04e6656532ull, 0xcf09c04e6656532ull,
-        0x23ddc6c44c7c0072ull, 0x23ddc6c44c7c0072ull, 0x6d64534eb67c18ceull,
-        0x6d64534eb67c18ceull, 0x72b2be5637fc8f99ull, 0x72b2be5637fc8f99ull,
-        0x1b7639e172163eb1ull, 0x1b7639e172163eb1ull, 0x74688fd0223d1e60ull,
-        0x74688fd0223d1e60ull, 0xcece9f92c2e25e29ull, 0xeb1f1f11190ff7bbull,
-        0xc11992d9b6c8b488ull, 0xbbc413d277fdbe10ull, 0xe9f556eadf806a16ull,
-        0xe9f556eadf806a16ull, 0x20a8ca0778409ac4ull, 0xcbfba3843f38e285ull,
-        0xb3b94cbffada7cbeull, 0xb3b94cbffada7cbeull, 0x91c0fcdf6d59216cull,
-        0x7cb6c97ac05f38ccull, 0x9e19c1dd532e4371ull, 0x9e19c1dd532e4371ull,
-        0x6f60fba76992d7a8ull, 0xca046741074d6f45ull};
+        0x23ddc6c44c7c0072ull, 0x23ddc6c44c7c0072ull, 0xcece9f92c2e25e29ull,
+        0xeb1f1f11190ff7bbull, 0xc11992d9b6c8b488ull, 0xbbc413d277fdbe10ull,
+        0xe9f556eadf806a16ull, 0xe9f556eadf806a16ull, 0x20a8ca0778409ac4ull,
+        0xcbfba3843f38e285ull};
     const AnaheimFramework clean(AnaheimConfig::a100NearBank());
     const AnaheimFramework chaos(chaosDeviceConfig());
     const std::vector<OpSequence> traces = {hmultTrace(), ewTrace(4)};
     const double meanServiceNs = (clean.execute(traces[0]).totalNs +
                                   clean.execute(traces[1]).totalNs) /
                                  2.0;
-    for (size_t cell = 0; cell < 128; ++cell) {
+    for (size_t cell = 0; cell < 64; ++cell) {
         ServeConfig serve;
         serve.streams = 13;
         serve.requestsPerStream = 3;
@@ -822,12 +768,10 @@ TEST(Serve, DispatchOrderMatchesPinnedDigests)
         serve.preemption = (cell & 1) != 0;
         serve.overlap = (cell & 2) != 0;
         serve.batching = (cell & 4) != 0;
-        if ((cell & 8) != 0)
-            serve.arrival = ArrivalKind::Closed;
-        serve.priorityClasses = (cell & 16) != 0 ? 3 : 1;
-        if ((cell & 32) != 0)
+        serve.priorityClasses = (cell & 8) != 0 ? 3 : 1;
+        if ((cell & 16) != 0)
             applySloStack(serve, meanServiceNs);
-        const AnaheimFramework &fw = (cell & 64) != 0 ? chaos : clean;
+        const AnaheimFramework &fw = (cell & 32) != 0 ? chaos : clean;
         const uint64_t got =
             orderDigest(serve::ServeScheduler(fw, serve).run(traces));
         EXPECT_EQ(got, kMatrix[cell])

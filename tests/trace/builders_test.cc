@@ -187,6 +187,71 @@ TEST(TraceBuilders, AutFuseRemovesAutomorphismRoundTrips)
               plain.countType(KernelType::Automorphism));
 }
 
+/** Element-wise ops reading an intermediate that their element-wise
+ *  predecessor in the same phase wrote: the chains BasicFuse folds
+ *  into one kernel. */
+size_t
+elementWiseChains(const OpSequence &seq)
+{
+    size_t chains = 0;
+    for (size_t i = 1; i < seq.ops.size(); ++i) {
+        const KernelOp &op = seq.ops[i];
+        const KernelOp &prev = seq.ops[i - 1];
+        bool readsIntermediate = false;
+        for (const Operand &operand : op.reads)
+            readsIntermediate |= operand.kind == OperandKind::Intermediate;
+        chains += readsIntermediate && op.phase == prev.phase &&
+                  kernelClass(op.type) == KernelClass::ElementWise &&
+                  kernelClass(prev.type) == KernelClass::ElementWise;
+    }
+    return chains;
+}
+
+TEST(TraceBuilders, BasicFuseLeavesNoElementWiseChain)
+{
+    // RunContext::fusesWithPrev never fuses two element-wise GPU ops:
+    // with BasicFuse on, the builders leave no such chain to fuse.
+    for (const auto &[info, seq] : makeAllWorkloads())
+        EXPECT_EQ(elementWiseChains(seq), 0u) << info.name;
+    const TraceParams params;
+    for (const auto algorithm :
+         {TraceLtAlgorithm::Base, TraceLtAlgorithm::Hoisting,
+          TraceLtAlgorithm::MinKS}) {
+        const int algo = static_cast<int>(algorithm);
+        for (const bool autFuse : {false, true}) {
+            TraceOptions fused;
+            fused.autFuse = autFuse;
+            TraceOptions unfused = fused;
+            unfused.basicFuse = false;
+            for (const double fftIter : {3.0, 3.5, 4.0, 5.0, 6.0}) {
+                EXPECT_EQ(elementWiseChains(buildBootstrap(
+                              params, fftIter, algorithm, fused)),
+                          0u)
+                    << "boot " << fftIter << " algorithm " << algo
+                    << " autFuse " << autFuse;
+                // Without BasicFuse the chains are there to be found.
+                EXPECT_GT(elementWiseChains(buildBootstrap(
+                              params, fftIter, algorithm, unfused)),
+                          0u)
+                    << "unfused boot " << fftIter << " algorithm "
+                    << algo << " autFuse " << autFuse;
+            }
+            for (const size_t k : {8u, 9u, 16u}) {
+                EXPECT_EQ(elementWiseChains(buildLinearTransform(
+                              params, k, algorithm, fused)),
+                          0u)
+                    << "lt " << k << " algorithm " << algo
+                    << " autFuse " << autFuse;
+            }
+        }
+    }
+    for (const size_t dnum : {2u, 3u, 4u, 6u}) {
+        const TraceParams p = TraceParams::forDnum(dnum);
+        EXPECT_EQ(elementWiseChains(buildHMult(p)), 0u) << dnum;
+        EXPECT_EQ(elementWiseChains(buildHRot(p)), 0u) << dnum;
+    }
+}
+
 class DnumSweepTest : public ::testing::TestWithParam<size_t>
 {
 };
