@@ -1,8 +1,8 @@
 /**
  * @file
  * Host-side limb-parallel scaling: wall-clock time and speedup of the
- * parallelFor-threaded hot paths (multi-limb NTT, BConv, hybrid
- * keyswitch, and the bootstrap DFT-factor build) at 1/2/4/8 threads.
+ * parallelFor-threaded hot paths (multi-limb NTT, BConv and hybrid
+ * keyswitch) at 1/2/4/8 threads.
  *
  * Also verifies the engine's determinism guarantee end to end: the
  * output at every thread count is compared bitwise against the
@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "bench_util.h"
-#include "boot/dft.h"
 #include "ckks/keys.h"
 #include "ckks/keyswitch.h"
 #include "common/parallel.h"
@@ -92,19 +91,16 @@ run(anaheim::bench::JsonReport &report)
     const KeySwitcher switcher(context);
     const auto ksInput = randomPolynomial(context.qBasis(), 43,
                                           Domain::Eval);
-    const DftPlan dftPlan(size_t{1} << 10, 2);
 
-    std::vector<OpRow> rows(4);
+    std::vector<OpRow> rows(3);
     rows[0].name = "NTT (toEval, 8 limbs)";
     rows[1].name = "BConv (8 -> 2 limbs)";
     rows[2].name = "keyswitch (hybrid)";
-    rows[3].name = "boot DFT factors";
 
     // 1-thread reference outputs for the bitwise-identity check.
     Polynomial nttRef;
     std::vector<CoeffVector> bconvRef;
     Polynomial ksRef0, ksRef1;
-    std::vector<DiagMatrix> dftRef;
 
     for (size_t cfg = 0; cfg < threadCounts.size(); ++cfg) {
         setParallelThreads(threadCounts[cfg]);
@@ -125,26 +121,16 @@ run(anaheim::bench::JsonReport &report)
             {bestMs([&] { ksOut = switcher.keySwitch(ksInput, evk); }),
              true});
 
-        std::vector<DiagMatrix> dftOut;
-        rows[3].results.push_back(
-            {bestMs([&] { dftOut = dftPlan.coeffToSlotFactors(1.0); }),
-             true});
-
         if (cfg == 0) {
             nttRef = nttOut;
             bconvRef = bconvOut;
             ksRef0 = ksOut.first;
             ksRef1 = ksOut.second;
-            dftRef = std::move(dftOut);
         } else {
             rows[0].results[cfg].identical = nttOut == nttRef;
             rows[1].results[cfg].identical = bconvOut == bconvRef;
             rows[2].results[cfg].identical =
                 ksOut.first == ksRef0 && ksOut.second == ksRef1;
-            bool dftSame = dftOut.size() == dftRef.size();
-            for (size_t f = 0; dftSame && f < dftOut.size(); ++f)
-                dftSame = dftOut[f].diagonals() == dftRef[f].diagonals();
-            rows[3].results[cfg].identical = dftSame;
         }
     }
     setParallelThreads(defaultThreadCount());
@@ -165,7 +151,7 @@ run(anaheim::bench::JsonReport &report)
         }
     }
     bench::note("");
-    bench::note("limb/column partitioning only — no accumulation-order "
+    bench::note("limb partitioning only — no accumulation-order "
                 "changes, so 'identical' must read yes everywhere");
     return 0;
 }

@@ -63,7 +63,7 @@ def check_required(obj, required, errors, where="top-level"):
 
 # --- bench_ntt_kernels ---------------------------------------------------
 
-KNOWN_BACKENDS = ("reference", "scalar", "avx2", "avx512")
+KNOWN_BACKENDS = ("reference", "scalar", "avx2", "avx512", "avx512ifma")
 
 
 def ntt_top(doc, errors):

@@ -1,9 +1,9 @@
 #include "dft.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.h"
-#include "common/parallel.h"
 
 namespace anaheim {
 
@@ -33,67 +33,108 @@ DftPlan::DftPlan(size_t slots, size_t fftIter)
 }
 
 void
+DftPlan::forwardButterfly(Complex &lo, Complex &hi, size_t j,
+                          size_t len) const
+{
+    const size_t lenq = len << 2;
+    const size_t idx = (rotGroup_[j] % lenq) * (4 * slots_ / lenq);
+    const Complex u = lo;
+    const Complex v = hi * ksiPows_[idx];
+    lo = u + v;
+    hi = u - v;
+}
+
+void
+DftPlan::inverseButterfly(Complex &lo, Complex &hi, size_t j,
+                          size_t len) const
+{
+    const size_t lenq = len << 2;
+    const size_t idx =
+        (lenq - (rotGroup_[j] % lenq)) * (4 * slots_ / lenq);
+    const Complex u = lo + hi;
+    Complex v = lo - hi;
+    v *= ksiPows_[idx];
+    lo = 0.5 * u;
+    hi = 0.5 * v;
+}
+
+void
 DftPlan::forwardStage(std::vector<Complex> &vals, size_t len) const
 {
-    const size_t m = 4 * slots_;
     const size_t lenh = len >> 1;
-    const size_t lenq = len << 2;
-    // Butterfly blocks touch disjoint slices [i, i + len); one task per
-    // block (nested calls from materialize() run inline).
-    parallelFor(0, slots_ / len, [&](size_t block) {
-        const size_t i = block * len;
-        for (size_t j = 0; j < lenh; ++j) {
-            const size_t idx = (rotGroup_[j] % lenq) * (m / lenq);
-            const Complex u = vals[i + j];
-            const Complex v = vals[i + j + lenh] * ksiPows_[idx];
-            vals[i + j] = u + v;
-            vals[i + j + lenh] = u - v;
-        }
-    });
+    for (size_t i = 0; i < slots_; i += len) {
+        for (size_t j = 0; j < lenh; ++j)
+            forwardButterfly(vals[i + j], vals[i + j + lenh], j, len);
+    }
 }
 
 void
 DftPlan::inverseStage(std::vector<Complex> &vals, size_t len) const
 {
-    const size_t m = 4 * slots_;
     const size_t lenh = len >> 1;
-    const size_t lenq = len << 2;
-    parallelFor(0, slots_ / len, [&](size_t block) {
-        const size_t i = block * len;
-        for (size_t j = 0; j < lenh; ++j) {
-            const size_t idx = (lenq - (rotGroup_[j] % lenq)) * (m / lenq);
-            const Complex u = vals[i + j] + vals[i + j + lenh];
-            Complex v = vals[i + j] - vals[i + j + lenh];
-            v *= ksiPows_[idx];
-            vals[i + j] = 0.5 * u;
-            vals[i + j + lenh] = 0.5 * v;
-        }
-    });
+    for (size_t i = 0; i < slots_; i += len) {
+        for (size_t j = 0; j < lenh; ++j)
+            inverseButterfly(vals[i + j], vals[i + j + lenh], j, len);
+    }
 }
 
 DiagMatrix
 DftPlan::materialize(const std::vector<size_t> &stageLens, bool forward,
                      Complex scale) const
 {
-    // Columns are independent (each propagates one unit vector through
-    // the stages into its own scratch buffer), so they parallelize one
-    // column per task; the per-column arithmetic is exactly the serial
-    // sequence, so results are bitwise identical.
-    std::vector<std::vector<Complex>> dense(
-        slots_, std::vector<Complex>(slots_, 0.0));
-    parallelFor(0, slots_, [&](size_t c) {
-        std::vector<Complex> column(slots_, Complex{0.0, 0.0});
-        column[c] = scale;
-        for (size_t len : stageLens) {
-            if (forward)
-                forwardStage(column, len);
-            else
-                inverseStage(column, len);
+    // A stage of length len pairs position p with p ^ len/2, so unit
+    // column c reaches exactly 2^stages rows, along one butterfly path
+    // each. Propagating only those entries runs every butterfly of the
+    // dense product with the operand the column never reached as an
+    // exact zero: the same floating-point operations in the same order,
+    // so the same values, up to the sign of a zero.
+    const size_t reach = size_t{1} << stageLens.size();
+    std::vector<size_t> rows(slots_ * reach);
+    std::vector<Complex> vals(slots_ * reach);
+    for (size_t c = 0; c < slots_; ++c) {
+        size_t *row = &rows[c * reach];
+        Complex *val = &vals[c * reach];
+        row[0] = c;
+        val[0] = scale;
+        size_t count = 1;
+        for (const size_t len : stageLens) {
+            const size_t lenh = len >> 1;
+            for (size_t t = 0; t < count; ++t) {
+                const bool isHi = (row[t] & lenh) != 0;
+                const size_t lo = row[t] & ~lenh;
+                Complex a = isHi ? Complex{0.0, 0.0} : val[t];
+                Complex b = isHi ? val[t] : Complex{0.0, 0.0};
+                if (forward)
+                    forwardButterfly(a, b, lo & (len - 1), len);
+                else
+                    inverseButterfly(a, b, lo & (len - 1), len);
+                row[t] = lo;
+                val[t] = a;
+                row[t + count] = lo + lenh;
+                val[t + count] = b;
+            }
+            count <<= 1;
         }
-        for (size_t r = 0; r < slots_; ++r)
-            dense[r][c] = column[r];
-    });
-    return DiagMatrix::fromDense(dense);
+    }
+
+    // Entry (r, c) sits on diagonal (c - r) mod n. A diagonal whose
+    // largest entry is at most 1e-12 is dropped, as from a dense scan.
+    constexpr double kTolerance = 1e-12;
+    auto diagonalOf = [&](size_t k) {
+        return (k / reach + slots_ - rows[k]) % slots_;
+    };
+    std::vector<double> maxAbs(slots_, 0.0);
+    for (size_t k = 0; k < rows.size(); ++k) {
+        double &m = maxAbs[diagonalOf(k)];
+        m = std::max(m, std::abs(vals[k]));
+    }
+    DiagMatrix out(slots_);
+    for (size_t k = 0; k < rows.size(); ++k) {
+        const size_t d = diagonalOf(k);
+        if (maxAbs[d] > kTolerance)
+            out.diagonal(d)[rows[k]] = vals[k];
+    }
+    return out;
 }
 
 std::vector<std::vector<size_t>>

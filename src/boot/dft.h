@@ -11,7 +11,7 @@
  * butterfly stages, with no permutation factor anywhere.
  *
  * Stages are grouped into `fftIter` sparse factors (MAD [2]); each group
- * matrix is materialized numerically from the stage operators, which
+ * matrix is materialized numerically from the stage butterflies, which
  * keeps the factorization exactly consistent with the encoder.
  */
 
@@ -57,13 +57,20 @@ class DftPlan
     std::vector<Complex> applySlotToCoeff(std::vector<Complex> vals) const;
 
   private:
+    /** The forward butterfly on the pair (lo, hi) = (x[i + j],
+     *  x[i + j + len/2]) of a block of length `len`, in place. */
+    void forwardButterfly(Complex &lo, Complex &hi, size_t j,
+                          size_t len) const;
+    /** Inverse of forwardButterfly. */
+    void inverseButterfly(Complex &lo, Complex &hi, size_t j,
+                          size_t len) const;
     /** One forward butterfly stage of block length `len`, in place. */
     void forwardStage(std::vector<Complex> &vals, size_t len) const;
     /** Inverse of forwardStage. */
     void inverseStage(std::vector<Complex> &vals, size_t len) const;
 
-    /** Materialize the composition of stages [first, last) of the given
-     *  direction into a diagonal matrix. */
+    /** Materialize the composition of the given stages of one direction
+     *  into a diagonal matrix, one butterfly path per entry. */
     DiagMatrix materialize(const std::vector<size_t> &stageLens,
                            bool forward, Complex scale) const;
 

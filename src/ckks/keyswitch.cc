@@ -1,5 +1,8 @@
 #include "keyswitch.h"
 
+#include <algorithm>
+#include <array>
+
 #include "common/logging.h"
 #include "common/parallel.h"
 #include "obs/trace.h"
@@ -77,8 +80,11 @@ KeySwitcher::keyMult(const std::vector<Polynomial> &digits,
     }
 
     // The evk lives over the full Q || P. Extended limb i is Q limb i
-    // below `level` and P limb i - level above it, so the digits MAC
-    // straight against the key's limbs, one task per limb.
+    // below `level` and P limb i - level above it, so the digits meet
+    // the key's limbs directly: one inner-product call per limb (one
+    // per kMaxDigitsPerCall digits, past that), one task per limb. The
+    // operand tables live on the stack: keyMult allocates only d0/d1.
+    constexpr size_t kMaxDigitsPerCall = 64;
     Polynomial d0(extBasis, Domain::Eval);
     Polynomial d1(extBasis, Domain::Eval);
     const kernels::KernelOps &ops = kernels::active();
@@ -86,12 +92,18 @@ KeySwitcher::keyMult(const std::vector<Polynomial> &digits,
         const size_t keyLimb = i < level ? i : fullLevels + (i - level);
         const Barrett &br = extBasis.table(i).barrett();
         const size_t n = d0.limb(i).size();
-        for (size_t j = 0; j < digits.size(); ++j) {
-            const uint64_t *digit = digits[j].limb(i).data();
-            ops.macBarrett(d0.limb(i).data(), digit,
-                           evk.b[j].limb(keyLimb).data(), n, br);
-            ops.macBarrett(d1.limb(i).data(), digit,
-                           evk.a[j].limb(keyLimb).data(), n, br);
+        std::array<const uint64_t *, kMaxDigitsPerCall> a, b0, b1;
+        for (size_t j0 = 0; j0 < digits.size(); j0 += kMaxDigitsPerCall) {
+            const size_t terms =
+                std::min(kMaxDigitsPerCall, digits.size() - j0);
+            for (size_t t = 0; t < terms; ++t) {
+                a[t] = digits[j0 + t].limb(i).data();
+                b0[t] = evk.b[j0 + t].limb(keyLimb).data();
+                b1[t] = evk.a[j0 + t].limb(keyLimb).data();
+            }
+            ops.dualInnerProduct(d0.limb(i).data(), d1.limb(i).data(),
+                                 a.data(), b0.data(), b1.data(), terms, n,
+                                 br);
         }
     });
     return {std::move(d0), std::move(d1)};

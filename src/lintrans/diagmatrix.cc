@@ -1,7 +1,5 @@
 #include "diagmatrix.h"
 
-#include <cmath>
-
 #include "common/logging.h"
 
 namespace anaheim {
@@ -63,25 +61,6 @@ DiagMatrix::scale(Complex factor)
             v *= factor;
     }
     return *this;
-}
-
-DiagMatrix
-DiagMatrix::fromDense(const std::vector<std::vector<Complex>> &dense,
-                      double tolerance)
-{
-    const size_t n = dense.size();
-    DiagMatrix out(n);
-    for (size_t d = 0; d < n; ++d) {
-        double maxAbs = 0.0;
-        for (size_t i = 0; i < n; ++i)
-            maxAbs = std::max(maxAbs, std::abs(dense[i][(i + d) % n]));
-        if (maxAbs <= tolerance)
-            continue;
-        auto &diag = out.diagonal(d);
-        for (size_t i = 0; i < n; ++i)
-            diag[i] = dense[i][(i + d) % n];
-    }
-    return out;
 }
 
 DiagMatrix

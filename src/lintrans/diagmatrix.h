@@ -48,14 +48,6 @@ class DiagMatrix
     /** Dense element M[row][col]; zero when off every stored diagonal.*/
     Complex at(size_t row, size_t col) const;
 
-    /**
-     * Extract the diagonal form of a dense matrix, dropping diagonals
-     * whose largest entry is below `tolerance`.
-     */
-    static DiagMatrix fromDense(
-        const std::vector<std::vector<Complex>> &dense,
-        double tolerance = 1e-12);
-
     /** Random test matrix with the given diagonal indices. */
     static DiagMatrix random(size_t slots, const std::vector<size_t> &diags,
                              Rng &rng);

@@ -4,12 +4,13 @@
  *
  * The Harvey/Shoup lazy-reduction butterflies and the prepared-operand
  * element-wise paths exist in several interchangeable implementations —
- * scalar, AVX2, and AVX-512 — following the one-interface/many-backends
- * pattern of exafmm's Kernel layer. Each backend is a table of function
- * pointers (KernelOps) compiled in its own translation unit with the
- * matching -m flags; dispatch picks the widest backend the CPU supports
- * at runtime (CPUID), overridable with the ANAHEIM_NTT_BACKEND
- * environment variable or programmatically for tests.
+ * scalar, AVX2, AVX-512F/DQ and AVX-512 IFMA — following the
+ * one-interface/many-backends pattern of exafmm's Kernel layer. Each
+ * backend is a table of function pointers (KernelOps) compiled in its
+ * own translation unit with the matching -m flags; dispatch picks the
+ * widest backend the CPU supports at runtime (CPUID), overridable with
+ * the ANAHEIM_NTT_BACKEND environment variable or programmatically for
+ * tests.
  *
  * All backends are exact: outputs are canonical residues in [0, q), so
  * every backend is bitwise identical to the division-based reference
@@ -63,6 +64,8 @@ enum class Backend {
     Scalar,    ///< Harvey/Shoup lazy kernels, one lane
     Avx2,      ///< 4-lane AVX2
     Avx512,    ///< 8-lane AVX-512F/DQ
+    Avx512Ifma, ///< 8-lane AVX-512 IFMA (52-bit multiply-add) where the
+                ///< modulus fits, AVX-512F/DQ bodies where it does not
 };
 
 /**
@@ -73,6 +76,14 @@ enum class Backend {
  * canonical. Element-wise entry points accept any length (vector
  * backends process the tail scalar) and arbitrary canonical inputs; the
  * Shoup paths require w < q and the Barrett paths q < 2^62.
+ *
+ * Every entry point, on every backend, returns canonical residues, so
+ * the backends are interchangeable bit for bit. The IFMA backend keeps
+ * that contract by range: its 52-bit lanes run a transform only for
+ * q < 2^49 (forward intermediates reach 8q < 2^52) and an element-wise
+ * product only for q < 2^50 with every multiplied input below 2^52;
+ * any other call runs the AVX-512F/DQ body. Inputs are canonical mod q
+ * everywhere except mulShoupAcc's src, whose bound the caller states.
  */
 struct KernelOps {
     const char *name;
@@ -86,9 +97,12 @@ struct KernelOps {
     /** dst[i] = src[i] * w mod q (prepared operand; dst may alias src). */
     void (*mulShoup)(uint64_t *dst, const uint64_t *src, size_t n,
                      uint64_t w, uint64_t wShoup, uint64_t q);
-    /** acc[i] = (acc[i] + src[i] * w) mod q — the BConv inner product. */
+    /** acc[i] = (acc[i] + src[i] * w) mod q — the BConv inner product.
+     *  src need not be reduced mod q: every src[i] < inBound. BConv
+     *  passes the source prime, which may exceed q. */
     void (*mulShoupAcc)(uint64_t *acc, const uint64_t *src, size_t n,
-                        uint64_t w, uint64_t wShoup, uint64_t q);
+                        uint64_t w, uint64_t wShoup, uint64_t q,
+                        uint64_t inBound);
     /** dst[i] = (a[i] - b[i]) * w mod q — the ModDown/rescale fold. */
     void (*subMulShoup)(uint64_t *dst, const uint64_t *a,
                         const uint64_t *b, size_t n, uint64_t w,
@@ -108,6 +122,17 @@ struct KernelOps {
     /** acc[i] = (acc[i] + a[i] * b[i]) mod q. */
     void (*macBarrett)(uint64_t *acc, const uint64_t *a,
                        const uint64_t *b, size_t n, const Barrett &br);
+    /** The KeyMult inner product over `terms` digits:
+     *  acc0[i] = (acc0[i] + sum_j a[j][i] * b0[j][i]) mod q and
+     *  acc1[i] = (acc1[i] + sum_j a[j][i] * b1[j][i]) mod q. Each a[j]
+     *  is read once and the sums are reduced once per chunk of terms
+     *  (the chunk is the largest the backend's accumulators hold; see
+     *  wideTermsPerReduce), not once per product. */
+    void (*dualInnerProduct)(uint64_t *acc0, uint64_t *acc1,
+                             const uint64_t *const *a,
+                             const uint64_t *const *b0,
+                             const uint64_t *const *b1, size_t terms,
+                             size_t n, const Barrett &br);
     /** Index permutation with optional negation — the automorphism /
      *  monomial-shift inner loop. dst[i] = src[idx[i] & kPermuteIndexMask],
      *  negated mod q when idx[i] has kPermuteNegBit set. src holds
@@ -159,7 +184,8 @@ Backend activeBackend();
  *  ANAHEIM_NTT_BACKEND or setBackend selected "reference". */
 bool nttReferenceForced();
 
-/** Canonical lowercase name ("reference", "scalar", "avx2", "avx512"). */
+/** Canonical lowercase name ("reference", "scalar", "avx2", "avx512",
+ *  "avx512ifma"). */
 const char *backendName(Backend b);
 
 /** Parse a backend name as accepted by ANAHEIM_NTT_BACKEND. */

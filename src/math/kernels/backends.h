@@ -20,6 +20,9 @@ const KernelOps &avx2Ops();
 #ifdef ANAHEIM_HAVE_AVX512
 const KernelOps &avx512Ops();
 #endif
+#ifdef ANAHEIM_HAVE_AVX512IFMA
+const KernelOps &avx512IfmaOps();
+#endif
 
 } // namespace kernels
 } // namespace anaheim

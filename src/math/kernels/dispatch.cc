@@ -36,7 +36,8 @@ envResolvedBackend()
             if (!parsed) {
                 ANAHEIM_WARN("ANAHEIM_NTT_BACKEND=", env,
                              " is not a backend name (want reference/"
-                             "scalar/avx2/avx512); using auto dispatch");
+                             "scalar/avx2/avx512/avx512ifma); using "
+                             "auto dispatch");
             } else if (!cpuSupports(*parsed)) {
                 ANAHEIM_WARN("ANAHEIM_NTT_BACKEND=", env,
                              " is not compiled in or not supported by "
@@ -45,6 +46,10 @@ envResolvedBackend()
                 return *parsed;
             }
         }
+#ifdef ANAHEIM_HAVE_AVX512IFMA
+        if (cpuSupports(Backend::Avx512Ifma))
+            return Backend::Avx512Ifma;
+#endif
 #ifdef ANAHEIM_HAVE_AVX512
         if (cpuSupports(Backend::Avx512))
             return Backend::Avx512;
@@ -62,6 +67,10 @@ const KernelOps &
 opsFor(Backend b)
 {
     switch (b) {
+#ifdef ANAHEIM_HAVE_AVX512IFMA
+    case Backend::Avx512Ifma:
+        return avx512IfmaOps();
+#endif
 #ifdef ANAHEIM_HAVE_AVX512
     case Backend::Avx512:
         return avx512Ops();
@@ -96,6 +105,9 @@ compiledBackends()
 #ifdef ANAHEIM_HAVE_AVX512
     list.push_back(&avx512Ops());
 #endif
+#ifdef ANAHEIM_HAVE_AVX512IFMA
+    list.push_back(&avx512IfmaOps());
+#endif
     return list;
 }
 
@@ -116,6 +128,14 @@ cpuSupports(Backend b)
 #ifdef ANAHEIM_HAVE_AVX512
         return __builtin_cpu_supports("avx512f") != 0 &&
                __builtin_cpu_supports("avx512dq") != 0;
+#else
+        return false;
+#endif
+    case Backend::Avx512Ifma:
+#ifdef ANAHEIM_HAVE_AVX512IFMA
+        return __builtin_cpu_supports("avx512f") != 0 &&
+               __builtin_cpu_supports("avx512dq") != 0 &&
+               __builtin_cpu_supports("avx512ifma") != 0;
 #else
         return false;
 #endif
@@ -165,6 +185,8 @@ backendName(Backend b)
         return "avx2";
     case Backend::Avx512:
         return "avx512";
+    case Backend::Avx512Ifma:
+        return "avx512ifma";
     }
     return "unknown";
 }
@@ -180,6 +202,8 @@ backendFromName(std::string_view name)
         return Backend::Avx2;
     if (name == "avx512")
         return Backend::Avx512;
+    if (name == "avx512ifma")
+        return Backend::Avx512Ifma;
     return std::nullopt;
 }
 

@@ -31,13 +31,16 @@
  *   loaded into two vectors, the t == W stage needs no shuffle at all,
  *   and each narrower stage deinterleaves with policy shuffles. The
  *   group is stored once, after the folded normalization.
- * - **Lazy bounds.** Vector backends use a three-multiply approximate
- *   Shoup quotient (P::mulhiShoup drops the low partial product), so
- *   products land in [0, 4q) instead of Harvey's [0, 2q). Forward
- *   intermediates stay < 8q via a single csub-4q per butterfly;
- *   inverse intermediates stay < 4q. q < 2^59 is gated upstream, so
- *   8q < 2^62 never wraps. The scalar backend's native mulhi is exact,
- *   which only tightens the bounds.
+ * - **Lazy bounds.** The lazy Shoup step a * w mod q is a policy hook
+ *   (P::mulShoupLazy, fed the companion form P::shoupCompanion makes of
+ *   the table's floor(w * 2^64 / q)). The AVX2/AVX-512F policies use a
+ *   three-multiply approximate quotient (the low partial product is
+ *   dropped), so products land in [0, 4q) instead of Harvey's [0, 2q);
+ *   the IFMA policy's 52-bit product and the scalar policy's exact
+ *   mulhi land in [0, 2q). Forward intermediates stay < 8q via a single
+ *   csub-4q per butterfly; inverse intermediates stay < 4q. q < 2^59 is
+ *   gated upstream, so 8q < 2^62 never wraps; the IFMA backend runs
+ *   these bodies only for q < 2^49, where 8q < 2^52 fits its lanes.
  * - **Exactness.** The final normalization (forward) and the folded
  *   N^-1 last stage (inverse) produce canonical residues, so every
  *   backend is bitwise identical to the division-based reference.
@@ -46,6 +49,7 @@
 #ifndef ANAHEIM_MATH_KERNELS_KERNEL_IMPL_H
 #define ANAHEIM_MATH_KERNELS_KERNEL_IMPL_H
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 
@@ -58,6 +62,49 @@ namespace kernels {
 /** L1-resident tile: 4096 coefficients = 32 KiB of working set. */
 inline constexpr size_t kTileElems = 4096;
 
+/**
+ * Products a KeyMult inner-product lane may sum before one reduction,
+ * for q with s = bits(q) - 1 (so q < 2^(s+1)) and a canonical
+ * carried-in partial sum: (q - 1) + C (q - 1)^2 < 2^(s+1) + C 2^(2s+2)
+ * stays below the 2^(64+s) that reduceWide accepts when
+ * C <= 2^(62-s) - 1. That is 15 terms at q < 2^59, 31 at q < 2^58 and
+ * 2047 at q < 2^52 — chunks past it reduce and carry on. The same sums
+ * fit an unsigned __int128 (C 2^(2s+2) < 2^128), so the scalar lanes
+ * use it too.
+ */
+inline size_t
+wideTermsPerReduce(unsigned s)
+{
+    return (size_t{1} << (62 - s)) - 1;
+}
+
+/** dualInnerProduct over coefficients [begin, end) on scalar lanes:
+ *  unsigned __int128 sums, one Barrett::reduce per
+ *  wideTermsPerReduce() terms. Every backend's tail. */
+inline void
+dualInnerProductScalar(uint64_t *acc0, uint64_t *acc1,
+                       const uint64_t *const *a, const uint64_t *const *b0,
+                       const uint64_t *const *b1, size_t terms,
+                       size_t begin, size_t end, const Barrett &br)
+{
+    const size_t chunk = wideTermsPerReduce(br.shiftBits() - 1);
+    for (size_t i = begin; i < end; ++i) {
+        unsigned __int128 sum0 = acc0[i];
+        unsigned __int128 sum1 = acc1[i];
+        for (size_t j0 = 0; j0 < terms; j0 += chunk) {
+            const size_t j1 = std::min(terms, j0 + chunk);
+            for (size_t j = j0; j < j1; ++j) {
+                sum0 += static_cast<unsigned __int128>(a[j][i]) * b0[j][i];
+                sum1 += static_cast<unsigned __int128>(a[j][i]) * b1[j][i];
+            }
+            sum0 = br.reduce(sum0);
+            sum1 = br.reduce(sum1);
+        }
+        acc0[i] = static_cast<uint64_t>(sum0);
+        acc1[i] = static_cast<uint64_t>(sum1);
+    }
+}
+
 template <class P>
 struct Kernels {
     using V = typename P::V;
@@ -65,21 +112,12 @@ struct Kernels {
 
     // ----------------------------------------------------------- utils
 
-    /** a * w mod q in [0, 4q) from the Shoup companion; any 64-bit a.
-     *  wPreHi is srl(wPre, 32), hoisted by the caller. */
-    static V
-    shoupLazy(V a, V w, V wPre, V wPreHi, V q)
-    {
-        return P::sub(P::mullo(a, w),
-                      P::mullo(P::mulhiShoup(a, wPre, wPreHi), q));
-    }
-
     /** Fully-reduced Shoup product (two csubs cover the [0, 4q) lazy
      *  range). */
     static V
-    shoupFull(V a, V w, V wPre, V wPreHi, V q, V q2)
+    shoupFull(V a, V w, V wPre, V wc, V q, V q2)
     {
-        return P::csub(P::csub(shoupLazy(a, w, wPre, wPreHi, q), q2), q);
+        return P::csub(P::csub(P::mulShoupLazy(a, w, wPre, wc, q), q2), q);
     }
 
     // ------------------------------------------------- forward (CT DIT)
@@ -98,12 +136,12 @@ struct Kernels {
             uint64_t *blk = data + o;
             const V vw = P::set1(v.tw[idx]);
             const V vwp = P::set1(v.twShoup[idx]);
-            const V vwph = P::srl(vwp, 32);
+            const V vwph = P::shoupCompanion(vwp);
             for (size_t j = 0; j < t; j += W) {
                 V u = P::load(blk + j);
                 V x = P::load(blk + j + t);
                 u = P::csub(u, v4q);
-                const V s = shoupLazy(x, vw, vwp, vwph, vq);
+                const V s = P::mulShoupLazy(x, vw, vwp, vwph, vq);
                 P::store(blk + j, P::add(u, s));
                 P::store(blk + j + t, P::sub(P::add(u, v4q), s));
             }
@@ -124,13 +162,13 @@ struct Kernels {
             uint64_t *blk = data + o;
             const V w1 = P::set1(v.tw[idx]);
             const V w1p = P::set1(v.twShoup[idx]);
-            const V w1ph = P::srl(w1p, 32);
+            const V w1ph = P::shoupCompanion(w1p);
             const V w2 = P::set1(v.tw[2 * idx]);
             const V w2p = P::set1(v.twShoup[2 * idx]);
-            const V w2ph = P::srl(w2p, 32);
+            const V w2ph = P::shoupCompanion(w2p);
             const V w3 = P::set1(v.tw[2 * idx + 1]);
             const V w3p = P::set1(v.twShoup[2 * idx + 1]);
-            const V w3ph = P::srl(w3p, 32);
+            const V w3ph = P::shoupCompanion(w3p);
             for (size_t j = 0; j < qtr; j += W) {
                 V a = P::load(blk + j);
                 V b = P::load(blk + j + qtr);
@@ -139,8 +177,8 @@ struct Kernels {
                 // Stage 1: pairs (a, c) and (b, d), twiddle w1.
                 a = P::csub(a, v4q);
                 b = P::csub(b, v4q);
-                const V sc = shoupLazy(c, w1, w1p, w1ph, vq);
-                const V sd = shoupLazy(d, w1, w1p, w1ph, vq);
+                const V sc = P::mulShoupLazy(c, w1, w1p, w1ph, vq);
+                const V sd = P::mulShoupLazy(d, w1, w1p, w1ph, vq);
                 V a1 = P::add(a, sc);
                 V c1 = P::sub(P::add(a, v4q), sc);
                 V b1 = P::add(b, sd);
@@ -148,8 +186,8 @@ struct Kernels {
                 // Stage 2: pairs (a1, b1) w2 and (c1, d1) w3.
                 a1 = P::csub(a1, v4q);
                 c1 = P::csub(c1, v4q);
-                const V sb = shoupLazy(b1, w2, w2p, w2ph, vq);
-                const V sd2 = shoupLazy(d1, w3, w3p, w3ph, vq);
+                const V sb = P::mulShoupLazy(b1, w2, w2p, w2ph, vq);
+                const V sd2 = P::mulShoupLazy(d1, w3, w3p, w3ph, vq);
                 P::store(blk + j, P::add(a1, sb));
                 P::store(blk + j + qtr, P::sub(P::add(a1, v4q), sb));
                 P::store(blk + j + 2 * qtr, P::add(c1, sd2));
@@ -169,9 +207,9 @@ struct Kernels {
         const V v4q = P::set1(4 * v.q);
         const V vw = P::set1(v.tw[idx]);
         const V vwp = P::set1(v.twShoup[idx]);
-        const V vwph = P::srl(vwp, 32);
+        const V vwph = P::shoupCompanion(vwp);
         const V u = P::csub(x0, v4q);
-        const V s = shoupLazy(x1, vw, vwp, vwph, vq);
+        const V s = P::mulShoupLazy(x1, vw, vwp, vwph, vq);
         x0 = P::add(u, s);
         x1 = P::sub(P::add(u, v4q), s);
     }
@@ -187,11 +225,11 @@ struct Kernels {
         const V v4q = P::set1(4 * v.q);
         const V wv = P::template expandTwiddles<T>(v.tw + idx);
         const V wp = P::template expandTwiddles<T>(v.twShoup + idx);
-        const V wph = P::srl(wp, 32);
+        const V wph = P::shoupCompanion(wp);
         V u, x;
         P::template deinterleave<T>(x0, x1, u, x);
         u = P::csub(u, v4q);
-        const V s = shoupLazy(x, wv, wp, wph, vq);
+        const V s = P::mulShoupLazy(x, wv, wp, wph, vq);
         const V nu = P::add(u, s);
         const V nv = P::sub(P::add(u, v4q), s);
         x0 = P::template interleaveLo<T>(nu, nv);
@@ -321,10 +359,10 @@ struct Kernels {
         if (final) {
             const V ni = P::set1(v.nInv);
             const V nip = P::set1(v.nInvShoup);
-            const V niph = P::srl(nip, 32);
+            const V niph = P::shoupCompanion(nip);
             const V lw = P::set1(v.lastW);
             const V lwp = P::set1(v.lastWShoup);
-            const V lwph = P::srl(lwp, 32);
+            const V lwph = P::shoupCompanion(lwp);
             for (size_t o = o0; o < o0 + l; o += blen) {
                 uint64_t *blk = data + o;
                 for (size_t j = 0; j < t; j += W) {
@@ -343,14 +381,14 @@ struct Kernels {
             uint64_t *blk = data + o;
             const V vw = P::set1(v.tw[idx]);
             const V vwp = P::set1(v.twShoup[idx]);
-            const V vwph = P::srl(vwp, 32);
+            const V vwph = P::shoupCompanion(vwp);
             for (size_t j = 0; j < t; j += W) {
                 const V u = P::load(blk + j);
                 const V x = P::load(blk + j + t);
                 P::store(blk + j, P::csub(P::add(u, x), v4q));
                 P::store(blk + j + t,
-                         shoupLazy(P::sub(P::add(u, v4q), x), vw, vwp,
-                                   vwph, vq));
+                         P::mulShoupLazy(P::sub(P::add(u, v4q), x), vw, vwp,
+                                         vwph, vq));
             }
         }
     }
@@ -368,21 +406,21 @@ struct Kernels {
         const V v4q = P::set1(4 * v.q);
         const V ni = P::set1(v.nInv);
         const V nip = P::set1(v.nInvShoup);
-        const V niph = P::srl(nip, 32);
+        const V niph = P::shoupCompanion(nip);
         const V lw = P::set1(v.lastW);
         const V lwp = P::set1(v.lastWShoup);
-        const V lwph = P::srl(lwp, 32);
+        const V lwph = P::shoupCompanion(lwp);
         for (size_t o = o0; o < o0 + l; o += 2 * blen, ia += 2, ++ib) {
             uint64_t *blk = data + o;
             const V wa = P::set1(v.tw[ia]);
             const V wap = P::set1(v.twShoup[ia]);
-            const V waph = P::srl(wap, 32);
+            const V waph = P::shoupCompanion(wap);
             const V wb = P::set1(v.tw[ia + 1]);
             const V wbp = P::set1(v.twShoup[ia + 1]);
-            const V wbph = P::srl(wbp, 32);
+            const V wbph = P::shoupCompanion(wbp);
             const V wc = P::set1(v.tw[ib]);
             const V wcp = P::set1(v.twShoup[ib]);
-            const V wcph = P::srl(wcp, 32);
+            const V wcph = P::shoupCompanion(wcp);
             for (size_t j = 0; j < qtr; j += W) {
                 const V a = P::load(blk + j);
                 const V b = P::load(blk + j + qtr);
@@ -390,11 +428,11 @@ struct Kernels {
                 const V d = P::load(blk + j + blen + qtr);
                 // Stage 1: (a, b) with wa; (c, d) with wb.
                 const V s1 = P::csub(P::add(a, b), v4q);
-                const V d1 = shoupLazy(P::sub(P::add(a, v4q), b), wa,
-                                       wap, waph, vq);
+                const V d1 = P::mulShoupLazy(P::sub(P::add(a, v4q), b), wa,
+                                             wap, waph, vq);
                 const V s2 = P::csub(P::add(c, d), v4q);
-                const V d2 = shoupLazy(P::sub(P::add(c, v4q), d), wb,
-                                       wbp, wbph, vq);
+                const V d2 = P::mulShoupLazy(P::sub(P::add(c, v4q), d), wb,
+                                             wbp, wbph, vq);
                 // Stage 2: (s1, s2) and (d1, d2), twiddle ib.
                 if (final) {
                     P::store(blk + j, shoupFull(P::add(s1, s2), ni,
@@ -411,13 +449,13 @@ struct Kernels {
                 } else {
                     P::store(blk + j, P::csub(P::add(s1, s2), v4q));
                     P::store(blk + j + blen,
-                             shoupLazy(P::sub(P::add(s1, v4q), s2), wc,
-                                       wcp, wcph, vq));
+                             P::mulShoupLazy(P::sub(P::add(s1, v4q), s2), wc,
+                                             wcp, wcph, vq));
                     P::store(blk + j + qtr,
                              P::csub(P::add(d1, d2), v4q));
                     P::store(blk + j + blen + qtr,
-                             shoupLazy(P::sub(P::add(d1, v4q), d2), wc,
-                                       wcp, wcph, vq));
+                             P::mulShoupLazy(P::sub(P::add(d1, v4q), d2), wc,
+                                             wcp, wcph, vq));
                 }
             }
         }
@@ -435,10 +473,10 @@ struct Kernels {
             const V v2q = P::set1(2 * v.q);
             const V ni = P::set1(v.nInv);
             const V nip = P::set1(v.nInvShoup);
-            const V niph = P::srl(nip, 32);
+            const V niph = P::shoupCompanion(nip);
             const V lw = P::set1(v.lastW);
             const V lwp = P::set1(v.lastWShoup);
-            const V lwph = P::srl(lwp, 32);
+            const V lwph = P::shoupCompanion(lwp);
             const V s = shoupFull(P::add(x0, x1), ni, nip, niph, vq,
                                   v2q);
             const V d = shoupFull(P::sub(P::add(x0, v4q), x1), lw, lwp,
@@ -449,10 +487,10 @@ struct Kernels {
         }
         const V vw = P::set1(v.tw[idx]);
         const V vwp = P::set1(v.twShoup[idx]);
-        const V vwph = P::srl(vwp, 32);
+        const V vwph = P::shoupCompanion(vwp);
         const V s = P::csub(P::add(x0, x1), v4q);
-        const V d = shoupLazy(P::sub(P::add(x0, v4q), x1), vw, vwp,
-                              vwph, vq);
+        const V d = P::mulShoupLazy(P::sub(P::add(x0, v4q), x1), vw, vwp,
+                                    vwph, vq);
         x0 = s;
         x1 = d;
     }
@@ -466,12 +504,12 @@ struct Kernels {
         const V v4q = P::set1(4 * v.q);
         const V wv = P::template expandTwiddles<T>(v.tw + idx);
         const V wp = P::template expandTwiddles<T>(v.twShoup + idx);
-        const V wph = P::srl(wp, 32);
+        const V wph = P::shoupCompanion(wp);
         V u, x;
         P::template deinterleave<T>(x0, x1, u, x);
         const V s = P::csub(P::add(u, x), v4q);
-        const V d = shoupLazy(P::sub(P::add(u, v4q), x), wv, wp, wph,
-                              vq);
+        const V d = P::mulShoupLazy(P::sub(P::add(u, v4q), x), wv, wp, wph,
+                                    vq);
         x0 = P::template interleaveLo<T>(s, d);
         x1 = P::template interleaveHi<T>(s, d);
     }
@@ -575,7 +613,7 @@ struct Kernels {
             const V v2q = P::set1(2 * q);
             const V vw = P::set1(w);
             const V vwp = P::set1(wShoup);
-            const V vwph = P::srl(vwp, 32);
+            const V vwph = P::shoupCompanion(vwp);
             for (; i + W <= n; i += W)
                 P::store(dst + i, shoupFull(P::load(src + i), vw, vwp,
                                             vwph, vq, v2q));
@@ -584,17 +622,20 @@ struct Kernels {
             dst[i] = mulModShoup(src[i], w, wShoup, q);
     }
 
+    /** inBound only matters to backends whose lanes are narrower than
+     *  64 bits (IFMA); these bodies take any 64-bit src. */
     static void
     mulShoupAcc(uint64_t *acc, const uint64_t *src, size_t n, uint64_t w,
-                uint64_t wShoup, uint64_t q)
+                uint64_t wShoup, uint64_t q, uint64_t inBound)
     {
+        (void)inBound;
         size_t i = 0;
         if constexpr (W > 1) {
             const V vq = P::set1(q);
             const V v2q = P::set1(2 * q);
             const V vw = P::set1(w);
             const V vwp = P::set1(wShoup);
-            const V vwph = P::srl(vwp, 32);
+            const V vwph = P::shoupCompanion(vwp);
             for (; i + W <= n; i += W) {
                 const V s = shoupFull(P::load(src + i), vw, vwp, vwph,
                                       vq, v2q);
@@ -617,7 +658,7 @@ struct Kernels {
             const V v2q = P::set1(2 * q);
             const V vw = P::set1(w);
             const V vwp = P::set1(wShoup);
-            const V vwph = P::srl(vwp, 32);
+            const V vwph = P::shoupCompanion(vwp);
             for (; i + W <= n; i += W) {
                 const V d = P::csub(
                     P::add(P::sub(P::load(a + i), P::load(b + i)), vq),
@@ -740,6 +781,69 @@ struct Kernels {
                             br.modulus());
     }
 
+    /** (H * 2^64 + L) mod q, canonical, for H * 2^64 + L < 2^(64+s)
+     *  where s = bits(q) - 1 and vmu = Barrett::wideFactor() =
+     *  floor(2^(64+s) / q): c1 = floor(P / 2^s) fits one word, the
+     *  exact mulhi(c1, vmu) undershoots floor(P / q) by at most 2, and
+     *  two csubs finish from [0, 3q). */
+    static V
+    reduceWide(V hi, V lo, V vq, V v2q, V vmu, unsigned s)
+    {
+        const V c1 = P::or_(P::sll(hi, 64 - s), P::srl(lo, s));
+        const V r = P::sub(lo, P::mullo(P::mulhi(c1, vmu), vq));
+        return P::csub(P::csub(r, v2q), vq);
+    }
+
+    /** The KeyMult inner product: acc0[i] += sum_j a[j][i] * b0[j][i]
+     *  and acc1[i] += sum_j a[j][i] * b1[j][i] (mod q), each a[j] read
+     *  once. Vector lanes sum full 128-bit products (mullo + exact
+     *  mulhi + carry) and reduce once per wideTermsPerReduce() terms;
+     *  the scalar lanes (and every tail) sum unsigned __int128 and
+     *  reduce with Barrett::reduce. */
+    static void
+    dualInnerProduct(uint64_t *acc0, uint64_t *acc1,
+                     const uint64_t *const *a, const uint64_t *const *b0,
+                     const uint64_t *const *b1, size_t terms, size_t n,
+                     const Barrett &br)
+    {
+        const unsigned s = br.shiftBits() - 1;
+        const size_t chunk = wideTermsPerReduce(s);
+        size_t i = 0;
+        if constexpr (W > 1) {
+            const V vq = P::set1(br.modulus());
+            const V v2q = P::set1(2 * br.modulus());
+            const V vmu = P::set1(br.wideFactor());
+            const V zero = P::set1(0);
+            for (; i + W <= n; i += W) {
+                V lo0 = P::load(acc0 + i);
+                V lo1 = P::load(acc1 + i);
+                for (size_t j0 = 0; j0 < terms; j0 += chunk) {
+                    const size_t j1 = std::min(terms, j0 + chunk);
+                    V hi0 = zero;
+                    V hi1 = zero;
+                    for (size_t j = j0; j < j1; ++j) {
+                        const V x = P::load(a[j] + i);
+                        const V y0 = P::load(b0[j] + i);
+                        const V y1 = P::load(b1[j] + i);
+                        const V p0 = P::mullo(x, y0);
+                        const V p1 = P::mullo(x, y1);
+                        lo0 = P::add(lo0, p0);
+                        lo1 = P::add(lo1, p1);
+                        hi0 = P::add(hi0, P::add(P::mulhi(x, y0),
+                                                 P::carry(lo0, p0)));
+                        hi1 = P::add(hi1, P::add(P::mulhi(x, y1),
+                                                 P::carry(lo1, p1)));
+                    }
+                    lo0 = reduceWide(hi0, lo0, vq, v2q, vmu, s);
+                    lo1 = reduceWide(hi1, lo1, vq, v2q, vmu, s);
+                }
+                P::store(acc0 + i, lo0);
+                P::store(acc1 + i, lo1);
+            }
+        }
+        dualInnerProductScalar(acc0, acc1, a, b0, b1, terms, i, n, br);
+    }
+
     static void
     permuteNegV(uint64_t *dst, const uint64_t *src, const uint64_t *idx,
                 size_t n, uint64_t q)
@@ -782,6 +886,7 @@ struct Kernels {
         k.negMod = &negModV;
         k.mulBarrett = &mulBarrett;
         k.macBarrett = &macBarrett;
+        k.dualInnerProduct = &dualInnerProduct;
         k.permuteNeg = &permuteNegV;
         return k;
     }

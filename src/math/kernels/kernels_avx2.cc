@@ -103,21 +103,38 @@ struct Avx2Policy {
                                  _mm256_srli_epi64(w1, 32)));
     }
 
-    /** Approximate Shoup quotient: the high product without the low
-     *  partial t0 and without cross-term carries. Undershoots the
-     *  exact quotient by at most 2, so Shoup products land in
-     *  [0, 4q) — covered by the kernel layer's 8q/4q lazy bounds.
-     *  bHi is srl(b, 32), hoisted by the caller. */
+    /** The Shoup step's companion: the high half of floor(w * 2^64 /
+     *  q), hoisted out of the loops. */
+    static V shoupCompanion(V wPre) { return _mm256_srli_epi64(wPre, 32); }
+
+    /** a * w mod q in [0, 4q). The quotient is approximate: the high
+     *  product without the low partial and without cross-term carries
+     *  undershoots the exact one by at most 2 — covered by the kernel
+     *  layer's 8q/4q lazy bounds. wc is shoupCompanion(wPre). */
     static V
-    mulhiShoup(V a, V b, V bHi)
+    mulShoupLazy(V a, V w, V wPre, V wc, V q)
     {
         const V aHi = _mm256_srli_epi64(a, 32);
-        const V t1 = _mm256_mul_epu32(aHi, b);
-        const V t2 = _mm256_mul_epu32(a, bHi);
-        const V t3 = _mm256_mul_epu32(aHi, bHi);
-        return _mm256_add_epi64(
+        const V t1 = _mm256_mul_epu32(aHi, wPre);
+        const V t2 = _mm256_mul_epu32(a, wc);
+        const V t3 = _mm256_mul_epu32(aHi, wc);
+        const V quot = _mm256_add_epi64(
             t3, _mm256_add_epi64(_mm256_srli_epi64(t1, 32),
                                  _mm256_srli_epi64(t2, 32)));
+        return _mm256_sub_epi64(mullo(a, w), mullo(quot, q));
+    }
+
+    /** 1 where sum < addend (unsigned): the carry out of sum = x +
+     *  addend. */
+    static V
+    carry(V sum, V addend)
+    {
+        const V bias = _mm256_set1_epi64x(
+            static_cast<long long>(0x8000000000000000ULL));
+        return _mm256_srli_epi64(
+            _mm256_cmpgt_epi64(_mm256_xor_si256(addend, bias),
+                               _mm256_xor_si256(sum, bias)),
+            63);
     }
 
     /** x >= m ? x - m : x, unsigned (values may exceed 2^63 in the

@@ -25,15 +25,15 @@ struct ScalarPolicy {
     static V sub(V a, V b) { return a - b; }
     static V mullo(V a, V b) { return a * b; }
     static V mulhi(V a, V b) { return mulHi64(a, b); }
-    /** Scalar mulhi is native and exact — the [0, 4q) bound the
-     *  kernel layer assumes for Shoup products only tightens to the
-     *  classic [0, 2q). The bHi operand exists for the vector
-     *  backends' three-multiply approximation. */
+    /** The Shoup step's companion is the table's own word. */
+    static V shoupCompanion(V wPre) { return wPre; }
+    /** Native mulhi is exact, so the product lands in Harvey's
+     *  [0, 2q) — tighter than the [0, 4q) the kernel layer assumes. */
     static V
-    mulhiShoup(V a, V b, V bHi)
+    mulShoupLazy(V a, V w, V wPre, V wc, V q)
     {
-        (void)bHi;
-        return mulHi64(a, b);
+        (void)wc;
+        return a * w - mulHi64(a, wPre) * q;
     }
     static V csub(V x, V m) { return x >= m ? x - m : x; }
     static V srl(V x, unsigned s) { return x >> s; }

@@ -55,6 +55,9 @@ Barrett::Barrett(uint64_t q) : q_(q)
     shiftBits_ = k;
     factor64_ = static_cast<uint64_t>(
         (static_cast<unsigned __int128>(1) << (2 * k)) / q);
+    // 63 + k <= 125, and the quotient is < 2^64 since q >= 2^(k-1).
+    wideFactor_ = static_cast<uint64_t>(
+        (static_cast<unsigned __int128>(1) << (63 + k)) / q);
 }
 
 uint64_t

@@ -189,12 +189,22 @@ class Barrett
      */
     uint64_t factor64() const { return factor64_; }
 
+    /**
+     * floor(2^(63+k) / q) = floor(2^(64+s) / q) with s = k - 1: the
+     * factor the KeyMult inner product reduces its sums with. For a
+     * sum P < 2^(64+s), mulhi(floor(P / 2^s), wideFactor()) undershoots
+     * floor(P / q) by at most 2. Shifted right by 12 it is the same
+     * factor for 52-bit lanes (P < 2^(52+s)).
+     */
+    uint64_t wideFactor() const { return wideFactor_; }
+
   private:
     uint64_t q_ = 0;
     /** floor(2^128 / q), stored as two 64-bit halves. */
     uint64_t ratioHi_ = 0;
     uint64_t ratioLo_ = 0;
     uint64_t factor64_ = 0;
+    uint64_t wideFactor_ = 0;
     unsigned shiftBits_ = 0;
 };
 

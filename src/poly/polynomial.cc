@@ -141,7 +141,7 @@ Polynomial::macScalarEq(const Polynomial &a,
         const ShoupMul prepared(scalarPerLimb[i] % q, q);
         auto &dst = limbs_[i];
         ops.mulShoupAcc(dst.data(), a.limbs_[i].data(), dst.size(),
-                        prepared.operand(), prepared.precon(), q);
+                        prepared.operand(), prepared.precon(), q, q);
     });
     return *this;
 }

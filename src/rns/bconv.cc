@@ -75,7 +75,10 @@ BasisConverter::convert(
 
     // Stage 2: out_j = sum_i y_i * (qHat_i mod p_j) mod p_j. Target
     // limbs are independent; the i-accumulation order within each limb
-    // is unchanged, keeping results bitwise identical to serial.
+    // is unchanged, keeping results bitwise identical to serial. y_i is
+    // a residue of the source prime q_i, not of p_j, so q_i is the
+    // input bound the kernel gets (a backend with narrow lanes must not
+    // infer it from p_j).
     std::vector<CoeffVector> output(lt);
     parallelFor(0, lt, [&](size_t j) {
         const uint64_t pj = target_.prime(j);
@@ -83,7 +86,8 @@ BasisConverter::convert(
         for (size_t i = 0; i < ls; ++i) {
             const ShoupMul &factor = qHatModP_[i][j];
             ops.mulShoupAcc(output[j].data(), scaled[i].data(), n,
-                            factor.operand(), factor.precon(), pj);
+                            factor.operand(), factor.precon(), pj,
+                            source_.prime(i));
         }
     });
     return output;

@@ -1,7 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <complex>
+#include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <map>
 #include <set>
+#include <string>
 
 #include "boot/dft.h"
 #include "common/rng.h"
@@ -121,6 +126,93 @@ TEST(DftPlan, BootstrapFactorsNeedFewBsgsRotations)
         keys.insert(rotations.begin(), rotations.end());
     }
     EXPECT_EQ(keys.size(), 24u);
+}
+
+// ---------------------------------------------------------------------
+// Pinned factor digests: every entry of every CoeffToSlot and
+// SlotToCoeff factor, for slots {4, 8, 64, 1024} x every valid fftIter
+// x extra scales {1, 0.0055, 1000}, as computed from dense matrices
+// (one unit column pushed through every stage, then a scan of every
+// diagonal). A change to how factors are built must keep these.
+
+/** FNV-1a over the bytes of each 64-bit word. */
+class Fnv1a
+{
+  public:
+    void
+    add(uint64_t word)
+    {
+        for (int byte = 0; byte < 8; ++byte)
+            hash_ = (hash_ ^ ((word >> (8 * byte)) & 0xff)) *
+                    1099511628211ULL;
+    }
+
+    /** The bits of x, with -0.0 folded to +0.0: the digest pins what
+     *  IEEE == compares, and a zero's sign never reaches a ciphertext
+     *  (encoding rounds it away). */
+    void
+    add(double x)
+    {
+        const double folded = x == 0.0 ? 0.0 : x;
+        uint64_t bits;
+        std::memcpy(&bits, &folded, sizeof(bits));
+        add(bits);
+    }
+
+    uint64_t value() const { return hash_; }
+
+  private:
+    uint64_t hash_ = 14695981039346656037ULL;
+};
+
+void
+addFactors(Fnv1a &hash, const std::vector<DiagMatrix> &factors)
+{
+    hash.add(static_cast<uint64_t>(factors.size()));
+    for (const DiagMatrix &factor : factors) {
+        hash.add(static_cast<uint64_t>(factor.diagonalCount()));
+        for (const auto &[d, diag] : factor.diagonals()) {
+            hash.add(static_cast<uint64_t>(d));
+            for (const Complex &x : diag) {
+                hash.add(x.real());
+                hash.add(x.imag());
+            }
+        }
+    }
+}
+
+TEST(DftPlan, FactorsMatchPinnedDigests)
+{
+    const std::map<std::string, uint64_t> pinned = {
+        {"cts/4", 0x3502f45d91cf9bb3ULL},
+        {"stc/4", 0xe98a4ff046ff0f8fULL},
+        {"cts/8", 0xdc862c4d3ec10658ULL},
+        {"stc/8", 0x29beab24a6036b28ULL},
+        {"cts/64", 0x5f0e0b6ce71a4ad5ULL},
+        {"stc/64", 0x13bcb20a3dec2cfdULL},
+        {"cts/1024", 0x083629ab676f8c6dULL},
+        {"stc/1024", 0x28d8f1ec3aaa6011ULL},
+    };
+    for (const size_t slots : {4, 8, 64, 1024}) {
+        Fnv1a cts, stc;
+        for (size_t fftIter = 1; (size_t{1} << fftIter) <= slots;
+             ++fftIter) {
+            const DftPlan plan(slots, fftIter);
+            for (const double scale : {1.0, 0.0055, 1000.0}) {
+                addFactors(cts, plan.coeffToSlotFactors({scale, 0.0}));
+                addFactors(stc, plan.slotToCoeffFactors({scale, 0.0}));
+            }
+        }
+        for (const auto &[label, hash] :
+             {std::pair{"cts/" + std::to_string(slots), cts.value()},
+              std::pair{"stc/" + std::to_string(slots), stc.value()}}) {
+            char actual[32];
+            std::snprintf(actual, sizeof(actual), "0x%016llx",
+                          static_cast<unsigned long long>(hash));
+            EXPECT_EQ(hash, pinned.at(label))
+                << label << " now digests to " << actual;
+        }
+    }
 }
 
 TEST(DftPlan, ExtraScaleIsAppliedOnce)

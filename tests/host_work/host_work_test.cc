@@ -12,12 +12,16 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <complex>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <new>
 
 #include "anaheim/workloads.h"
+#include "ckks/encryptor.h"
+#include "ckks/evaluator.h"
+#include "common/parallel.h"
 
 namespace {
 
@@ -139,6 +143,53 @@ TEST(HostWork, TraceBuildAllocatesPerSequenceNotPerOp)
     std::printf("makeAllWorkloads(): %llu heap allocations for %zu ops\n",
                 static_cast<unsigned long long>(allocations), ops);
     EXPECT_LT(allocations * 10, ops);
+}
+
+TEST(HostWork, KeyswitchOpsAllocateNoMoreThanPinned)
+{
+    // One keyMult, one HMult (multiply + relinearize) and one HRot at
+    // the op-mix parameters, each counted after a warm-up call on one
+    // thread. The pins are the counts before keyMult moved to the
+    // kernels' inner product (whose operand tables live on the stack):
+    // a kernel change may lower them, never raise them.
+    constexpr uint64_t kKeyMultPin = 35;
+    constexpr uint64_t kHMultPin = 327;
+    constexpr uint64_t kHRotPin = 315;
+
+    const size_t savedThreads = parallelThreadCount();
+    setParallelThreads(1);
+    const CkksContext context(CkksParams::testParams(1 << 12, 8, 2));
+    const CkksEncoder encoder(context);
+    KeyGenerator keygen(context, 1);
+    CkksEncryptor encryptor(context, 2);
+    const CkksEvaluator evaluator(context, encoder);
+    const EvalKey relin = keygen.makeRelinKey();
+    const GaloisKeys galois = keygen.makeGaloisKeys({5});
+    const std::vector<std::complex<double>> msg(encoder.slots(), {0.5, 0.25});
+    const Ciphertext x = encryptor.encrypt(
+        encoder.encode(msg, context.maxLevel()), keygen.secretKey());
+    const KeySwitcher &ks = evaluator.keySwitcher();
+    const std::vector<Polynomial> digits = ks.modUp(x.a);
+
+    auto warmCount = [](const auto &fn) {
+        fn();
+        return allocationsDuring(fn);
+    };
+    const uint64_t keyMult =
+        warmCount([&] { (void)ks.keyMult(digits, relin); });
+    const uint64_t hmult =
+        warmCount([&] { (void)evaluator.multiply(x, x, relin); });
+    const uint64_t hrot =
+        warmCount([&] { (void)evaluator.rotate(x, 5, galois); });
+    setParallelThreads(savedThreads);
+
+    std::printf("keyMult %llu, HMult %llu, HRot %llu heap allocations\n",
+                static_cast<unsigned long long>(keyMult),
+                static_cast<unsigned long long>(hmult),
+                static_cast<unsigned long long>(hrot));
+    EXPECT_LE(keyMult, kKeyMultPin);
+    EXPECT_LE(hmult, kHMultPin);
+    EXPECT_LE(hrot, kHRotPin);
 }
 
 } // namespace

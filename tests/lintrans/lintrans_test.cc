@@ -95,22 +95,6 @@ TEST_F(LinTransTest, DiagMatrixComposeMatchesSequentialApply)
         EXPECT_LT(std::abs(sequential[i] - composed[i]), 1e-10);
 }
 
-TEST_F(LinTransTest, FromDenseRoundTrips)
-{
-    Rng rng(63);
-    const auto m = DiagMatrix::random(16, {0, 4, 9, 15}, rng);
-    std::vector<std::vector<Complex>> dense(
-        16, std::vector<Complex>(16));
-    for (size_t i = 0; i < 16; ++i)
-        for (size_t j = 0; j < 16; ++j)
-            dense[i][j] = m.at(i, j);
-    const auto rebuilt = DiagMatrix::fromDense(dense);
-    EXPECT_EQ(rebuilt.diagonalCount(), m.diagonalCount());
-    for (size_t i = 0; i < 16; ++i)
-        for (size_t j = 0; j < 16; ++j)
-            EXPECT_LT(std::abs(rebuilt.at(i, j) - m.at(i, j)), 1e-12);
-}
-
 TEST_F(LinTransTest, BaseAlgorithmMatchesPlainApply)
 {
     Rng rng(64);

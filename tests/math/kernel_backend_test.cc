@@ -35,10 +35,23 @@ namespace {
 using kernels::Backend;
 
 /** Context-grade prime sizes: smallest NTT-friendly, the 40-bit scale
- *  primes, the ~50-bit first primes, and the largest the lazy kernels
- *  accept (59-bit boundary, q < kLazyModulusBound). A degree-n prime
- *  needs q ≡ 1 (mod 2n); 30-bit primes exist for every n tested. */
-constexpr int kPrimeBits[] = {30, 40, 50, 59};
+ *  primes, the bootstrap's 48-bit ones, both sides of the IFMA
+ *  backend's ranges (transforms below 2^49, products below 2^50), the
+ *  52-bit first/special primes, and the largest the lazy kernels accept
+ *  (59-bit boundary, q < kLazyModulusBound). A degree-n prime needs
+ *  q ≡ 1 (mod 2n); 30-bit primes exist for every n tested. */
+constexpr int kPrimeBits[] = {30, 40, 48, 49, 50, 52, 59};
+
+/** The largest prime below 2^bits: the edge of each range a kernel
+ *  bounds its moduli by. */
+uint64_t
+largestPrimeBelow(int bits)
+{
+    uint64_t q = (uint64_t{1} << bits) - 1;
+    while (!isPrime(q))
+        --q;
+    return q;
+}
 
 class KernelBackendMatrix : public ::testing::Test
 {
@@ -126,19 +139,24 @@ TEST_F(KernelBackendMatrix, DispatchedEntryPointsMatchReference)
     }
 }
 
-TEST_F(KernelBackendMatrix, ElementWiseOpsMatchScalarBackend)
+/** Every element-wise entry point of every runnable backend equals the
+ *  scalar backend at modulus q. */
+void
+expectElementWiseOpsMatchScalar(uint64_t q)
 {
-    // The element-wise kernel paths (Shoup/Barrett/add/sub/neg) must
-    // agree across backends too — they share the approximate-quotient
-    // trick with the transforms.
     const size_t n = 1031; // odd: exercises every vector tail path
-    const uint64_t q = generateNttPrimes(2048, 50, 1)[0];
     Rng rng(7);
     const CoeffVector a = sampleUniform(rng, n, q);
     const CoeffVector b = sampleUniform(rng, n, q);
     const uint64_t w = rng.uniform(q);
     const ShoupMul prepared(w, q);
     const Barrett br(q);
+    // BConv accumulates residues of a source prime into a target one:
+    // src may be wider than q (here up to the 59-bit edge), and a
+    // backend whose lanes are narrower must take its bound from the
+    // caller.
+    const uint64_t wideQ = largestPrimeBelow(59);
+    const CoeffVector wideSrc = sampleUniform(rng, n, wideQ);
 
     // Random gather permutation with negation bits for permuteNeg —
     // indices may repeat (the kernel contract is a plain gather), and
@@ -162,7 +180,11 @@ TEST_F(KernelBackendMatrix, ElementWiseOpsMatchScalarBackend)
         out.push_back(t);
         t = b;
         ops.mulShoupAcc(t.data(), a.data(), n, prepared.operand(),
-                        prepared.precon(), q);
+                        prepared.precon(), q, q);
+        out.push_back(t);
+        t = b;
+        ops.mulShoupAcc(t.data(), wideSrc.data(), n, prepared.operand(),
+                        prepared.precon(), q, wideQ);
         out.push_back(t);
         ops.subMulShoup(t.data(), a.data(), b.data(), n,
                         prepared.operand(), prepared.precon(), q);
@@ -189,7 +211,86 @@ TEST_F(KernelBackendMatrix, ElementWiseOpsMatchScalarBackend)
         ASSERT_EQ(got.size(), expect.size());
         for (size_t i = 0; i < got.size(); ++i)
             EXPECT_EQ(got[i], expect[i])
-                << ops->name << " element-wise op " << i;
+                << ops->name << " element-wise op " << i << ", q=" << q;
+    }
+}
+
+TEST_F(KernelBackendMatrix, ElementWiseOpsMatchScalarBackend)
+{
+    // The element-wise kernel paths (Shoup/Barrett/add/sub/neg) must
+    // agree across backends too — they share the approximate-quotient
+    // trick with the transforms — at every prime size, so both sides of
+    // each IFMA range run.
+    for (const int bits : kPrimeBits) {
+        SCOPED_TRACE(bits);
+        expectElementWiseOpsMatchScalar(generateNttPrimes(2048, bits, 1)[0]);
+    }
+}
+
+TEST_F(KernelBackendMatrix, DualInnerProductMatchesInt128Reference)
+{
+    // The KeyMult inner product reduces once per chunk of terms, on
+    // lanes of 52 (IFMA), 64 + carry (AVX2/AVX-512F) or 128 bits
+    // (scalar). Against Barrett::reduce of unsigned __int128 sums: 1..20
+    // terms (past the 64-bit lanes' chunk of 15 at 59 bits and the IFMA
+    // chunks of 7, 3 and 1 at 48, 49 and 50 bits), all-(q-1) and random
+    // inputs, each prime the largest below its bit bound, and a length
+    // with a tail.
+    constexpr size_t kMaxTerms = 20;
+    for (const int bits : {30, 40, 48, 49, 50, 52, 58, 59}) {
+        const uint64_t q = largestPrimeBelow(bits);
+        const Barrett br(q);
+        for (const size_t n : {size_t{2048}, size_t{1031}}) {
+            for (const bool extreme : {true, false}) {
+                Rng rng(static_cast<uint64_t>(bits) * 7919 + n);
+                auto sample = [&] {
+                    return extreme ? CoeffVector(n, q - 1)
+                                   : sampleUniform(rng, n, q);
+                };
+                std::vector<CoeffVector> a, b0, b1;
+                std::vector<const uint64_t *> pa, pb0, pb1;
+                for (size_t j = 0; j < kMaxTerms; ++j) {
+                    a.push_back(sample());
+                    b0.push_back(sample());
+                    b1.push_back(sample());
+                }
+                for (size_t j = 0; j < kMaxTerms; ++j) {
+                    pa.push_back(a[j].data());
+                    pb0.push_back(b0[j].data());
+                    pb1.push_back(b1[j].data());
+                }
+                const CoeffVector init0 = sample();
+                const CoeffVector init1 = sample();
+                for (size_t terms = 1; terms <= kMaxTerms; ++terms) {
+                    CoeffVector want0(n), want1(n);
+                    for (size_t i = 0; i < n; ++i) {
+                        unsigned __int128 s0 = init0[i], s1 = init1[i];
+                        for (size_t j = 0; j < terms; ++j) {
+                            s0 += static_cast<unsigned __int128>(a[j][i]) *
+                                  b0[j][i];
+                            s1 += static_cast<unsigned __int128>(a[j][i]) *
+                                  b1[j][i];
+                        }
+                        want0[i] = br.reduce(s0);
+                        want1[i] = br.reduce(s1);
+                    }
+                    for (const kernels::KernelOps *ops : runnableBackends()) {
+                        CoeffVector got0 = init0, got1 = init1;
+                        ops->dualInnerProduct(got0.data(), got1.data(),
+                                              pa.data(), pb0.data(),
+                                              pb1.data(), terms, n, br);
+                        EXPECT_EQ(got0, want0)
+                            << ops->name << " acc0, q=" << q << " ("
+                            << bits << "-bit) n=" << n << " terms="
+                            << terms << (extreme ? " all q-1" : "");
+                        EXPECT_EQ(got1, want1)
+                            << ops->name << " acc1, q=" << q << " ("
+                            << bits << "-bit) n=" << n << " terms="
+                            << terms << (extreme ? " all q-1" : "");
+                    }
+                }
+            }
+        }
     }
 }
 
