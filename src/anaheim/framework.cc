@@ -80,11 +80,10 @@ AnaheimFramework::degradedPimModel(const PimConfig &degraded) const
 {
     std::lock_guard<std::mutex> lock(degradedMutex_);
     std::unique_ptr<PimKernelModel> &model =
-        degradedPims_[{degraded.offlineBanks, degraded.quarantinedLanes}];
+        degradedPims_[degraded.offlineBanks];
     if (!model) {
         PimConfig pim = config_.pim;
         pim.offlineBanks = degraded.offlineBanks;
-        pim.quarantinedLanes = degraded.quarantinedLanes;
         model = std::make_unique<PimKernelModel>(config_.dram, pim);
     }
     return *model;

@@ -14,7 +14,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dram/scrub.h"
@@ -80,9 +79,6 @@ struct ResilienceConfig {
      *  the Monte-Carlo draw at `permanentBankRate`). Unlike transient
      *  upsets these fail every retry, every replay, every generation. */
     std::vector<PermanentBankFault> permanentBanks;
-    /** Permanently broken MMAC lanes: silent corruption on every op
-     *  (no ECC on the lane datapath; only checksums detect it). */
-    std::vector<PermanentLaneFault> permanentLanes;
     /** Per-bank permanent-failure probability, sampled
      *  deterministically from `faultSeed` per physical bank. */
     double permanentBankRate = 0.0;
@@ -184,13 +180,10 @@ struct ResilienceStats {
     /** Codeword accesses landing on permanently failed banks (fail
      *  deterministically on every attempt and generation). */
     uint64_t permanentFaultyWords = 0;
-    /** Lane multiplies routed through permanently broken lanes. */
-    uint64_t permanentLaneFaults = 0;
     /** Detected-error events fed to the health monitor. */
     uint64_t healthErrorEvents = 0;
-    /** Banks / lanes quarantined by the health monitor this run. */
+    /** Banks quarantined by the health monitor this run. */
     uint64_t quarantinedBanks = 0;
-    uint64_t quarantinedLanes = 0;
     /** Quarantine + remap + replay migrations (do not consume the
      *  rollback budget: the fault is removed, not retried). */
     uint64_t migrations = 0;
@@ -257,8 +250,9 @@ class AnaheimFramework
 
     /** The PIM model of this device degraded to `degraded`, a
      *  `config().pim.degraded(...)`. One model per quarantine geometry
-     *  (the two fields degraded() sets), built on first use and shared
-     *  by every run on this framework, so its prices stay warm.
+     *  (its offline banks, the one field degraded() sets), built on
+     *  first use and shared by every run on this framework, so its
+     *  prices stay warm.
      *  Thread-safe; the reference lives as long as the framework. */
     const PimKernelModel &degradedPimModel(const PimConfig &degraded) const;
 
@@ -266,14 +260,12 @@ class AnaheimFramework
      *  schedule against this framework's models. */
     friend class RunContext;
 
-    /** (offlineBanks, quarantinedLanes) of a degraded geometry. */
-    using DegradedKey = std::pair<std::vector<size_t>, size_t>;
-
     AnaheimConfig config_;
     GpuModel gpu_;
     PimKernelModel pim_;
     mutable std::mutex degradedMutex_;
-    mutable std::map<DegradedKey, std::unique_ptr<PimKernelModel>>
+    /** Degraded models keyed by their offline banks. */
+    mutable std::map<std::vector<size_t>, std::unique_ptr<PimKernelModel>>
         degradedPims_;
 };
 

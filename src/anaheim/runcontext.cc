@@ -72,13 +72,12 @@ RunContext::RunContext(const AnaheimFramework &fw, const OpSequence &seq,
         faults.retentionBerPerWindow = rc_.retentionBerPerWindow;
         faults.seed = rc_.faultSeed;
         faults.permanentBanks = rc_.permanentBanks;
-        faults.permanentLanes = rc_.permanentLanes;
         faults.permanentBankRate = rc_.permanentBankRate;
         if (faults.enabled())
             faultModel_.emplace(faults);
     }
 
-    // Permanent-fault universe and health monitoring. A failed site is
+    // Permanent-fault universe and health monitoring. A failed bank is
     // "active" while it still carries data; once the monitor
     // quarantines it and execution migrates, it stops corrupting.
     // Permanent damage is a device property: it does NOT depend on the
@@ -90,17 +89,10 @@ RunContext::RunContext(const AnaheimFramework &fw, const OpSequence &seq,
                  config_.pim.dieGroups, config_.pim.banksPerDieGroup))
             failedBankSites_.push_back(
                 {FaultSiteId::Kind::Bank, bank.dieGroup, bank.bank});
-        for (const PermanentLaneFault &lane :
-             faultModel_->config().permanentLanes) {
-            if (lane.dieGroup < config_.pim.dieGroups &&
-                lane.lane < config_.pim.lanes)
-                failedLaneSites_.push_back({FaultSiteId::Kind::MmacLane,
-                                            lane.dieGroup, lane.lane});
-        }
     }
     if (rc_.health.enabled)
         health_.emplace(rc_.health, config_.pim.dieGroups,
-                        config_.pim.banksPerDieGroup, config_.pim.lanes);
+                        config_.pim.banksPerDieGroup);
     refreshActiveFaults();
 
     // Stream ids keep every (generation, op, retry attempt) draw
@@ -173,12 +165,8 @@ void
 RunContext::refreshActiveFaults()
 {
     activeFailedBanks_ = 0;
-    activeFailedLanes_ = 0;
     for (const FaultSiteId &site : failedBankSites_)
         activeFailedBanks_ +=
-            health_ && health_->isQuarantined(site) ? 0 : 1;
-    for (const FaultSiteId &site : failedLaneSites_)
-        activeFailedLanes_ +=
             health_ && health_->isQuarantined(site) ? 0 : 1;
 }
 
@@ -290,10 +278,10 @@ RunContext::countFallback(FallbackCause cause)
 bool
 RunContext::escalate(Detector detector, size_t next)
 {
-    // Suspects are the still-active permanently failed sites the
-    // detector can see: ECC guards the bank arrays, checksums see the
-    // ECC-less lane datapath (and the banks too when ECC is off), and
-    // retention decay has no permanent site at all.
+    // Suspects are the still-active permanently failed banks, when the
+    // detector can see them: ECC guards the bank arrays, checksums see
+    // the banks only when ECC is off, and retention decay has no
+    // permanent site at all.
     const bool ecc = detector == Detector::Ecc;
     const bool checksum = detector == Detector::Checksum;
     // With a checkpoint every recovery replays from it. Without one, an
@@ -302,7 +290,7 @@ RunContext::escalate(Detector detector, size_t next)
     // past them.
     const bool snapshot = rc_.checkpoint.enabled;
     const size_t resume = snapshot ? checkpointIndex_ : ecc ? next - 1 : next;
-    if (recordSuspects(ecc || (checksum && !rc_.eccEnabled), checksum) &&
+    if (recordSuspects(ecc || (checksum && !rc_.eccEnabled)) &&
         resume < seq_.ops.size()) {
         // 1. Quarantine + migrate off the site that crossed the
         //    permanent threshold. Without a snapshot, committed outputs
@@ -324,25 +312,19 @@ RunContext::escalate(Detector detector, size_t next)
 }
 
 bool
-RunContext::recordSuspects(bool banks, bool lanes)
+RunContext::recordSuspects(bool banks)
 {
     // Feed a detected error to the health monitor against every
-    // permanently failed site that could have caused it (the detector
-    // cannot localize beyond that; already quarantined sites ignore
-    // it). Returns true when a site newly crossed the permanent
+    // permanently failed bank that could have caused it (the detector
+    // cannot localize beyond that; already quarantined banks ignore
+    // it). Returns true when a bank newly crossed the permanent
     // threshold. Pure transients leave the suspect set empty, so
     // healthy banks are never quarantined by an upset storm.
-    if (!health_)
+    if (!health_ || !banks)
         return false;
     bool newlyQuarantined = false;
-    if (banks) {
-        for (const FaultSiteId &site : failedBankSites_)
-            newlyQuarantined |= health_->recordError(site);
-    }
-    if (lanes) {
-        for (const FaultSiteId &site : failedLaneSites_)
-            newlyQuarantined |= health_->recordError(site);
-    }
+    for (const FaultSiteId &site : failedBankSites_)
+        newlyQuarantined |= health_->recordError(site);
     return newlyQuarantined;
 }
 
@@ -565,19 +547,13 @@ RunContext::stepPim(const KernelOp &op, bool suppressTransition)
                 pimChunks += stats.chunksMoved;
             }
         }
-        if ((rc_.laneBer > 0.0 || activeFailedLanes_ > 0) && !exhausted) {
+        if (rc_.laneBer > 0.0 && !exhausted) {
             // Post-multiply lane flips: no ECC reaches the
             // 28-bit datapath, so every hit is silent here.
-            // Dead lanes corrupt their share of every op's
-            // multiplies the same way — deterministically.
-            const size_t laneOps = static_cast<size_t>(op.modMults());
-            const FaultEventCounts lane =
-                faultModel_->sampleLaneEvents(laneOps, opStream);
-            const uint64_t permLane = permanentFaultyWords(
-                laneOps, activeFailedLanes_, config_.pim.lanes);
-            res.laneFaults += lane.faulty + permLane;
-            res.permanentLaneFaults += permLane;
-            addSilent(lane.faulty + permLane);
+            const FaultEventCounts lane = faultModel_->sampleLaneEvents(
+                static_cast<size_t>(op.modMults()), opStream);
+            res.laneFaults += lane.faulty;
+            addSilent(lane.faulty);
         }
     }
 
@@ -666,7 +642,6 @@ RunContext::finish()
         ResilienceStats &res = result_.resilience;
         res.healthErrorEvents = health_->errorEvents();
         res.quarantinedBanks = health_->resources().quarantinedBanks();
-        res.quarantinedLanes = health_->resources().quarantinedLanes();
         result_.pimCapacityFraction = health_->capacityFraction();
     }
     result_.pimOffline = pimOffline_;

@@ -143,7 +143,7 @@ class RunContext
      *  when no rung applies: the caller surfaces the event or falls
      *  back to the GPU. */
     bool escalate(Detector detector, size_t next);
-    bool recordSuspects(bool banks, bool lanes);
+    bool recordSuspects(bool banks);
     bool canRollBack() const;
     void rollBack();
     void quarantineAndMigrate();
@@ -172,10 +172,8 @@ class RunContext
     std::optional<FaultModel> faultModel_;
     size_t totalBanks_ = 0;
     std::vector<FaultSiteId> failedBankSites_;
-    std::vector<FaultSiteId> failedLaneSites_;
     std::optional<HealthMonitor> health_;
     size_t activeFailedBanks_ = 0;
-    size_t activeFailedLanes_ = 0;
     /** The framework's model of the quarantined geometry, or nullptr
      *  while the device is healthy. */
     const PimKernelModel *degradedPim_ = nullptr;

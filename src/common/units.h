@@ -22,7 +22,6 @@ std::string formatSeconds(double seconds);
 /** Format energy in joules as e.g. "8.1mJ" or "3.2J". */
 std::string formatJoules(double joules);
 
-constexpr double kKiB = 1024.0;
 constexpr double kMiB = 1024.0 * 1024.0;
 constexpr double kGiB = 1024.0 * 1024.0 * 1024.0;
 

@@ -208,10 +208,8 @@ publishRunMetrics(const RunResult &result, MetricsRegistry &registry)
         {"resilience.replayed_segments", res.replayedSegments},
         {"resilience.unrecovered", res.unrecovered},
         {"resilience.permanent_faulty_words", res.permanentFaultyWords},
-        {"resilience.permanent_lane_faults", res.permanentLaneFaults},
         {"resilience.health_events", res.healthErrorEvents},
         {"resilience.quarantined_banks", res.quarantinedBanks},
-        {"resilience.quarantined_lanes", res.quarantinedLanes},
         {"resilience.migrations", res.migrations},
     };
     for (const auto &[name, value] : counters)
@@ -270,9 +268,6 @@ configSummary(const AnaheimConfig &config)
     kv.emplace_back(
         "permanent_banks",
         std::to_string(config.resilience.permanentBanks.size()));
-    kv.emplace_back(
-        "permanent_lanes",
-        std::to_string(config.resilience.permanentLanes.size()));
     return kv;
 }
 
@@ -287,10 +282,10 @@ printAvailability(const RunResult &result, std::FILE *out)
                  res.unrecovered, pimStatusName(result.pimOffline));
     std::fprintf(out,
                  "  capacity: %.4f healthy-bank fraction "
-                 "(%" PRIu64 " banks, %" PRIu64 " lanes quarantined, "
-                 "%" PRIu64 " migrations)\n",
+                 "(%" PRIu64 " banks quarantined, %" PRIu64
+                 " migrations)\n",
                  result.pimCapacityFraction, res.quarantinedBanks,
-                 res.quarantinedLanes, res.migrations);
+                 res.migrations);
     std::fprintf(out,
                  "  escalations: %" PRIu64 " retries, %" PRIu64
                  " rollbacks, gpu fallbacks %" PRIu64

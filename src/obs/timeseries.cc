@@ -202,20 +202,6 @@ TimeSeries::snapshot() const
     return snap;
 }
 
-std::pair<uint64_t, double>
-TimeSeries::tailTotals(size_t windows) const
-{
-    std::lock_guard<std::mutex> lock(mutex_);
-    uint64_t count = 0;
-    double sum = 0.0;
-    const size_t have = windows_.size();
-    for (size_t i = have > windows ? have - windows : 0; i < have; ++i) {
-        count += windows_[i].count;
-        sum += windows_[i].sum;
-    }
-    return {count, sum};
-}
-
 TimeSeriesRegistry &
 TimeSeriesRegistry::global()
 {

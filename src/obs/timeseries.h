@@ -128,10 +128,6 @@ class TimeSeries
 
     SeriesSnapshot snapshot() const;
 
-    /** Sum of (count, sum) over the most recent `windows` windows —
-     *  the burn-rate evaluator's view. */
-    std::pair<uint64_t, double> tailTotals(size_t windows) const;
-
   private:
     struct Window {
         uint64_t count = 0;

@@ -29,9 +29,6 @@ PimConfig::degraded(const ResourceMap &resources) const
     config.offlineBanks = resources.offlineBanksInGroup(worstGroup);
     if (config.offlineBanks.size() >= config.banksPerDieGroup)
         config.offlineBanks.resize(config.banksPerDieGroup - 1);
-    config.quarantinedLanes =
-        std::min(resources.maxQuarantinedLanesPerGroup(),
-                 config.lanes > 0 ? config.lanes - 1 : size_t{0});
     return config;
 }
 
@@ -166,10 +163,6 @@ PimKernelModel::executeProfile(const PimInstrProfile &profile,
     // share sequentially, all banks of the group in lockstep.
     const size_t limbBatches =
         (limbs + pim_.dieGroups - 1) / pim_.dieGroups;
-    // Dead MMAC lanes stretch the per-chunk processing time: the
-    // surviving lanes serialize the missing lanes' multiplies.
-    const double laneFactor = static_cast<double>(pim_.lanes) /
-                              static_cast<double>(pim_.healthyLanes());
     const size_t streams =
         profile.readsGroup0 + profile.readsGroup1 + profile.writes;
     const bool nearBank = pim_.variant == PimVariant::NearBank;
@@ -184,7 +177,7 @@ PimKernelModel::executeProfile(const PimInstrProfile &profile,
     if (nearBank) {
         DramTiming timing = dram_.timing;
         timing.tCCD = chunkPeriodCycles(dram_.timing, pim_.clockGHz,
-                                        profile.mmacPerChunk * laneFactor);
+                                        profile.mmacPerChunk);
         BankEngine bank(timing);
         for (size_t batch = 0; batch < limbBatches; ++batch) {
             for (size_t iter = 0; iter < iterations; ++iter) {
@@ -211,8 +204,7 @@ PimKernelModel::executeProfile(const PimInstrProfile &profile,
         // ACT/PRE of one bank hides behind the streaming of the other
         // banks. Residual exposure shrinks with both G and the
         // banks-per-unit ratio.
-        const double chunkNs =
-            profile.mmacPerChunk * laneFactor / pim_.clockGHz;
+        const double chunkNs = profile.mmacPerChunk / pim_.clockGHz;
         const double streamNs = chunksPerBankTotal *
                                 static_cast<double>(pim_.banksPerUnit) *
                                 chunkNs;

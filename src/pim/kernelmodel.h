@@ -75,10 +75,6 @@ struct PimConfig {
      * streams), and energy only charges the banks that still switch.
      */
     std::vector<size_t> offlineBanks;
-    /** Quarantined MMAC lanes per unit: the surviving lanes absorb the
-     *  dead lanes' multiplies, stretching the chunk cadence by
-     *  lanes / healthyLanes(). */
-    size_t quarantinedLanes = 0;
 
     /** Rejects a quarantine set no layout exists for: InvalidArgument
      *  for an offline bank outside the die group or listed twice,
@@ -92,10 +88,6 @@ struct PimConfig {
     {
         return banksPerDieGroup - offlineBanks.size();
     }
-    size_t healthyLanes() const
-    {
-        return lanes > quarantinedLanes ? lanes - quarantinedLanes : 1;
-    }
     /** Chunks each healthy bank holds of one degree-n limb: the limb's
      *  chunks spread over the healthy banks, rounded up (§VI-B's
      *  example: 16 at n = 2^16 on 512 banks). */
@@ -105,9 +97,9 @@ struct PimConfig {
     size_t rowsPerRowGroup(const DramConfig &dram, size_t n) const;
 
     /** Config degraded by a quarantine set: the worst die group's
-     *  offline banks (lockstep makes it the device bottleneck) and its
-     *  quarantined lane count, clamped so at least one bank and one
-     *  lane survive. Identity when nothing is quarantined. */
+     *  offline banks (lockstep makes it the device bottleneck), clamped
+     *  so at least one bank survives. Identity when nothing is
+     *  quarantined. */
     PimConfig degraded(const ResourceMap &resources) const;
 
     /** Near-bank A100 configuration (Table III column 1). */

@@ -73,7 +73,7 @@ class ServiceEstimator
     double estimateNs(size_t index) const;
 
     /**
-     * Re-price every trace on the degraded geometry: banks/lanes in
+     * Re-price every trace on the degraded geometry: banks in
      * `resources` are quarantined, so PIM work slows to the worst die
      * group's healthy-bank lockstep (PimConfig::degraded). Traces
      * whose degraded memory plan no longer fits — and every trace when

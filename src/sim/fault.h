@@ -85,13 +85,6 @@ struct PermanentBankFault {
     size_t bank = 0; ///< bank index within the die group
 };
 
-/** A permanently broken MMAC lane: every modular multiply routed
- *  through it is silently wrong (no ECC on the 28-bit datapath). */
-struct PermanentLaneFault {
-    size_t dieGroup = 0;
-    size_t lane = 0; ///< lane index within the group's units
-};
-
 struct FaultConfig {
     /** Raw per-bit error probability per codeword access on the
      *  storage sites (operand reads and write-backs). */
@@ -107,9 +100,8 @@ struct FaultConfig {
     uint64_t seed = 0x0ddfa117u;
     std::vector<TargetedFault> targets;
 
-    /** Explicitly dead banks/lanes (always failed, any seed). */
+    /** Explicitly dead banks (always failed, any seed). */
     std::vector<PermanentBankFault> permanentBanks;
-    std::vector<PermanentLaneFault> permanentLanes;
     /** Monte-Carlo permanent-failure probability per bank, sampled
      *  deterministically per (seed, die group, bank) by
      *  FaultModel::samplePermanentBanks — the fabrication/wear-out
@@ -120,7 +112,7 @@ struct FaultConfig {
     {
         return ber > 0.0 || laneBer > 0.0 || retentionBerPerWindow > 0.0 ||
                !targets.empty() || !permanentBanks.empty() ||
-               !permanentLanes.empty() || permanentBankRate > 0.0;
+               permanentBankRate > 0.0;
     }
 };
 

@@ -14,51 +14,12 @@ ResourceMap::contains(const FaultSiteId &site) const
 }
 
 size_t
-ResourceMap::quarantinedBanks() const
-{
-    size_t count = 0;
-    for (const FaultSiteId &site : quarantined)
-        count += site.kind == FaultSiteId::Kind::Bank ? 1 : 0;
-    return count;
-}
-
-size_t
-ResourceMap::quarantinedLanes() const
-{
-    return quarantined.size() - quarantinedBanks();
-}
-
-size_t
 ResourceMap::quarantinedBanksInGroup(size_t dieGroup) const
 {
     size_t count = 0;
-    for (const FaultSiteId &site : quarantined) {
-        if (site.kind == FaultSiteId::Kind::Bank &&
-            site.dieGroup == dieGroup)
-            ++count;
-    }
+    for (const FaultSiteId &site : quarantined)
+        count += site.dieGroup == dieGroup ? 1 : 0;
     return count;
-}
-
-size_t
-ResourceMap::quarantinedLanesInGroup(size_t dieGroup) const
-{
-    size_t count = 0;
-    for (const FaultSiteId &site : quarantined) {
-        if (site.kind == FaultSiteId::Kind::MmacLane &&
-            site.dieGroup == dieGroup)
-            ++count;
-    }
-    return count;
-}
-
-size_t
-ResourceMap::maxQuarantinedLanesPerGroup() const
-{
-    size_t worst = 0;
-    for (size_t g = 0; g < dieGroups; ++g)
-        worst = std::max(worst, quarantinedLanesInGroup(g));
-    return worst;
 }
 
 std::vector<size_t>
@@ -66,8 +27,7 @@ ResourceMap::offlineBanksInGroup(size_t dieGroup) const
 {
     std::vector<size_t> banks;
     for (const FaultSiteId &site : quarantined) {
-        if (site.kind == FaultSiteId::Kind::Bank &&
-            site.dieGroup == dieGroup)
+        if (site.dieGroup == dieGroup)
             banks.push_back(site.index);
     }
     return banks;
@@ -85,8 +45,7 @@ ResourceMap::bankCapacityFraction() const
 }
 
 HealthMonitor::HealthMonitor(const HealthConfig &config,
-                             size_t dieGroups, size_t banksPerDieGroup,
-                             size_t lanesPerUnit)
+                             size_t dieGroups, size_t banksPerDieGroup)
     : config_(config)
 {
     ANAHEIM_CHECK(config_.permanentThreshold >= 1, InvalidArgument,
@@ -99,7 +58,6 @@ HealthMonitor::HealthMonitor(const HealthConfig &config,
                   config_.minCapacityFraction);
     map_.dieGroups = dieGroups;
     map_.banksPerDieGroup = banksPerDieGroup;
-    map_.lanesPerUnit = lanesPerUnit;
 }
 
 bool
@@ -108,12 +66,9 @@ HealthMonitor::recordError(const FaultSiteId &site)
     ANAHEIM_CHECK(site.dieGroup < map_.dieGroups, InvalidArgument,
                   "fault site die group ", site.dieGroup,
                   " outside the device's ", map_.dieGroups);
-    const size_t span = site.kind == FaultSiteId::Kind::Bank
-                            ? map_.banksPerDieGroup
-                            : map_.lanesPerUnit;
-    ANAHEIM_CHECK(site.index < span, InvalidArgument,
+    ANAHEIM_CHECK(site.index < map_.banksPerDieGroup, InvalidArgument,
                   "fault site index ", site.index,
-                  " outside the resource span ", span);
+                  " outside the resource span ", map_.banksPerDieGroup);
     if (map_.contains(site))
         return false;
     ++events_;
@@ -148,16 +103,16 @@ HealthMonitor::belowCapacityFloor() const
 }
 
 uint64_t
-permanentFaultyWords(size_t words, size_t failedUnits,
-                     size_t totalUnits)
+permanentFaultyWords(size_t words, size_t failedBanks,
+                     size_t totalBanks)
 {
-    if (failedUnits == 0 || words == 0 || totalUnits == 0)
+    if (failedBanks == 0 || words == 0 || totalBanks == 0)
         return 0;
-    const size_t failed = std::min(failedUnits, totalUnits);
+    const size_t failed = std::min(failedBanks, totalBanks);
     const uint64_t share =
         static_cast<uint64_t>(static_cast<double>(words) *
                               static_cast<double>(failed) /
-                              static_cast<double>(totalUnits));
+                              static_cast<double>(totalBanks));
     return std::max<uint64_t>(share, 1);
 }
 

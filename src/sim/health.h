@@ -3,9 +3,8 @@
  * Permanent-fault health monitoring for the PIM datapath.
  *
  * Transient upsets re-sample on every replay, so retry/rollback makes
- * them go away; a permanent fault (stuck-at cells, a dead bank, a
- * broken MMAC lane) deterministically fails every replay into the same
- * site. The HealthMonitor tells the two apart from the error history:
+ * them go away; a permanent fault (stuck-at cells, a dead bank)
+ * deterministically fails every replay into the same site. The HealthMonitor tells the two apart from the error history:
  * it counts detected errors per fault site, and a site that
  * accumulates `permanentThreshold` of them is classified permanent and
  * quarantined. The quarantine set is exposed as a ResourceMap that the
@@ -13,7 +12,7 @@
  * and that PimKernelModel uses to price the degraded device.
  *
  * Permanent-fault *injection* lives in FaultConfig (permanentBanks /
- * permanentLanes / permanentBankRate); the monitor only ever sees
+ * permanentBankRate); the monitor only ever sees
  * detection events, so a run with health monitoring disabled degrades
  * exactly like the pre-quarantine framework: replay storms into the
  * broken site until the rollback budget dies, then GPU fallback.
@@ -22,6 +21,7 @@
 #ifndef ANAHEIM_SIM_HEALTH_H
 #define ANAHEIM_SIM_HEALTH_H
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <map>
@@ -29,29 +29,17 @@
 
 namespace anaheim {
 
-/** Identity of one quarantinable hardware resource. */
+/** Identity of one quarantinable hardware resource: one DRAM bank of
+ *  a die group (its storage and its PIM unit). */
 struct FaultSiteId {
-    enum class Kind {
-        Bank,     ///< one DRAM bank of a die group (storage + its unit)
-        MmacLane, ///< one MMAC lane of the die group's units
-    };
+    /** Every site is a bank; kept because perfbench spells `kind`. */
+    enum class Kind { Bank };
     Kind kind = Kind::Bank;
     size_t dieGroup = 0;
-    size_t index = 0; ///< bank index or lane index within the group
+    size_t index = 0; ///< bank index within the group
 
-    friend bool operator==(const FaultSiteId &a, const FaultSiteId &b)
-    {
-        return a.kind == b.kind && a.dieGroup == b.dieGroup &&
-               a.index == b.index;
-    }
-    friend bool operator<(const FaultSiteId &a, const FaultSiteId &b)
-    {
-        if (a.kind != b.kind)
-            return a.kind < b.kind;
-        if (a.dieGroup != b.dieGroup)
-            return a.dieGroup < b.dieGroup;
-        return a.index < b.index;
-    }
+    friend auto operator<=>(const FaultSiteId &,
+                            const FaultSiteId &) = default;
 };
 
 /** Health-monitor policy knobs (nested in ResilienceConfig). */
@@ -77,17 +65,13 @@ struct HealthConfig {
 struct ResourceMap {
     size_t dieGroups = 0;
     size_t banksPerDieGroup = 0;
+    /** Unread; kept because perfbench sets it. */
     size_t lanesPerUnit = 0;
     std::vector<FaultSiteId> quarantined; ///< sorted, unique
 
     bool contains(const FaultSiteId &site) const;
-    size_t quarantinedBanks() const;
-    size_t quarantinedLanes() const;
+    size_t quarantinedBanks() const { return quarantined.size(); }
     size_t quarantinedBanksInGroup(size_t dieGroup) const;
-    size_t quarantinedLanesInGroup(size_t dieGroup) const;
-    /** Worst-case per-group lane quarantine (the lockstep
-     *  bottleneck). */
-    size_t maxQuarantinedLanesPerGroup() const;
     /** Offline bank indices of one die group, for the layout. */
     std::vector<size_t> offlineBanksInGroup(size_t dieGroup) const;
     /** Healthy banks / total banks across the device. */
@@ -98,7 +82,7 @@ class HealthMonitor
 {
   public:
     HealthMonitor(const HealthConfig &config, size_t dieGroups,
-                  size_t banksPerDieGroup, size_t lanesPerUnit);
+                  size_t banksPerDieGroup);
 
     const HealthConfig &config() const { return config_; }
     const ResourceMap &resources() const { return map_; }
@@ -128,16 +112,15 @@ class HealthMonitor
 };
 
 /**
- * Deterministic word damage of an access striped over `totalUnits`
- * lockstep units of which `failedUnits` are permanently broken: the
- * proportional share of `words`, and never zero while anything is
- * accessed at all — a stuck-at site cannot be missed by a replay,
- * which is exactly what distinguishes it from a transient. Used for
- * both failed banks (word = codeword access) and failed lanes
- * (word = lane multiply).
+ * Deterministic word damage of an access striped over `totalBanks`
+ * lockstep banks of which `failedBanks` are permanently broken: the
+ * proportional share of `words` (codeword accesses), and never zero
+ * while anything is accessed at all — a stuck-at site cannot be missed
+ * by a replay, which is exactly what distinguishes it from a
+ * transient.
  */
-uint64_t permanentFaultyWords(size_t words, size_t failedUnits,
-                              size_t totalUnits);
+uint64_t permanentFaultyWords(size_t words, size_t failedBanks,
+                              size_t totalBanks);
 
 } // namespace anaheim
 

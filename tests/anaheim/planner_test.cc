@@ -85,7 +85,6 @@ TEST(PimMemoryPlanner, FailureAwarePlanAllocatesAroundOfflineBanks)
     ResourceMap map;
     map.dieGroups = 5;
     map.banksPerDieGroup = 512;
-    map.lanesPerUnit = 8;
     for (size_t b = 0; b < 128; ++b)
         map.quarantined.push_back({FaultSiteId::Kind::Bank, 2, b});
     const auto planOn = [&](const ResourceMap &resources) {

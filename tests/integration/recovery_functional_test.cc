@@ -244,8 +244,8 @@ TEST_F(FunctionalRecoveryTest,
     HealthConfig healthConfig;
     healthConfig.enabled = true;
     healthConfig.permanentThreshold = 3;
-    // One die group, one "bank" per mapped region, 8 lanes.
-    HealthMonitor monitor(healthConfig, 1, 2, 8);
+    // One die group, one "bank" per mapped region.
+    HealthMonitor monitor(healthConfig, 1, 2);
     const FaultSiteId site{FaultSiteId::Kind::Bank, 0, 0};
     const size_t kSpareOffset = 64; // remap target region
 

@@ -175,19 +175,6 @@ TEST(TimeSeries, QuantilesBracketTheSamplesAndStayOrdered)
     EXPECT_LE(p.p50, p.p99);
 }
 
-TEST(TimeSeries, TailTotalsSumTheMostRecentWindows)
-{
-    TimeSeries series("test.ts.tail", 1000.0, 8);
-    for (int w = 0; w < 5; ++w)
-        series.observe(w * 1000.0 + 500.0, 2.0);
-    const auto [count, sum] = series.tailTotals(2);
-    EXPECT_EQ(count, 2u);
-    EXPECT_DOUBLE_EQ(sum, 4.0);
-    const auto [all, allSum] = series.tailTotals(100);
-    EXPECT_EQ(all, 5u);
-    EXPECT_DOUBLE_EQ(allSum, 10.0);
-}
-
 TEST(TimeSeries, SubTickEventsShareOneWindow)
 {
     // Tick far larger than the event spacing: everything lands in one

@@ -284,46 +284,27 @@ TEST_F(PimModelTest, DegradedDeviceStretchesLockstepStreams)
     const auto slower =
         degradedModel.execute(PimOpcode::PAccum, 4, 68, 1 << 16);
     EXPECT_GT(slower.timeNs, healthy.timeNs);
-
-    // Dead lanes: survivors serialize their multiplies.
-    PimConfig laneDegraded = PimConfig::nearBankA100();
-    laneDegraded.quarantinedLanes = 4; // 8 -> 4 lanes
-    const PimKernelModel laneModel(DramConfig::hbm2A100(), laneDegraded);
-    const auto laneSlower =
-        laneModel.execute(PimOpcode::Mult, 1, 54, 1 << 16);
-    const auto laneHealthy =
-        model_.execute(PimOpcode::Mult, 1, 54, 1 << 16);
-    EXPECT_GT(laneSlower.timeNs, laneHealthy.timeNs);
-    // Total multiplies are unchanged, so MMAC energy is too: the lane
-    // quarantine costs time, not energy.
-    EXPECT_NEAR(laneSlower.energyPj, laneHealthy.energyPj,
-                0.05 * laneHealthy.energyPj);
 }
 
 TEST_F(PimModelTest, DegradedConfigTracksTheWorstDieGroup)
 {
     // Lockstep ties the device to its worst group: degraded() must
-    // adopt that group's offline banks and the worst lane count.
+    // adopt that group's offline banks.
     ResourceMap map;
     map.dieGroups = 5;
     map.banksPerDieGroup = 512;
-    map.lanesPerUnit = 8;
     map.quarantined = {
         {FaultSiteId::Kind::Bank, 1, 40},
         {FaultSiteId::Kind::Bank, 3, 7},
         {FaultSiteId::Kind::Bank, 3, 200},
-        {FaultSiteId::Kind::MmacLane, 0, 2},
     };
     const PimConfig degraded = PimConfig::nearBankA100().degraded(map);
     EXPECT_EQ(degraded.offlineBanks, (std::vector<size_t>{7, 200}));
-    EXPECT_EQ(degraded.quarantinedLanes, 1u);
     EXPECT_EQ(degraded.healthyBanksPerDieGroup(), 510u);
-    EXPECT_EQ(degraded.healthyLanes(), 7u);
     // Nothing quarantined: identity.
     const PimConfig same =
         PimConfig::nearBankA100().degraded(ResourceMap{});
     EXPECT_TRUE(same.offlineBanks.empty());
-    EXPECT_EQ(same.quarantinedLanes, 0u);
 }
 
 TEST_F(PimModelTest, CustomHbmHidesActPreButStreamsSlower)
@@ -384,8 +365,7 @@ priceTableShapes()
     return shapes;
 }
 
-/** Both variants x B in {4..64} x {healthy, 32 offline banks, 4
- *  quarantined lanes}. */
+/** Both variants x B in {4..64} x {healthy, 32 offline banks}. */
 std::vector<PimConfig>
 priceTableConfigs()
 {
@@ -398,9 +378,7 @@ priceTableConfigs()
             PimConfig offline = healthy;
             for (size_t bank = 0; bank < 32; ++bank)
                 offline.offlineBanks.push_back(bank);
-            PimConfig lanes = healthy;
-            lanes.quarantinedLanes = 4;
-            configs.insert(configs.end(), {healthy, offline, lanes});
+            configs.insert(configs.end(), {healthy, offline});
         }
     }
     return configs;
@@ -473,8 +451,8 @@ priceDigest(const PimKernelModel &model)
 TEST(PimPriceTable, PricesMatchPinnedDigests)
 {
     // Every price the model can give, pinned bit for bit: each device
-    // preset on its own DRAM x B x {healthy, 32 offline banks, 4
-    // quarantined lanes, no column partitioning}. The figure goldens
+    // preset on its own DRAM x B x {healthy, 32 offline banks, no
+    // column partitioning}. The figure goldens
     // see only the shapes the benches price; these digests see every
     // opcode, chained fan-in, limb count and ring degree of
     // priceTableShapes() on every degraded geometry.
@@ -493,56 +471,54 @@ TEST(PimPriceTable, PricesMatchPinnedDigests)
     };
     constexpr size_t kBuffers[] = {4, 8, 16, 32, 64};
     const char *const geometries[] = {"healthy", "32 offline banks",
-                                      "4 quarantined lanes", "no CP"};
-    static constexpr uint64_t kDigests[3][5][4] = {
+                                      "no CP"};
+    static constexpr uint64_t kDigests[3][5][3] = {
         {
             {0xb89897026a07aa7aull, 0xf9719dac631a77a4ull,
-             0xcc4a2455159e8783ull, 0xf385a37c5a8912ddull},
+             0xf385a37c5a8912ddull},
             {0x06e3075f8a07c339ull, 0xdc0a2afb8ac29d0dull,
-             0x6c96ee76ddb9c432ull, 0x9527911a3134b7ceull},
+             0x9527911a3134b7ceull},
             {0x00e68fa5e66f9806ull, 0xadac12856cde245full,
-             0x457bf8d0d3b7a009ull, 0xd9be033c484623d2ull},
+             0xd9be033c484623d2ull},
             {0x6caf9e405203143eull, 0xf949f97dc2cecb4aull,
-             0xd21d347a4c4910eaull, 0x8ed7b4f34264b259ull},
+             0x8ed7b4f34264b259ull},
             {0xbc209ccb5b2ba700ull, 0xa240f7ee64ce0c21ull,
-             0x231a929e29545dbfull, 0x068d37ce3482f3a0ull},
+             0x068d37ce3482f3a0ull},
         },
         {
             {0x78a7427bca71cb6eull, 0xb66fa19e9daa8a09ull,
-             0xdd1ef259fb286a2dull, 0xe6beb22ad9ded68cull},
+             0xe6beb22ad9ded68cull},
             {0xc31a5277ed13f624ull, 0x8650378da7943bc2ull,
-             0x7321c6b2f523bbdfull, 0x72ae0a4786ef493full},
+             0x72ae0a4786ef493full},
             {0x5acf158475fc3e08ull, 0xb5f547939319a2ffull,
-             0xe114a6810b84a7d2ull, 0x4a33a43475f44f2dull},
+             0x4a33a43475f44f2dull},
             {0xd01dbb44b940c215ull, 0xa04acb113e5aafa4ull,
-             0x4917f8d8692dfc04ull, 0xd667c1d1fa3c03c9ull},
+             0xd667c1d1fa3c03c9ull},
             {0x002fcb93751cd59cull, 0x0d2cd9a5777b75ddull,
-             0x2a643296774acd92ull, 0xf9ad6dbcd7fb4807ull},
+             0xf9ad6dbcd7fb4807ull},
         },
         {
             {0x9d4072dd6233bfc8ull, 0x8d2d37e95604f09dull,
-             0x4e45c838497deea5ull, 0x475aadf85503bd1bull},
+             0x475aadf85503bd1bull},
             {0xcd5df06b2b20ee0cull, 0xa6ac534b80757cc1ull,
-             0xb97402ecbc1cca27ull, 0xb61fd4db9d9829cfull},
+             0xb61fd4db9d9829cfull},
             {0xbfd3bb5b71f0354cull, 0x40590dc71052fd82ull,
-             0xea0ffce695fdc959ull, 0xf6e54da54c839ac1ull},
+             0xf6e54da54c839ac1ull},
             {0xc13b284252a8bef2ull, 0xa60f6d797eb96feaull,
-             0x649e5cfe84396eedull, 0x899a43e63e81b28cull},
+             0x899a43e63e81b28cull},
             {0xef9c7468880b7153ull, 0x157272f1cf8af017ull,
-             0x83892e9ee376c583ull, 0x6db6cbfc18549b82ull},
+             0x6db6cbfc18549b82ull},
         },
     };
     for (size_t d = 0; d < 3; ++d) {
         for (size_t b = 0; b < 5; ++b) {
-            for (size_t g = 0; g < 4; ++g) {
+            for (size_t g = 0; g < 3; ++g) {
                 PimConfig config = devices[d].pim;
                 config.bufferEntries = kBuffers[b];
                 if (g == 1) {
                     for (size_t bank = 0; bank < 32; ++bank)
                         config.offlineBanks.push_back(bank);
                 } else if (g == 2) {
-                    config.quarantinedLanes = 4;
-                } else if (g == 3) {
                     config.columnPartition = false;
                 }
                 const uint64_t digest =

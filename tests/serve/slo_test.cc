@@ -94,7 +94,6 @@ TEST(ServiceEstimator, RepricesOnDegradedGeometry)
     ResourceMap resources;
     resources.dieGroups = config.pim.dieGroups;
     resources.banksPerDieGroup = config.pim.banksPerDieGroup;
-    resources.lanesPerUnit = config.pim.lanes;
     for (size_t b = 0; b < config.pim.banksPerDieGroup / 4; ++b)
         resources.quarantined.push_back(
             {FaultSiteId::Kind::Bank, 0, b});

@@ -189,23 +189,24 @@ opEntries(const RunResult &result)
 
 TEST(Degradation, UncheckpointedEndOfTraceMismatchQuarantinesWithoutMigrating)
 {
-    // An all-PIM trace crosses no coherence boundary, so the
-    // end-of-trace verify is the first to see a dead lane's damage.
-    // The lane is quarantined and the committed outputs surfaced as
-    // lost, but no op remains to run on a remapped device: nothing
-    // migrates.
+    // With ECC off only checksums see a dead bank, and an all-PIM
+    // trace crosses no coherence boundary, so the end-of-trace verify
+    // is the first to see its damage. The bank is quarantined and the
+    // committed outputs surfaced as lost, but no op remains to run on
+    // a remapped device: nothing migrates.
     OpSequence seq = buildPMult(TraceParams{});
     const OpSequence one = seq;
     for (size_t r = 1; r < 4; ++r)
         seq.append(one);
     AnaheimConfig config = uncheckpointedConfig();
-    config.resilience.permanentLanes.push_back({0, 3});
+    config.resilience.eccEnabled = false;
+    config.resilience.permanentBanks.push_back({0, 3});
     const RunResult result = AnaheimFramework(config).execute(seq);
     const ResilienceStats &res = result.resilience;
 
     EXPECT_EQ(res.checksumChecks, 1u);
     EXPECT_EQ(res.checksumMismatches, 1u);
-    EXPECT_EQ(res.quarantinedLanes, 1u);
+    EXPECT_EQ(res.quarantinedBanks, 1u);
     EXPECT_EQ(res.unrecovered, 1u);
     EXPECT_EQ(res.migrations, 0u);
     EXPECT_EQ(opEntries(result), seq.ops.size());
@@ -213,19 +214,20 @@ TEST(Degradation, UncheckpointedEndOfTraceMismatchQuarantinesWithoutMigrating)
 
 TEST(Degradation, UncheckpointedCoherenceMismatchSurfacesThenMigrates)
 {
-    // HMULT's Tensor op runs on PIM and feeds the GPU keyswitch, so the
-    // coherence verify catches the dead lane. Quarantine stops further
-    // damage, but the verified outputs have committed and there is no
-    // snapshot: they are surfaced as lost before execution migrates on
-    // past them, and no op replays.
+    // HMULT's Tensor op runs on PIM and feeds the GPU keyswitch, so
+    // with ECC off the coherence verify catches the dead bank.
+    // Quarantine stops further damage, but the verified outputs have
+    // committed and there is no snapshot: they are surfaced as lost
+    // before execution migrates on past them, and no op replays.
     AnaheimConfig config = uncheckpointedConfig();
-    config.resilience.permanentLanes.push_back({0, 3});
+    config.resilience.eccEnabled = false;
+    config.resilience.permanentBanks.push_back({0, 3});
     const OpSequence seq = hmultChain(2);
     const RunResult result = AnaheimFramework(config).execute(seq);
     const ResilienceStats &res = result.resilience;
 
     EXPECT_EQ(res.checksumMismatches, 1u);
-    EXPECT_EQ(res.quarantinedLanes, 1u);
+    EXPECT_EQ(res.quarantinedBanks, 1u);
     EXPECT_EQ(res.migrations, 1u);
     EXPECT_EQ(res.unrecovered, 1u);
     EXPECT_EQ(res.gpuFallbacks, 0u);
@@ -301,27 +303,29 @@ TEST(Degradation, DegradedPlanThatNoLongerFitsSendsPimWorkToTheGpu)
         EXPECT_NE(entry.phase, "Migrate");
 }
 
-TEST(Degradation, PermanentLaneFaultIsCaughtByChecksumsAndQuarantined)
+TEST(Degradation, PermanentBankWithoutEccIsCaughtByChecksumsAndQuarantined)
 {
-    // No ECC reaches the MMAC datapath: a dead lane corrupts silently
-    // and only the write-back checksum sees it. The monitor must
-    // attribute the mismatches to the lane, quarantine it, and the
-    // degraded model serializes its multiplies onto the survivors.
+    // With ECC off nothing at the word boundary sees a dead bank: it
+    // corrupts silently, no retry fires, and only the write-back
+    // checksum sees it. The monitor must attribute the mismatches to
+    // the bank, quarantine it, and migrate from the checkpoint.
     AnaheimConfig config = degradationConfig();
-    config.resilience.permanentLanes.push_back({0, 3});
+    config.resilience.eccEnabled = false;
+    config.resilience.permanentBanks.push_back({0, 3});
     const RunResult result =
         AnaheimFramework(config).execute(hmultChain(2));
     const ResilienceStats &res = result.resilience;
 
-    EXPECT_GT(res.permanentLaneFaults, 0u);
+    EXPECT_GT(res.permanentFaultyWords, 0u);
+    EXPECT_EQ(res.eccUncorrectable, 0u);
+    EXPECT_EQ(res.pimRetries, 0u);
     EXPECT_GT(res.checksumMismatches, 0u);
-    EXPECT_EQ(res.quarantinedLanes, 1u);
-    EXPECT_GE(res.migrations, 1u);
+    EXPECT_EQ(res.quarantinedBanks, 1u);
+    EXPECT_EQ(res.migrations, 1u);
     EXPECT_EQ(res.unrecovered, 0u);
     EXPECT_EQ(res.gpuFallbacks, 0u);
-    // Banks were never suspects: full bank capacity remains.
-    EXPECT_EQ(res.quarantinedBanks, 0u);
-    EXPECT_DOUBLE_EQ(result.pimCapacityFraction, 1.0);
+    EXPECT_DOUBLE_EQ(result.pimCapacityFraction,
+                     (5.0 * 512.0 - 1.0) / (5.0 * 512.0));
 }
 
 TEST(Degradation, QuarantineSlowsPimDownButKeepsItFasterThanFallback)
@@ -374,7 +378,6 @@ TEST(Degradation, CampaignIsBitwiseDeterministicAcrossThreadCounts)
     EXPECT_EQ(a.rollbacks, b.rollbacks);
     EXPECT_EQ(a.migrations, b.migrations);
     EXPECT_EQ(a.quarantinedBanks, b.quarantinedBanks);
-    EXPECT_EQ(a.quarantinedLanes, b.quarantinedLanes);
     EXPECT_EQ(a.gpuFallbacks, b.gpuFallbacks);
     EXPECT_EQ(a.healthErrorEvents, b.healthErrorEvents);
     EXPECT_EQ(a.unrecovered, b.unrecovered);

@@ -3,7 +3,7 @@
  * HealthMonitor / ResourceMap unit tests: permanent-fault
  * classification from error history, quarantine bookkeeping over the
  * lockstep device geometry, and the deterministic permanent-damage
- * model shared by banks and lanes.
+ * model of failed banks.
  */
 
 #include <gtest/gtest.h>
@@ -28,7 +28,7 @@ enabledConfig(size_t threshold = 3)
 
 TEST(HealthMonitor, QuarantinesASiteAtThePermanentThreshold)
 {
-    HealthMonitor monitor(enabledConfig(3), 5, 512, 8);
+    HealthMonitor monitor(enabledConfig(3), 5, 512);
     const FaultSiteId bank{FaultSiteId::Kind::Bank, 2, 17};
     EXPECT_FALSE(monitor.recordError(bank));
     EXPECT_FALSE(monitor.recordError(bank));
@@ -38,12 +38,11 @@ TEST(HealthMonitor, QuarantinesASiteAtThePermanentThreshold)
     EXPECT_TRUE(monitor.isQuarantined(bank));
     EXPECT_EQ(monitor.errorEvents(), 3u);
     EXPECT_EQ(monitor.resources().quarantinedBanks(), 1u);
-    EXPECT_EQ(monitor.resources().quarantinedLanes(), 0u);
 }
 
 TEST(HealthMonitor, ErrorsAgainstAQuarantinedSiteAreIgnored)
 {
-    HealthMonitor monitor(enabledConfig(1), 5, 512, 8);
+    HealthMonitor monitor(enabledConfig(1), 5, 512);
     const FaultSiteId bank{FaultSiteId::Kind::Bank, 0, 3};
     EXPECT_TRUE(monitor.recordError(bank));
     // Already quarantined: never reported as *newly* quarantined again
@@ -54,26 +53,21 @@ TEST(HealthMonitor, ErrorsAgainstAQuarantinedSiteAreIgnored)
 
 TEST(HealthMonitor, DistinctSitesAccumulateIndependently)
 {
-    HealthMonitor monitor(enabledConfig(2), 5, 512, 8);
+    HealthMonitor monitor(enabledConfig(2), 5, 512);
     const FaultSiteId bankA{FaultSiteId::Kind::Bank, 1, 7};
     const FaultSiteId bankB{FaultSiteId::Kind::Bank, 1, 8};
-    const FaultSiteId lane{FaultSiteId::Kind::MmacLane, 1, 7};
     EXPECT_FALSE(monitor.recordError(bankA));
     EXPECT_FALSE(monitor.recordError(bankB));
-    EXPECT_FALSE(monitor.recordError(lane)); // same (group, index)
     EXPECT_TRUE(monitor.recordError(bankA));
     EXPECT_FALSE(monitor.isQuarantined(bankB));
-    EXPECT_FALSE(monitor.isQuarantined(lane));
-    EXPECT_TRUE(monitor.recordError(lane));
     EXPECT_EQ(monitor.resources().quarantinedBanks(), 1u);
-    EXPECT_EQ(monitor.resources().quarantinedLanes(), 1u);
 }
 
 TEST(HealthMonitor, CapacityFloorTracksQuarantinedBanks)
 {
     HealthConfig config = enabledConfig(1);
     config.minCapacityFraction = 0.75;
-    HealthMonitor monitor(config, 2, 4, 8); // 8 banks total
+    HealthMonitor monitor(config, 2, 4); // 8 banks total
     EXPECT_DOUBLE_EQ(monitor.capacityFraction(), 1.0);
     EXPECT_FALSE(monitor.belowCapacityFloor());
     monitor.recordError({FaultSiteId::Kind::Bank, 0, 0});
@@ -88,21 +82,18 @@ TEST(HealthMonitor, CapacityFloorTracksQuarantinedBanks)
 TEST(HealthMonitor, RejectsBadConfigurationAndCoordinates)
 {
     HealthConfig config = enabledConfig(0);
-    EXPECT_ANAHEIM_ERROR(HealthMonitor(config, 5, 512, 8),
+    EXPECT_ANAHEIM_ERROR(HealthMonitor(config, 5, 512),
                          InvalidArgument, "threshold");
     config = enabledConfig(1);
     config.minCapacityFraction = 1.5;
-    EXPECT_ANAHEIM_ERROR(HealthMonitor(config, 5, 512, 8),
+    EXPECT_ANAHEIM_ERROR(HealthMonitor(config, 5, 512),
                          InvalidArgument, "capacity");
-    HealthMonitor monitor(enabledConfig(1), 5, 512, 8);
+    HealthMonitor monitor(enabledConfig(1), 5, 512);
     EXPECT_ANAHEIM_ERROR(
         monitor.recordError({FaultSiteId::Kind::Bank, 5, 0}),
         InvalidArgument, "die group");
     EXPECT_ANAHEIM_ERROR(
         monitor.recordError({FaultSiteId::Kind::Bank, 0, 512}),
-        InvalidArgument, "resource span");
-    EXPECT_ANAHEIM_ERROR(
-        monitor.recordError({FaultSiteId::Kind::MmacLane, 0, 8}),
         InvalidArgument, "resource span");
 }
 
@@ -110,20 +101,16 @@ TEST(HealthMonitor, RejectsBadConfigurationAndCoordinates)
 
 TEST(ResourceMap, GroupQueriesAndWorstGroup)
 {
-    HealthMonitor monitor(enabledConfig(1), 3, 16, 8);
+    HealthMonitor monitor(enabledConfig(1), 3, 16);
     monitor.recordError({FaultSiteId::Kind::Bank, 0, 2});
     monitor.recordError({FaultSiteId::Kind::Bank, 2, 5});
     monitor.recordError({FaultSiteId::Kind::Bank, 2, 9});
-    monitor.recordError({FaultSiteId::Kind::MmacLane, 1, 4});
     const ResourceMap &map = monitor.resources();
 
     EXPECT_EQ(map.quarantinedBanks(), 3u);
-    EXPECT_EQ(map.quarantinedLanes(), 1u);
     EXPECT_EQ(map.quarantinedBanksInGroup(0), 1u);
     EXPECT_EQ(map.quarantinedBanksInGroup(1), 0u);
     EXPECT_EQ(map.quarantinedBanksInGroup(2), 2u);
-    EXPECT_EQ(map.quarantinedLanesInGroup(1), 1u);
-    EXPECT_EQ(map.maxQuarantinedLanesPerGroup(), 1u);
     EXPECT_EQ(map.offlineBanksInGroup(2),
               (std::vector<size_t>{5, 9}));
     EXPECT_TRUE(map.offlineBanksInGroup(1).empty());
