@@ -77,15 +77,11 @@ runTrial(double rate, uint64_t seed, const OpSequence &seq,
 
     // The trial's device: count its failed banks directly from the
     // fault model (the run only reports what it quarantined).
-    FaultConfig faults;
-    faults.seed = seed;
-    faults.permanentBankRate = rate;
     const size_t failed =
-        rate > 0.0 ? FaultModel(faults)
-                         .samplePermanentBanks(config.pim.dieGroups,
-                                               config.pim.banksPerDieGroup)
-                         .size()
-                   : 0;
+        FaultModel(config.resilience)
+            .samplePermanentBanks(config.pim.dieGroups,
+                                  config.pim.banksPerDieGroup)
+            .size();
 
     const RunResult run = AnaheimFramework(config).execute(seq);
     const ResilienceStats &r = run.resilience;

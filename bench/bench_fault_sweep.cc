@@ -76,7 +76,7 @@ functionalSweep(const Options &opts, bench::JsonReport &report)
         for (const bool ecc : opts.eccs) {
             FaultConfig faults;
             faults.ber = ber;
-            faults.seed = opts.seed;
+            faults.faultSeed = opts.seed;
             PimDataPath path(faults, ecc);
             unit.attachReadPath(&path);
             const PimVector out = unit.mult(a, b);

@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "common/logging.h"
+#include "common/status.h"
 #include "obs/report.h"
 #include "obs/trace.h"
 #include "runcontext.h"
@@ -73,6 +74,11 @@ AnaheimFramework::AnaheimFramework(const AnaheimConfig &config)
     : config_(config), gpu_(config.gpu, config.library),
       pim_(config.dram, config.pim)
 {
+    // The timing model samples fault events per op; a targeted fault
+    // names one word of the functional datapath and would go unseen.
+    ANAHEIM_CHECK(config_.resilience.targets.empty(), InvalidArgument,
+                  "resilience.targets: targeted faults act only on the "
+                  "word-level PimDataPath, not on the timing model");
 }
 
 const PimKernelModel &

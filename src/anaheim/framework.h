@@ -41,24 +41,14 @@ struct CheckpointConfig {
 
 /**
  * Reliability knobs for the PIM datapath (§VI-A operand reads ride raw
- * DRAM arrays). With every rate at 0 and scrub / checksums /
+ * DRAM arrays): the faults a run injects (FaultConfig) plus the
+ * recovery policy. With every rate at 0 and scrub / checksums /
  * checkpointing disabled (the defaults), the resilience machinery is
  * bypassed entirely and execution is bitwise identical to the
- * fault-free model.
+ * fault-free model. The timing model samples fault events, not words,
+ * so `targets` must stay empty here (AnaheimFramework rejects them).
  */
-struct ResilienceConfig {
-    /** Raw per-bit error probability per PIM codeword access on the
-     *  storage sites (operand reads and result write-backs). */
-    double ber = 0.0;
-    /** Per-bit transient-flip probability per MMAC lane multiply on
-     *  the 28-bit post-multiply datapath. No ECC reaches it: every
-     *  lane fault is silent until a ciphertext checksum catches it. */
-    double laneBer = 0.0;
-    /** Per-bit retention-decay probability per refresh window for the
-     *  resident ciphertext footprint. */
-    double retentionBerPerWindow = 0.0;
-    /** Fault-site seed; identical seeds reproduce identical runs. */
-    uint64_t faultSeed = 0x0ddfa117u;
+struct ResilienceConfig : FaultConfig {
     /** On-die SEC-DED (39,32) at the PIM word-read boundary. Without
      *  it, faults go undetected (no retry/fallback, silent errors). */
     bool eccEnabled = true;
@@ -74,14 +64,6 @@ struct ResilienceConfig {
     ScrubConfig scrub;
     /** Segment-group checkpoint / rollback replay. */
     CheckpointConfig checkpoint;
-
-    /** Permanently failed banks injected into the run (in addition to
-     *  the Monte-Carlo draw at `permanentBankRate`). Unlike transient
-     *  upsets these fail every retry, every replay, every generation. */
-    std::vector<PermanentBankFault> permanentBanks;
-    /** Per-bank permanent-failure probability, sampled
-     *  deterministically from `faultSeed` per physical bank. */
-    double permanentBankRate = 0.0;
     /** Health monitoring + quarantine/remap policy. Disabled, a
      *  permanent fault burns the rollback budget and falls back to
      *  the GPU; enabled, repeated failures at one site quarantine it

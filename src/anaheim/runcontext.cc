@@ -65,17 +65,8 @@ RunContext::RunContext(const AnaheimFramework &fw, const OpSequence &seq,
 
     // Fault/ECC event model for the PIM datapath. Only constructed
     // when faults are configured: the all-rates-zero path is untouched.
-    {
-        FaultConfig faults;
-        faults.ber = rc_.ber;
-        faults.laneBer = rc_.laneBer;
-        faults.retentionBerPerWindow = rc_.retentionBerPerWindow;
-        faults.seed = rc_.faultSeed;
-        faults.permanentBanks = rc_.permanentBanks;
-        faults.permanentBankRate = rc_.permanentBankRate;
-        if (faults.enabled())
-            faultModel_.emplace(faults);
-    }
+    if (rc_.injectsFaults())
+        faultModel_.emplace(rc_);
 
     // Permanent-fault universe and health monitoring. A failed bank is
     // "active" while it still carries data; once the monitor
@@ -119,11 +110,8 @@ RunContext::RunContext(const AnaheimFramework &fw, const OpSequence &seq,
                               op.fanIn, config_.pim.bufferEntries);
     }
 
-    checksumOn_ = rc_.checksumEnabled;
     if (rc_.scrub.enabled)
         scrubber_.emplace(config_.dram, rc_.scrub);
-    // GB/s is bytes-per-ns at the 1e9 scale, so bytes / bw is ns.
-    extBw_ = config_.dram.externalBwGBs;
     liveBytes_ = liveFootprintBytes(seq_);
     residentWords_ = static_cast<size_t>(liveBytes_ / 4.0);
     windowNs_ = static_cast<double>(config_.dram.timing.tREFI) *
@@ -201,7 +189,10 @@ RunContext::chargePhase(const char *phase, const char *device,
 double
 RunContext::snapshotNs() const
 {
-    return liveBytes_ > 0.0 ? 2.0 * liveBytes_ / extBw_ : 0.0;
+    // GB/s is bytes-per-ns at the 1e9 scale, so bytes / bw is ns.
+    return liveBytes_ > 0.0
+               ? 2.0 * liveBytes_ / config_.dram.externalBwGBs
+               : 0.0;
 }
 
 void
@@ -230,7 +221,7 @@ RunContext::addSilent(uint64_t words)
 {
     if (words == 0)
         return;
-    if (checksumOn_)
+    if (rc_.checksumEnabled)
         pendingSilent_ += words;
     else
         result_.resilience.silentErrors += words;
@@ -242,7 +233,7 @@ RunContext::verifyChecksums(double bytes)
     // Verify the ciphertext checksums over `bytes` of residues; true
     // when the data is clean.
     ++result_.resilience.checksumChecks;
-    chargePhase("Verify", "GPU", bytes / extBw_,
+    chargePhase("Verify", "GPU", bytes / config_.dram.externalBwGBs,
                 bytes * config_.dram.energy.nearBankPerBytePj);
     if (pendingSilent_ + pendingRetUncorrectable_ == 0)
         return true;
@@ -408,7 +399,7 @@ RunContext::nextOnPim() const
 bool
 RunContext::nextCostFree() const
 {
-    return i_ >= seq_.ops.size() && !checksumOn_;
+    return i_ >= seq_.ops.size() && !rc_.checksumEnabled;
 }
 
 void
@@ -416,7 +407,7 @@ RunContext::stepEndOfTrace()
 {
     // End-of-trace boundary: the final outputs get one last
     // verification before they are decrypted.
-    if (checksumOn_ && !verifyChecksums(liveBytes_)) {
+    if (rc_.checksumEnabled && !verifyChecksums(liveBytes_)) {
         if (escalate(Detector::Checksum, i_))
             return;
         surfaceUnrecovered();
@@ -471,7 +462,7 @@ RunContext::runMaintenance()
         segmentsSinceCkpt_ >= rc_.checkpoint.intervalSegments) {
         // Verify before snapshotting: never checkpoint corrupt
         // state, or rollback would replay the corruption forever.
-        if (checksumOn_ && !verifyChecksums(liveBytes_)) {
+        if (rc_.checksumEnabled && !verifyChecksums(liveBytes_)) {
             if (escalate(Detector::Checksum, i_))
                 return true;
             surfaceUnrecovered();
@@ -574,7 +565,7 @@ RunContext::stepPim(const KernelOp &op, bool suppressTransition)
                           ? FallbackCause::RetryExhausted
                           : FallbackCause::Uncheckpointed);
         runGpu(op);
-    } else if (checksumOn_ && i_ + 1 < seq_.ops.size() &&
+    } else if (rc_.checksumEnabled && i_ + 1 < seq_.ops.size() &&
                !onPimFlags_[i_ + 1]) {
         // Coherence write-back boundary (§V-C): the GPU is
         // about to consume this segment's outputs — verify

@@ -185,9 +185,7 @@ class RunContext
     uint64_t streamBase_ = 0;
 
     std::vector<bool> onPimFlags_;
-    bool checksumOn_ = false;
     std::optional<ScrubEngine> scrubber_;
-    double extBw_ = 1.0;
     double liveBytes_ = 0.0;
     size_t residentWords_ = 0;
     double windowNs_ = 0.0;

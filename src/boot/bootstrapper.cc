@@ -27,10 +27,9 @@ mulMonomial(const Ciphertext &ct, size_t power)
 Bootstrapper::Bootstrapper(const CkksContext &context,
                            const CkksEncoder &encoder,
                            const CkksEvaluator &evaluator,
-                           KeyGenerator &keygen,
-                           const BootstrapConfig &config)
+                           KeyGenerator &keygen)
     : context_(context), encoder_(encoder), evaluator_(evaluator),
-      config_(config), transformer_(context, encoder, evaluator),
+      transformer_(context, encoder, evaluator),
       chebyshev_(evaluator, relinKey_)
 {
     const size_t slots = encoder_.slots();
@@ -39,14 +38,14 @@ Bootstrapper::Bootstrapper(const CkksContext &context,
     const double delta = std::ldexp(1.0, context_.params().logScale);
 
     intervalScale_ = 2.0;
-    while (intervalScale_ < config_.kBound + 1.0)
+    while (intervalScale_ < BootstrapConfig::kBound + 1.0)
         intervalScale_ *= 2.0;
 
     // DFT factors. CoeffToSlot folds delta / (q0 * a) so post-transform
     // slots are (m + q0*I) / (q0*a) in [-1, 1] at tracked scale ~delta;
     // the 0.5 of the conjugation split is folded in as well.
     // SlotToCoeff folds q0 / delta to restore the message magnitude.
-    const DftPlan plan(slots, config_.fftIter);
+    const DftPlan plan(slots, BootstrapConfig::fftIter);
     ctsFactors_ = plan.coeffToSlotFactors(
         {0.5 * delta / (q0 * intervalScale_), 0.0});
     stcFactors_ = plan.slotToCoeffFactors({q0 / delta, 0.0});
@@ -54,12 +53,12 @@ Bootstrapper::Bootstrapper(const CkksContext &context,
     // Scaled sine: F(v) = cos((2*pi*a*v - pi/2) / 2^r); after r
     // double-angle steps this becomes sin(2*pi*a*v).
     const double a = intervalScale_;
-    const double r = std::ldexp(1.0, config_.doubleAngles);
+    const double r = std::ldexp(1.0, BootstrapConfig::doubleAngles);
     sineCoeffs_ = chebyshevFit(
         [a, r](double v) {
             return std::cos((2.0 * M_PI * a * v - M_PI / 2.0) / r);
         },
-        config_.sineDegree);
+        BootstrapConfig::sineDegree);
 
     // Key material: relinearization + every rotation either transform
     // needs + conjugation.
@@ -89,8 +88,8 @@ Bootstrapper::Bootstrapper(const CkksContext &context,
 size_t
 Bootstrapper::evalModDepth() const
 {
-    return ChebyshevEvaluator::depthForDegree(config_.sineDegree) +
-           config_.doubleAngles;
+    return ChebyshevEvaluator::depthForDegree(BootstrapConfig::sineDegree) +
+           BootstrapConfig::doubleAngles;
 }
 
 Ciphertext
@@ -140,7 +139,7 @@ Bootstrapper::evalMod(const Ciphertext &ct) const
     // Chebyshev cosine followed by r double-angle steps; the result is
     // sin(2*pi*t) / (2*pi) with t = m/q0 + I, i.e. ~m/(2*pi*q0).
     Ciphertext c = chebyshev_.evaluate(ct, sineCoeffs_);
-    for (size_t i = 0; i < config_.doubleAngles; ++i) {
+    for (size_t i = 0; i < BootstrapConfig::doubleAngles; ++i) {
         Ciphertext sq = evaluator_.rescale(
             evaluator_.square(c, relinKey_));
         sq = evaluator_.mulInteger(sq, 2);

@@ -3,9 +3,9 @@
  * CKKS bootstrapping (§II-C): ModRaise, CoeffToSlot, EvalMod (approximate
  * modular reduction via a scaled sine), and SlotToCoeff.
  *
- * The linear transforms use the factored-DFT plan (dft.h) with a
- * configurable fftIter and the BSGS hoisted linear-transform algorithm,
- * matching the configuration the paper evaluates. The scaled-sine step
+ * The linear transforms use the factored-DFT plan (dft.h) with
+ * fftIter = 2 and the BSGS hoisted linear-transform algorithm, matching
+ * the configuration the paper evaluates. The scaled-sine step
  * evaluates cos((2*pi*a*v - pi/2) / 2^r) by Chebyshev interpolation
  * followed by r double-angle steps, yielding sin(2*pi*t).
  *
@@ -26,16 +26,19 @@
 
 namespace anaheim {
 
+/** The bootstrapping constants, tuned together with bootstrapParams()
+ *  (ckks/params.cc). A struct only so perfbench/src/ckks_bench.cc can
+ *  spell BootstrapConfig{}.fftIter. */
 struct BootstrapConfig {
     /** Number of factors per DFT (CoeffToSlot and SlotToCoeff each). */
-    size_t fftIter = 2;
+    static constexpr size_t fftIter = 2;
     /** Chebyshev degree of the cosine approximant. */
-    size_t sineDegree = 63;
+    static constexpr size_t sineDegree = 63;
     /** Double-angle iterations r. */
-    size_t doubleAngles = 3;
+    static constexpr size_t doubleAngles = 3;
     /** Bound K on the modulus-multiple I after ModRaise; the interval
      *  scaling a is the next power of two above K. */
-    double kBound = 12.0;
+    static constexpr double kBound = 12.0;
 };
 
 class Bootstrapper
@@ -46,8 +49,7 @@ class Bootstrapper
      * key bootstrapping needs (rotations, conjugation, relinearization).
      */
     Bootstrapper(const CkksContext &context, const CkksEncoder &encoder,
-                 const CkksEvaluator &evaluator, KeyGenerator &keygen,
-                 const BootstrapConfig &config = {});
+                 const CkksEvaluator &evaluator, KeyGenerator &keygen);
 
     /**
      * Refresh a ciphertext: consume it at (any) level and return an
@@ -55,15 +57,13 @@ class Bootstrapper
      */
     Ciphertext bootstrap(const Ciphertext &ct) const;
 
-    /** Level of bootstrap() outputs given this configuration. */
+    /** Level of bootstrap() outputs given the context's modulus. */
     size_t outputLevel() const { return outputLevel_; }
 
     /** Levels consumed by each phase (for the level schedule / traces).*/
-    size_t coeffToSlotDepth() const { return config_.fftIter; }
+    size_t coeffToSlotDepth() const { return BootstrapConfig::fftIter; }
     size_t evalModDepth() const;
-    size_t slotToCoeffDepth() const { return config_.fftIter; }
-
-    const BootstrapConfig &config() const { return config_; }
+    size_t slotToCoeffDepth() const { return BootstrapConfig::fftIter; }
 
     /** ModRaise alone (exposed for tests): re-express a level-1
      *  ciphertext over the full modulus. */
@@ -77,7 +77,6 @@ class Bootstrapper
     const CkksContext &context_;
     const CkksEncoder &encoder_;
     const CkksEvaluator &evaluator_;
-    BootstrapConfig config_;
     double intervalScale_; // a = 2^ceil(log2(K+1))
     std::vector<DiagMatrix> ctsFactors_;
     std::vector<DiagMatrix> stcFactors_;

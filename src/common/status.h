@@ -2,12 +2,11 @@
  * @file
  * Recoverable error reporting for library code.
  *
- * Library-internal failure used to go through ANAHEIM_FATAL, i.e.
- * exit(1): correct for a CLI entry point, hostile to any caller that
- * wants to detect, report, or survive the condition (a resilient
- * framework retrying a corrupted PIM segment, a server rejecting one
- * bad request). This header replaces that with a value type plus a
- * typed exception:
+ * Library code never exits the process on bad input: a caller may want
+ * to detect, report, or survive the condition (a resilient framework
+ * retrying a corrupted PIM segment, a server rejecting one bad
+ * request). It reports failure through a value type plus a typed
+ * exception:
  *
  *  - ErrorCode / Status: a code + message pair for APIs that prefer to
  *    return errors (validation passes, capture helpers in tests).

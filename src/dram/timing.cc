@@ -18,7 +18,6 @@ DramConfig::hbm2A100()
     config.timing.tRCD = 21;
     config.timing.tRP = 21;
     config.timing.tRAS = 50;
-    config.timing.tCL = 21;
     config.timing.tCCD = 2;
     config.timing.tWR = 24;
     config.timing.tRTP = 8;
@@ -43,7 +42,6 @@ DramConfig::gddr6xRtx4090()
     config.timing.tRCD = 24;
     config.timing.tRP = 24;
     config.timing.tRAS = 52;
-    config.timing.tCL = 24;
     config.timing.tCCD = 2;
     config.timing.tWR = 28;
     config.timing.tRTP = 8;

@@ -23,8 +23,6 @@ struct DramTiming {
     int tRP = 14;
     /** ACT to PRE (row active time). */
     int tRAS = 33;
-    /** Column command to data (CAS latency). */
-    int tCL = 14;
     /** Column-to-column, same bank group (burst occupancy). */
     int tCCD = 2;
     /** Write recovery before PRE. */

@@ -123,13 +123,6 @@ class ShoupMul
         return mulModShoup(a, w_, wPrecon_, q);
     }
 
-    /** a * w mod q reduced only to [0, 2q); any 64-bit a. */
-    uint64_t
-    mulLazy(uint64_t a, uint64_t q) const
-    {
-        return mulModShoupLazy(a, w_, wPrecon_, q);
-    }
-
   private:
     uint64_t w_ = 0;
     uint64_t wPrecon_ = 0;

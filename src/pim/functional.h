@@ -43,7 +43,6 @@ class PimFunctionalUnit
      * identical to the fault-free model.
      */
     void attachReadPath(PimDataPath *path) { readPath_ = path; }
-    const PimDataPath *readPath() const { return readPath_; }
 
     /** @name Table II instructions (plain-domain semantics). */
     /// @{

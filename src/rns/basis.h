@@ -40,10 +40,6 @@ class RnsBasis
     uint64_t prime(size_t i) const { return primes_[i]; }
     const std::vector<uint64_t> &primes() const { return primes_; }
     const NttTable &table(size_t i) const { return *tables_[i]; }
-    std::shared_ptr<const NttTable> tablePtr(size_t i) const
-    {
-        return tables_[i];
-    }
 
     /** Sub-basis consisting of primes [first, first + count), sharing
      *  NTT tables with this basis. */

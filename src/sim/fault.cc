@@ -55,28 +55,37 @@ sampleCount(Rng &rng, double expected)
     return draw <= 0.0 ? 0 : static_cast<uint64_t>(std::llround(draw));
 }
 
-/** Per-codeword outcome probabilities at per-bit rate `ber` over `n`
- *  bits: none / exactly-one / two-or-more flipped. */
-struct WordClassProbs {
-    double single = 0.0;
-    double multi = 0.0;
-};
-
-WordClassProbs
-wordClassProbs(double ber, double n)
-{
-    WordClassProbs probs;
-    const double pNone = std::pow(1.0 - ber, n);
-    probs.single = n * ber * std::pow(1.0 - ber, n - 1.0);
-    probs.multi = std::max(1.0 - pNone - probs.single, 0.0);
-    return probs;
-}
-
 /** Stream-class tags decorrelating the event-level draw families. */
 constexpr uint64_t kStorageStream = 0xfa117;
 constexpr uint64_t kLaneStream = 0x1a4e5;
 constexpr uint64_t kRetentionStream = 0x4e7e4;
 constexpr uint64_t kPermanentStream = 0xdeadb;
+
+/**
+ * Event-level draw over `words` stored SEC-DED codewords at per-bit
+ * rate `ber`: how many took exactly one flip (correctable) and how many
+ * two or more, drawn single-then-multi from the stream
+ * (seed, streamTag, key).
+ */
+FaultEventCounts
+sampleCodewords(uint64_t seed, double ber, uint64_t streamTag,
+                uint64_t key, size_t words)
+{
+    FaultEventCounts counts;
+    if (ber <= 0.0 || words == 0)
+        return counts;
+    const double n = SecDed3932::kCodeBits;
+    const double pNone = std::pow(1.0 - ber, n);
+    const double pSingle = n * ber * std::pow(1.0 - ber, n - 1.0);
+    const double pMulti = std::max(1.0 - pNone - pSingle, 0.0);
+
+    Rng rng(siteKey(seed, streamTag, key, 0));
+    const double total = static_cast<double>(words);
+    counts.singleBit = sampleCount(rng, total * pSingle);
+    counts.multiBit = sampleCount(rng, total * pMulti);
+    counts.faulty = counts.singleBit + counts.multiBit;
+    return counts;
+}
 
 } // namespace
 
@@ -130,7 +139,7 @@ FaultModel::corruptAtRate(uint64_t codeword, double rate, size_t limb,
                           unsigned bits) const
 {
     if (rate > 0.0) {
-        Rng rng(siteKey(config_.seed, limb, word, epoch));
+        Rng rng(siteKey(config_.faultSeed, limb, word, epoch));
         for (unsigned bit = 0; bit < bits; ++bit) {
             if (rng.uniformReal() < rate)
                 codeword ^= uint64_t{1} << bit;
@@ -172,7 +181,7 @@ FaultModel::samplePermanentBanks(size_t dieGroups,
         // failure set is a property of the device, not of the run.
         for (size_t g = 0; g < dieGroups; ++g) {
             for (size_t b = 0; b < banksPerGroup; ++b) {
-                Rng rng(siteKey(config_.seed, kPermanentStream,
+                Rng rng(siteKey(config_.faultSeed, kPermanentStream,
                                 g * banksPerGroup + b, 0));
                 if (rng.uniformReal() < config_.permanentBankRate)
                     failed.push_back({g, b});
@@ -198,18 +207,8 @@ FaultModel::samplePermanentBanks(size_t dieGroups,
 FaultEventCounts
 FaultModel::sampleEvents(size_t words, uint64_t streamId) const
 {
-    FaultEventCounts counts;
-    if (config_.ber <= 0.0 || words == 0)
-        return counts;
-    const WordClassProbs probs =
-        wordClassProbs(config_.ber, SecDed3932::kCodeBits);
-
-    Rng rng(siteKey(config_.seed, kStorageStream, streamId, 0));
-    const double total = static_cast<double>(words);
-    counts.singleBit = sampleCount(rng, total * probs.single);
-    counts.multiBit = sampleCount(rng, total * probs.multi);
-    counts.faulty = counts.singleBit + counts.multiBit;
-    return counts;
+    return sampleCodewords(config_.faultSeed, config_.ber, kStorageStream,
+                           streamId, words);
 }
 
 FaultEventCounts
@@ -221,7 +220,7 @@ FaultModel::sampleLaneEvents(size_t laneOps, uint64_t streamId) const
     // A lane fault of any multiplicity poisons the product the same
     // way and nothing on the lane detects it: one class only.
     const double pFault = 1.0 - std::pow(1.0 - config_.laneBer, 28.0);
-    Rng rng(siteKey(config_.seed, kLaneStream, streamId, 0));
+    Rng rng(siteKey(config_.faultSeed, kLaneStream, streamId, 0));
     counts.faulty =
         sampleCount(rng, static_cast<double>(laneOps) * pFault);
     return counts;
@@ -230,20 +229,11 @@ FaultModel::sampleLaneEvents(size_t laneOps, uint64_t streamId) const
 FaultEventCounts
 FaultModel::sampleRetention(uint64_t window, size_t words) const
 {
-    FaultEventCounts counts;
-    if (config_.retentionBerPerWindow <= 0.0 || words == 0)
-        return counts;
     // Decay lands on full stored codewords (data + check bits), so the
     // SEC-DED single/multi split applies: singles are correctable by
     // the next scrub pass, multis are lost data.
-    const WordClassProbs probs = wordClassProbs(
-        config_.retentionBerPerWindow, SecDed3932::kCodeBits);
-    Rng rng(siteKey(config_.seed, kRetentionStream, window, 0));
-    const double total = static_cast<double>(words);
-    counts.singleBit = sampleCount(rng, total * probs.single);
-    counts.multiBit = sampleCount(rng, total * probs.multi);
-    counts.faulty = counts.singleBit + counts.multiBit;
-    return counts;
+    return sampleCodewords(config_.faultSeed, config_.retentionBerPerWindow,
+                           kRetentionStream, window, words);
 }
 
 } // namespace anaheim

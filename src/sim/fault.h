@@ -85,6 +85,8 @@ struct PermanentBankFault {
     size_t bank = 0; ///< bank index within the die group
 };
 
+/** What faults a run injects. ResilienceConfig (anaheim/framework.h)
+ *  extends it with the recovery policy. */
 struct FaultConfig {
     /** Raw per-bit error probability per codeword access on the
      *  storage sites (operand reads and write-backs). */
@@ -97,10 +99,13 @@ struct FaultConfig {
     double retentionBerPerWindow = 0.0;
     /** Seed for the fault-site PRNG; identical seeds reproduce
      *  identical fault sites. */
-    uint64_t seed = 0x0ddfa117u;
+    uint64_t faultSeed = 0x0ddfa117u;
+    /** Word-level faults: only PimDataPath applies them. */
     std::vector<TargetedFault> targets;
 
-    /** Explicitly dead banks (always failed, any seed). */
+    /** Explicitly dead banks (always failed, any seed). Unlike
+     *  transient upsets these fail every retry, every replay, every
+     *  generation. */
     std::vector<PermanentBankFault> permanentBanks;
     /** Monte-Carlo permanent-failure probability per bank, sampled
      *  deterministically per (seed, die group, bank) by
@@ -108,7 +113,7 @@ struct FaultConfig {
      *  axis of a degradation campaign. */
     double permanentBankRate = 0.0;
 
-    bool enabled() const
+    bool injectsFaults() const
     {
         return ber > 0.0 || laneBer > 0.0 || retentionBerPerWindow > 0.0 ||
                !targets.empty() || !permanentBanks.empty() ||
@@ -129,7 +134,7 @@ class FaultModel
     explicit FaultModel(FaultConfig config);
 
     const FaultConfig &config() const { return config_; }
-    bool enabled() const { return config_.enabled(); }
+    bool injectsFaults() const { return config_.injectsFaults(); }
 
     /**
      * Corrupt a `bits`-wide codeword access at (limb, word) during

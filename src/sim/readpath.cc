@@ -37,7 +37,7 @@ uint32_t
 PimDataPath::readWord(uint32_t stored, size_t word)
 {
     ++counters_.wordsRead;
-    if (!model_.enabled())
+    if (!model_.injectsFaults())
         return stored;
 
     if (!ecc_) {
@@ -64,7 +64,7 @@ uint32_t
 PimDataPath::writeWord(uint32_t value, size_t word)
 {
     ++counters_.wordsWritten;
-    if (!model_.enabled())
+    if (!model_.injectsFaults())
         return value;
     const size_t site = siteWord(FaultSite::WriteBack, word);
 
@@ -94,7 +94,7 @@ uint32_t
 PimDataPath::laneValue(uint32_t value, size_t word)
 {
     ++counters_.laneOps;
-    if (!model_.enabled())
+    if (!model_.injectsFaults())
         return value;
     const uint32_t out = model_.corruptLane(value, limb_, word, epoch_);
     if (out != value) {

@@ -7,6 +7,7 @@
 #include "anaheim/framework.h"
 #include "anaheim/workloads.h"
 #include "gpu/gpumodel.h"
+#include "support/error_matchers.h"
 #include "trace/builders.h"
 
 namespace anaheim {
@@ -216,6 +217,16 @@ TEST_F(FrameworkTest, ModSwitchChainsFuseOnTheGpu)
     const auto unfused = run(unchained, config);
     EXPECT_LT(fused.gpuDramBytes, unfused.gpuDramBytes);
     EXPECT_LT(fused.totalNs, unfused.totalNs);
+}
+
+TEST_F(FrameworkTest, RejectsTargetedFaults)
+{
+    // Targeted faults name words of the functional datapath; the
+    // timing model samples events, so it refuses them up front.
+    AnaheimConfig config = AnaheimConfig::a100NearBank();
+    config.resilience.targets.push_back({0, 0, 0x1});
+    EXPECT_ANAHEIM_ERROR(AnaheimFramework framework(config),
+                         InvalidArgument, "targets");
 }
 
 TEST(CanonicalTimeline, MatchesStableSortOnShuffledTies)

@@ -134,7 +134,7 @@ TEST_F(FunctionalRecoveryTest,
     // epoch — soon come back clean.
     FaultConfig faults;
     faults.ber = 4e-4;
-    faults.seed = 1;
+    faults.faultSeed = 1;
     PimDataPath path(faults, /*eccEnabled=*/true);
 
     std::optional<Ciphertext> sum;
@@ -184,7 +184,7 @@ TEST_F(FunctionalRecoveryTest, ChecksumIsTheOnlyNetWithoutEcc)
 
     FaultConfig faults;
     faults.ber = 1e-5;
-    faults.seed = 3;
+    faults.faultSeed = 3;
     PimDataPath path(faults, /*eccEnabled=*/false);
 
     std::optional<Ciphertext> sum;

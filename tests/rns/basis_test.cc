@@ -33,7 +33,7 @@ TEST(RnsBasis, SliceSharesTables)
     EXPECT_EQ(sub.prime(0), basis.prime(1));
     EXPECT_EQ(sub.prime(1), basis.prime(2));
     // Shared table objects, not copies.
-    EXPECT_EQ(sub.tablePtr(0).get(), basis.tablePtr(1).get());
+    EXPECT_EQ(&sub.table(0), &basis.table(1));
 }
 
 TEST(RnsBasis, ConcatPreservesOrder)

@@ -81,10 +81,10 @@ TEST(FaultModel, IdenticalSeedsReproduceIdenticalFaultSites)
 {
     FaultConfig config;
     config.ber = 1e-2;
-    config.seed = 42;
+    config.faultSeed = 42;
     const FaultModel modelA(config);
     const FaultModel modelB(config);
-    config.seed = 43;
+    config.faultSeed = 43;
     const FaultModel modelC(config);
 
     bool anyFault = false;
@@ -146,7 +146,7 @@ TEST(FaultModel, EventSamplingIsDeterministicAndScales)
 {
     FaultConfig config;
     config.ber = 1e-4;
-    config.seed = 99;
+    config.faultSeed = 99;
     const FaultModel model(config);
     const auto a = model.sampleEvents(1 << 20, 7);
     const auto b = model.sampleEvents(1 << 20, 7);
@@ -185,7 +185,7 @@ TEST(FaultModel, LaneEventSamplingIsDeterministicAndUnclassified)
 {
     FaultConfig config;
     config.laneBer = 1e-6;
-    config.seed = 77;
+    config.faultSeed = 77;
     const FaultModel model(config);
     const auto a = model.sampleLaneEvents(1 << 22, 3);
     const auto b = model.sampleLaneEvents(1 << 22, 3);
@@ -204,7 +204,7 @@ TEST(FaultModel, RetentionSamplingIsKeyedByWindow)
 {
     FaultConfig config;
     config.retentionBerPerWindow = 1e-4;
-    config.seed = 78;
+    config.faultSeed = 78;
     const FaultModel model(config);
     const auto a = model.sampleRetention(1, 1 << 20);
     EXPECT_EQ(a.faulty, model.sampleRetention(1, 1 << 20).faulty);
@@ -408,7 +408,7 @@ TEST_F(ReadPathTest, TransientFaultsResampleAcrossReplayGenerations)
     const auto a = randomVector(256, 22);
     FaultConfig faults;
     faults.ber = 1e-3;
-    faults.seed = 4321;
+    faults.faultSeed = 4321;
     PimDataPath path(faults, /*eccEnabled=*/true);
     unit.attachReadPath(&path);
 
@@ -434,7 +434,7 @@ TEST_F(ReadPathTest, EccKeepsOutputsExactUnderModerateBer)
 
     FaultConfig faults;
     faults.ber = 1e-4; // single-bit territory: ~32 upsets in 16k reads
-    faults.seed = 1234;
+    faults.faultSeed = 1234;
     PimDataPath path(faults, /*eccEnabled=*/true);
     unit.attachReadPath(&path);
 

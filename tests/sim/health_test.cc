@@ -140,7 +140,7 @@ TEST(PermanentBankSampling, DeterministicPerSeedAndEpochFree)
 {
     FaultConfig config;
     config.permanentBankRate = 5e-3;
-    config.seed = 1234;
+    config.faultSeed = 1234;
     const FaultModel model(config);
     const auto a = model.samplePermanentBanks(5, 512);
     const auto b = model.samplePermanentBanks(5, 512);
@@ -151,7 +151,7 @@ TEST(PermanentBankSampling, DeterministicPerSeedAndEpochFree)
     }
     EXPECT_GT(a.size(), 0u); // ~13 expected failures over 2560 banks
     // A different seed draws a different device.
-    config.seed = 1235;
+    config.faultSeed = 1235;
     const auto c = FaultModel(config).samplePermanentBanks(5, 512);
     bool differs = c.size() != a.size();
     for (size_t i = 0; !differs && i < a.size(); ++i)
